@@ -1,13 +1,11 @@
 """Impatient coupon collector: Stirling asymptotics, conditioned sampling,
 limiting completion curves, and random accessible automata."""
 
-from .errors import (BackendWindowError, NumericsError, QuadratureError,
-                     ResourceCapError)
+from .errors import NumericsError, QuadratureError, ResourceCapError
 from .specialfn import (SaddleParams, f_drift, g_theta, lambert_w0, rate_j,
                         saddle_params, tail_h, xi_of_lambda, xi_via_lambertw)
-from .stirling import (ExactBackend, LogDPBackend, SaddleBackend,
-                       StirlingBackend, chi, load_rows, psi_log,
-                       psi_log_forms, ratio_r, saddle_diagnostics, save_rows,
+from .stirling import (ExactBackend, LogDPBackend, chi, psi_log,
+                       psi_log_forms, ratio_r, saddle_diagnostics,
                        stirling_exact, surjection_log_probability,
                        transition_error)
 from .curve import (Curve, curve_to_csv, envelope, lambda_along,
@@ -26,12 +24,12 @@ from .automata import (BoxedDiagram, bfs_accessible, binomial_ci, dyck_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendWindowError", "NumericsError", "QuadratureError", "ResourceCapError",
+    "NumericsError", "QuadratureError", "ResourceCapError",
     "SaddleParams", "f_drift", "g_theta", "lambert_w0", "rate_j",
     "saddle_params", "tail_h", "xi_of_lambda", "xi_via_lambertw",
-    "ExactBackend", "LogDPBackend", "SaddleBackend", "StirlingBackend",
-    "chi", "load_rows", "psi_log", "psi_log_forms", "ratio_r",
-    "saddle_diagnostics", "save_rows", "stirling_exact",
+    "ExactBackend", "LogDPBackend",
+    "chi", "psi_log", "psi_log_forms", "ratio_r",
+    "saddle_diagnostics", "stirling_exact",
     "surjection_log_probability", "transition_error",
     "Curve", "curve_to_csv", "envelope", "lambda_along", "patient_curve",
     "solve_completion_curve", "strip_clearance",

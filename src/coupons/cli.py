@@ -5,9 +5,9 @@ deterministic given its full flag set (seed included); Monte-Carlo
 subcommands split the seed into one sub-stream per trajectory, so
 --jobs changes wall time but never output.
 
-Exit codes: 0 ok, 2 bad parameters/usage, 3 I/O failure, 4 numeric or
-backend-window failure.  Floats print at 17 significant digits in text
-output; JSON uses shortest round-trip floats (lossless either way).
+Exit codes: 0 ok, 2 bad parameters/usage, 3 I/O failure, 4 numeric
+failure.  Floats print at 17 significant digits in text output; JSON
+uses shortest round-trip floats (lossless either way).
 The environment variable COUPONS_OUTPUT_DIR, when set, is prepended to
 relative --out paths.
 """
@@ -65,8 +65,6 @@ def _jsonify(obj):
 
 
 def cmd_curve(args):
-    if args.format != "csv":
-        raise ValueError("curve: only --format csv is supported")
     c = curve.solve_completion_curve(args.nu, args.a, step=args.step)
     lines = ["x,y,lambda"]
     for x, y in zip(c.xs, c.ys):
@@ -110,14 +108,10 @@ def cmd_stirling(args):
 
 
 def cmd_simulate(args):
-    if args.format != "json":
-        raise ValueError("simulate: only --format json is supported")
     if args.backend == "exact":
         be = stirling.ExactBackend()
     elif args.backend == "logdp":
         be = stirling.LogDPBackend()
-    elif args.backend == "saddle":
-        be = stirling.SaddleBackend()
     else:
         be = None  # auto
     rec = sampler.sup_distance_batch(args.N, args.n, args.trials, args.a,
@@ -163,7 +157,6 @@ def build_parser():
     pc.add_argument("--a", type=float, required=True)
     pc.add_argument("--step", type=float, default=1e-3)
     pc.add_argument("--out", default=None)
-    pc.add_argument("--format", default="csv", choices=["csv", "json"])
     pc.set_defaults(func=cmd_curve)
 
     ps = sub.add_parser("stirling", help="exact Stirling numbers and diagnostics")
@@ -184,11 +177,10 @@ def build_parser():
     pm.add_argument("--a", type=float, required=True)
     pm.add_argument("--seed", type=_u64, default=0)
     pm.add_argument("--backend", default="auto",
-                    choices=["auto", "exact", "logdp", "saddle"])
+                    choices=["auto", "exact", "logdp"])
     pm.add_argument("--jobs", type=int, default=1)
     pm.add_argument("--step", type=float, default=1e-3)
     pm.add_argument("--out", default=None)
-    pm.add_argument("--format", default="json", choices=["csv", "json"])
     pm.set_defaults(func=cmd_simulate)
 
     pk = sub.add_parser("korshunov", help="accessibility Monte Carlo vs constants")

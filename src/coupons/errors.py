@@ -1,18 +1,14 @@
 """Exception types shared across the library.
 
 Argument and domain violations raise plain ValueError.  The classes here
-mark failures of a different nature: numerical self-checks, backend
-validity windows, and resource caps.  The CLI maps ValueError to exit
-code 2, OSError to 3, and everything below to 4.
+mark failures of a different nature: numerical self-checks and resource
+caps.  The CLI maps ValueError to exit code 2, OSError to 3, and
+everything below to 4.
 """
 
 
 class NumericsError(RuntimeError):
     """An internal numerical self-check or iteration failed to converge."""
-
-
-class BackendWindowError(NumericsError):
-    """A Stirling backend was queried outside its declared validity window."""
 
 
 class QuadratureError(NumericsError):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import solve_completion_curve
-from .errors import BackendWindowError
 from .specialfn import xi_of_lambda
 from .stirling import ExactBackend, LogDPBackend
 
@@ -63,7 +62,7 @@ class Trajectory:
         return self
 
 
-def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, table=None):
+def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1):
     """Sample `trials` reversed-chain paths; returns int32 array (trials, N+1).
 
     Row i is drawn from sub-stream (seed, i), so any contiguous batch of
@@ -76,10 +75,7 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, table=None):
         raise ValueError("conditioned_paths: trials must be >= 1")
     if backend is None:
         backend = auto_backend(N, n)
-    if not backend.supports_chain(N, n):
-        raise BackendWindowError(
-            "backend %s does not cover the (N=%d, n=%d) chain" % (backend.kind, N, n))
-    rtab = backend.ratio_table(N, n) if table is None else table
+    rtab = backend.ratio_table(N, n)
 
     Z = np.empty((trials, N + 1), dtype=np.int32)
     chunk = max(256, min(65536, int(4e6 // (N + 1))))

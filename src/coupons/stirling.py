@@ -12,40 +12,31 @@ integral representation
 
     {m l} = (m!/l!) (e^xi - 1)^l xi^{-m} / (2 pi) * Int_{-pi}^{pi} g(theta)^l dtheta.
 
-Three interchangeable evaluation strategies are exposed as backends:
-Exact (big integers), LogDP (float64 log-space recurrence), and Saddle
-(r approximated by rho(lambda), valid only on a lambda-window).
+Two interchangeable evaluation strategies are exposed as backends:
+Exact (big integers) and LogDP (float64 log-space recurrence).
 """
 
+import itertools
 import math
-import struct
 
 import numpy as np
 import scipy.integrate
 
-from .errors import BackendWindowError, NumericsError, QuadratureError, ResourceCapError
+from .errors import NumericsError, QuadratureError, ResourceCapError
 from .specialfn import g_theta, saddle_params, tail_h, xi_of_lambda
 
 DEFAULT_EXACT_CAP = 5000
 _LN2 = math.log(2.0)
 
 
-def _rows_upto(m, width):
-    """Rolling DP: return rows m-1 and m, truncated to columns 0..width."""
-    prev = [1]  # row 0: {0 0} = 1
-    row = prev
-    for mi in range(1, m + 1):
-        w = min(mi, width)
-        row = [0] * (w + 1)
-        for l in range(1, w + 1):
-            s = prev[l - 1]
-            if l < len(prev):
-                s += l * prev[l]
-            row[l] = s
-        if mi == m:
-            return prev, row
-        prev = row
-    return prev, row  # m == 0: both are row 0
+def _rows(width):
+    """Rolling DP: yield rows m = 0, 1, 2, ... of {m l}, truncated to l <= width."""
+    row = [1]  # row 0: {0 0} = 1
+    for m in itertools.count(1):
+        yield row
+        prev = row if m > width else row + [0]  # {m-1 m} = 0
+        row = [0] + [a + l * b for l, a, b in
+                     zip(range(1, min(m, width) + 1), prev, prev[1:])]
 
 
 def stirling_exact(m, l, cap=DEFAULT_EXACT_CAP):
@@ -57,10 +48,7 @@ def stirling_exact(m, l, cap=DEFAULT_EXACT_CAP):
     if m > cap:
         raise ResourceCapError(
             "stirling_exact: m=%d exceeds cap %d (raise cap= explicitly)" % (m, cap))
-    if m == 0:
-        return 1
-    _, row = _rows_upto(m, l)
-    return row[l] if l < len(row) else 0
+    return next(itertools.islice(_rows(l), m, None))[l]
 
 
 def _log_big(x):
@@ -74,113 +62,42 @@ def _log_big(x):
     return math.log(x >> sh) + sh * _LN2
 
 
-def _ratio_to_float(a, b):
-    # nearest-double of a/b for big integers, 0 <= a <= b
-    if a == 0:
-        return 0.0
-    s = b.bit_length() - a.bit_length() + 64
-    if s < 0:
-        s = 0
-    q = (a << s) // b
-    return math.ldexp(float(q), -s)
+class ExactBackend:
+    """Arbitrary-precision backend: r(m,l) is the exact rational, rounded once.
 
-
-class StirlingBackend:
-    """Evaluation strategy handle; see ExactBackend, LogDPBackend, SaddleBackend."""
-
-    kind = None
-
-    def ratio(self, m, l):
-        raise NotImplementedError
-
-    def ratio_table(self, N, n):
-        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined)."""
-        R = np.zeros((N + 1, n + 1))
-        for m in range(1, N + 1):
-            for l in range(1, min(m, n) + 1):
-                R[m, l] = self.ratio(m, l)
-        return R
-
-    def supports_chain(self, N, n):
-        """Whether every state reachable by the reversed chain from (N, n) is valid."""
-        return True
-
-
-class ExactBackend(StirlingBackend):
-    """Arbitrary-precision backend; r(m,l) is an exact rational rounded once.
-
-    Row caching is opt-in (cache_rows=True) because full tables are
-    gigabyte-scale at m ~ 4000; the byte budget is enforced explicitly.
+    Python's int / int true division is correctly rounded, so every ratio
+    is the double nearest to {m-1 l-1}/{m l}, subnormals included.
     """
 
     kind = "Exact"
 
-    def __init__(self, cache_rows=False, max_cache_bytes=1 << 31):
-        self.cache_rows = cache_rows
-        self.max_cache_bytes = max_cache_bytes
-        self._rows = {}
-        self._cached_bytes = 0
-
-    def _store_row(self, m, row):
-        if not self.cache_rows or m in self._rows:
-            return
-        nb = sum(x.bit_length() >> 3 for x in row) + 40 * len(row)
-        if self._cached_bytes + nb > self.max_cache_bytes:
-            raise ResourceCapError(
-                "ExactBackend row cache would exceed %d bytes at m=%d"
-                % (self.max_cache_bytes, m))
-        self._rows[m] = row
-        self._cached_bytes += nb
-
     def ratio(self, m, l):
         if not (1 <= l <= m):
             raise ValueError("ratio: need 1 <= l <= m, got (%r, %r)" % (m, l))
-        ra = self._rows.get(m - 1)
-        rb = self._rows.get(m)
-        if ra is not None and rb is not None and l < len(ra) + 1 and l < len(rb):
-            num = ra[l - 1] if l - 1 < len(ra) else 0
-            return _ratio_to_float(num, rb[l])
-        prev, row = _rows_upto(m, l)
-        return _ratio_to_float(prev[l - 1], row[l])
+        rows = _rows(l)
+        prev = next(itertools.islice(rows, m - 1, None))
+        return prev[l - 1] / next(rows)[l]
 
     def ratio_table(self, N, n):
+        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined)."""
         R = np.zeros((N + 1, n + 1))
-        prev = [1]
-        self._store_row(0, prev)
+        rows = _rows(n)
+        prev = next(rows)
         for m in range(1, N + 1):
-            w = min(m, n)
-            row = [0] * (w + 1)
-            for l in range(1, w + 1):
-                s = prev[l - 1]
-                if l < len(prev):
-                    s += l * prev[l]
-                row[l] = s
-                R[m, l] = _ratio_to_float(prev[l - 1], s)
-            self._store_row(m, row)
+            row = next(rows)
+            R[m, 1:len(row)] = [a / b for a, b in zip(prev, row[1:])]
             prev = row
         return R
 
-    def save_cache(self, path):
-        """Serialize cached rows (see save_rows); rows must form a contiguous m-range."""
-        if not self._rows:
-            raise ValueError("save_cache: row cache is empty")
-        ms = sorted(self._rows)
-        if ms != list(range(ms[0], ms[-1] + 1)):
-            raise ValueError("save_cache: cached m-range is not contiguous")
-        save_rows(path, ms[0], [self._rows[m] for m in ms])
 
-    def load_cache(self, path):
-        m_start, rows = load_rows(path)
-        self.cache_rows = True
-        for i, row in enumerate(rows):
-            self._store_row(m_start + i, row)
-
-
-class LogDPBackend(StirlingBackend):
+class LogDPBackend:
     """float64 log-space recurrence L(m,l) = logaddexp(ln l + L(m-1,l), L(m-1,l-1)).
 
-    Relative accuracy ~1e-12 in log space (tested to 1e-9 against Exact);
-    the table is built lazily and regrown on demand.
+    Measured against ExactBackend over the whole (1500, 300) table:
+    ln {m l} is good to 4e-14 relative; where r > 0, r is within 5.9e-13
+    absolute and 4.6e-10 relative error.  r is the exp of a difference of
+    two logs, so its relative error grows with ln {m l}, i.e. with m.
+    The table is built lazily and regrown on demand.
     """
 
     kind = "LogDP"
@@ -229,51 +146,6 @@ class LogDPBackend(StirlingBackend):
         np.nan_to_num(R, copy=False, nan=0.0, posinf=0.0)
         np.clip(R, 0.0, 1.0, out=R)
         return R
-
-
-class SaddleBackend(StirlingBackend):
-    """r(m,l) approximated by rho(lambda), valid only for lambda in [delta, 1/delta]."""
-
-    kind = "Saddle"
-
-    def __init__(self, delta=0.1):
-        if not (0.0 < delta < 1.0):
-            raise ValueError("SaddleBackend: delta must be in (0,1)")
-        self.delta = delta
-
-    def _check_window(self, lam):
-        if not (self.delta <= lam <= 1.0 / self.delta):
-            raise BackendWindowError(
-                "lambda=%g outside saddle window [%g, %g]"
-                % (lam, self.delta, 1.0 / self.delta))
-
-    def ratio(self, m, l):
-        if not (1 <= l <= m):
-            raise ValueError("ratio: need 1 <= l <= m, got (%r, %r)" % (m, l))
-        lam = (m - l) / l
-        self._check_window(lam)
-        return math.exp(-xi_of_lambda(lam))
-
-    def supports_chain(self, N, n):
-        # reachable envelope: at step t the state is (m, l) = (N-t, l) with
-        # l in [max(1, n-t), min(n, m)]; the terminal (1,1) has lambda = 0
-        for t in range(N):
-            m = N - t
-            lo = max(1, n - t)
-            hi = min(n, m)
-            if lo > hi:
-                return False
-            for l in (lo, hi):
-                lam = (m - l) / l
-                if not (self.delta <= lam <= 1.0 / self.delta):
-                    return False
-        return True
-
-    def ratio_table(self, N, n):
-        if not self.supports_chain(N, n):
-            raise BackendWindowError(
-                "saddle backend cannot cover the (N=%d, n=%d) chain strip" % (N, n))
-        return StirlingBackend.ratio_table(self, N, n)
 
 
 def ratio_r(m, l, backend=None):
@@ -401,43 +273,3 @@ def saddle_diagnostics(lam, l):
         "tail": tail, "tail_abs": tail_abs, "tail_bound": tail_bound,
         "log_prefactor": log_prefactor,
     }
-
-
-# --- row serialization -------------------------------------------------
-#
-# Layout: 1 version byte, then little-endian u32 m_start and row count;
-# each row is a u32 entry count followed by entries stored as u32 byte
-# length + that many little-endian bytes of the nonnegative integer.
-
-_ROW_FORMAT_VERSION = 1
-
-
-def save_rows(path, m_start, rows):
-    """Write consecutive DP rows (rows[i] = row m_start + i) to a binary file."""
-    with open(path, "wb") as fh:
-        fh.write(bytes([_ROW_FORMAT_VERSION]))
-        fh.write(struct.pack("<II", m_start, len(rows)))
-        for row in rows:
-            fh.write(struct.pack("<I", len(row)))
-            for x in row:
-                b = int(x).to_bytes((int(x).bit_length() + 7) // 8 or 1, "little")
-                fh.write(struct.pack("<I", len(b)))
-                fh.write(b)
-
-
-def load_rows(path):
-    """Read rows written by save_rows; returns (m_start, rows)."""
-    with open(path, "rb") as fh:
-        ver = fh.read(1)
-        if len(ver) != 1 or ver[0] != _ROW_FORMAT_VERSION:
-            raise ValueError("load_rows: bad version byte in %r" % (path,))
-        m_start, nrows = struct.unpack("<II", fh.read(8))
-        rows = []
-        for _ in range(nrows):
-            (cnt,) = struct.unpack("<I", fh.read(4))
-            row = []
-            for _ in range(cnt):
-                (nb,) = struct.unpack("<I", fh.read(4))
-                row.append(int.from_bytes(fh.read(nb), "little"))
-            rows.append(row)
-    return m_start, rows

@@ -43,7 +43,9 @@ def test_curve_csv(tmp_path):
 
 
 def test_curve_rejects_json():
-    assert main(["curve", "--nu", "1", "--a", "0.2", "--format", "json"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--nu", "1", "--a", "0.2", "--format", "json"])
+    assert exc.value.code == 2
 
 
 def test_curve_bad_domain():
@@ -126,17 +128,19 @@ def test_simulate_backend_choices(tmp_path):
     _, te = run_out(base + ["--backend", "exact"], tmp_path, "be.json")
     _, tl = run_out(base + ["--backend", "logdp"], tmp_path, "bl.json")
     assert json.loads(te)["sup_distances"] == json.loads(tl)["sup_distances"]
-    assert main(base + ["--backend", "saddle"]) == 4  # no chain support
-    with pytest.raises(SystemExit) as exc:
-        main(base + ["--backend", "bogus"])
-    assert exc.value.code == 2
+    for bad in ("saddle", "bogus"):
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--backend", bad])
+        assert exc.value.code == 2
 
 
 def test_simulate_bad_parameters():
     assert main(["simulate", "--N", "5", "--n", "10", "--trials", "5",
                  "--a", "0.2"]) == 2
-    assert main(["simulate", "--N", "60", "--n", "30", "--trials", "5",
-                 "--a", "0.2", "--format", "csv"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--N", "60", "--n", "30", "--trials", "5",
+              "--a", "0.2", "--format", "csv"])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--N", "60", "--n", "30", "--trials", "5",
               "--a", "0.2", "--seed", "-1"])

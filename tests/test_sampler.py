@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from coupons import (BackendWindowError, ExactBackend, LogDPBackend,
-                     SaddleBackend, Trajectory, auto_backend,
+from coupons import (ExactBackend, LogDPBackend, Trajectory, auto_backend,
                      conditioned_paths, prefix_law, rejection_paths,
                      rejection_sample, sample_conditioned, sample_patient,
                      solve_completion_curve, sup_distance, sup_distance_batch,
@@ -69,11 +68,6 @@ def test_backends_agree_in_distribution_exactly():
     a = conditioned_paths(30, 12, 200, backend=ExactBackend(), seed=5)
     b = conditioned_paths(30, 12, 200, backend=LogDPBackend(), seed=5)
     assert np.array_equal(a, b)
-
-
-def test_saddle_backend_rejected_for_chains():
-    with pytest.raises(BackendWindowError):
-        conditioned_paths(20, 10, 5, backend=SaddleBackend())
 
 
 def test_auto_backend_selection():
