@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from .errors import NumericsError, ResourceCapError
 from .sampler import _rng, auto_backend, conditioned_paths
@@ -300,6 +299,7 @@ def binomial_ci(successes, trials, alpha=0.05, exact=False):
     """Binomial confidence interval: normal approximation or Clopper-Pearson."""
     if trials < 1 or not (0 <= successes <= trials):
         raise ValueError("binomial_ci: bad counts")
+    import scipy.stats  # deferred: costs ~1 s of import, used only here
     p = successes / trials
     if not exact:
         z = float(scipy.stats.norm.ppf(1.0 - alpha / 2.0))

@@ -13,6 +13,7 @@ relative --out paths.
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -66,10 +67,9 @@ def _jsonify(obj):
 
 def cmd_curve(args):
     c = curve.solve_completion_curve(args.nu, args.a, step=args.step)
-    lines = ["x,y,lambda"]
-    for x, y in zip(c.xs, c.ys):
-        lines.append("%.17g,%.17g,%.17g" % (x, y, x / y - 1.0))
-    _emit("\n".join(lines) + "\n", args.out)
+    buf = io.StringIO()
+    curve.curve_to_csv(c, buf)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 

@@ -89,12 +89,23 @@ def lambert_w0(z):
 
 def _xi_newton(lam):
     # safeguarded Newton on phi(x) = x - (1+lam)(1 - e^-x), bracketed by
-    # lam <= xi <= min(2 lam, 1+lam)
+    # lam <= xi <= min(2 lam, 1+lam).  The step test asks for less than
+    # one ulp, which rounding often never grants: the state (x, lo, hi)
+    # then falls into an exact 2-cycle a few ulp wide.  The loop is a
+    # function of that state alone, so once it equals the state two
+    # iterations back the remaining iterations only alternate, and the
+    # member the 100th would return is picked by parity.  No cycle and
+    # no converged step: the last iterate is returned unflagged.
     c = 1.0 + lam
     lo = lam
     hi = min(2.0 * lam, c)
     x = 0.5 * (lo + hi)
-    for _ in range(100):
+    x1 = lo1 = hi1 = x2 = lo2 = hi2 = None  # the states 1 and 2 iterations back
+    for k in range(100):
+        if x == x2 and lo == lo2 and hi == hi2:
+            return x if k % 2 == 0 else x1
+        x2, lo2, hi2 = x1, lo1, hi1
+        x1, lo1, hi1 = x, lo, hi
         ex = math.exp(-x)
         phi = x - c * (1.0 - ex)
         if phi > 0.0:

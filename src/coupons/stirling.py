@@ -4,6 +4,14 @@
 
     {m l} = l * {m-1 l} + {m-1 l-1},        {0 0} = 1.
 
+Single exact values and ratios come from the explicit sum
+
+    {m l} = (1/l!) Sum_{i=0}^{l} (-1)^{l-i} C(l,i) i^m
+
+(Graham, Knuth, Patashnik, Concrete Mathematics, eq. 6.19), which costs
+l big powers instead of the m*l big-integer steps of the recurrence;
+whole ratio tables, which need every row anyway, use the recurrence.
+
 On top of the raw numbers this module evaluates the transition ratio
 r(m,l) = {m-1 l-1}/{m l} of the reversed collector chain, the
 saddle-point approximation psi (two algebraically equal forms), its
@@ -20,7 +28,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.integrate
 
 from .errors import NumericsError, QuadratureError, ResourceCapError
 from .specialfn import g_theta, saddle_params, tail_h, xi_of_lambda
@@ -39,8 +46,19 @@ def _rows(width):
                      zip(range(1, min(m, width) + 1), prev, prev[1:])]
 
 
+def _stirling_sum(m, l):
+    """Exact {m l} for 0 <= l <= m by the explicit sum, divided once by l!."""
+    total = 1 if m == 0 else 0  # the i = 0 term, 0^m
+    c = 1  # C(l, i)
+    for i in range(1, l + 1):
+        c = c * (l - i + 1) // i
+        term = c * i ** m
+        total += term if (l - i) % 2 == 0 else -term
+    return total // math.factorial(l)
+
+
 def stirling_exact(m, l, cap=DEFAULT_EXACT_CAP):
-    """Exact {m l} as a Python integer, via the two-row rolling recurrence."""
+    """Exact {m l} as a Python integer, via the explicit alternating sum."""
     if m < 0 or l < 0:
         raise ValueError("stirling_exact: negative argument (%r, %r)" % (m, l))
     if l > m:
@@ -48,7 +66,7 @@ def stirling_exact(m, l, cap=DEFAULT_EXACT_CAP):
     if m > cap:
         raise ResourceCapError(
             "stirling_exact: m=%d exceeds cap %d (raise cap= explicitly)" % (m, cap))
-    return next(itertools.islice(_rows(l), m, None))[l]
+    return _stirling_sum(m, l)
 
 
 def _log_big(x):
@@ -66,7 +84,9 @@ class ExactBackend:
     """Arbitrary-precision backend: r(m,l) is the exact rational, rounded once.
 
     Python's int / int true division is correctly rounded, so every ratio
-    is the double nearest to {m-1 l-1}/{m l}, subnormals included.
+    is the double nearest to {m-1 l-1}/{m l}, subnormals included.  A
+    single ratio takes its two values from the explicit sum (no cap);
+    a table rolls the recurrence once over all its rows.
     """
 
     kind = "Exact"
@@ -74,9 +94,7 @@ class ExactBackend:
     def ratio(self, m, l):
         if not (1 <= l <= m):
             raise ValueError("ratio: need 1 <= l <= m, got (%r, %r)" % (m, l))
-        rows = _rows(l)
-        prev = next(itertools.islice(rows, m - 1, None))
-        return prev[l - 1] / next(rows)[l]
+        return _stirling_sum(m - 1, l - 1) / _stirling_sum(m, l)
 
     def ratio_table(self, N, n):
         """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined)."""
@@ -221,6 +239,7 @@ def surjection_log_probability(N, n, exact_cap=3000):
 
 
 def _quad(f, a, b):
+    import scipy.integrate  # deferred: costs ~1 s of import, used only here
     out = scipy.integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-11,
                                limit=300, full_output=1)
     if len(out) > 3:

@@ -5,7 +5,9 @@ xi comes from plain interval bisection (not Newton, not Lambert W),
 partition counts from explicit enumeration (not the DP recurrence),
 path laws from exhaustive word enumeration, derivatives from finite
 differences, and the rate function from 50-digit arithmetic on the
-raw displayed formula.
+raw displayed formula.  The one exception is `xi_newton_reference`, a
+frozen copy of the library's plain 100-iteration Newton loop, which
+pins the bits its cycle exit must reproduce.
 
 Run `python tests/oracles.py` to regenerate the fine-step curve
 goldens (slow; the frozen values live in the tests).
@@ -33,6 +35,35 @@ def xi_bisect(lam, iters=200):
         if hi - lo <= 1e-17 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def xi_newton_reference(lam):
+    """(x, iterations) of the plain safeguarded Newton loop for xi, 100-step cap.
+
+    iterations == 100 means the loop reached the cap without a converged step.
+    """
+    c = 1.0 + lam
+    lo = lam
+    hi = min(2.0 * lam, c)
+    x = 0.5 * (lo + hi)
+    for k in range(100):
+        ex = math.exp(-x)
+        phi = x - c * (1.0 - ex)
+        if phi > 0.0:
+            hi = x
+        else:
+            lo = x
+        dphi = 1.0 - c * ex
+        if dphi > 0.0:
+            xn = x - phi / dphi
+        else:
+            xn = 0.5 * (lo + hi)
+        if not (lo <= xn <= hi):
+            xn = 0.5 * (lo + hi)
+        if abs(xn - x) <= 1e-16 * x:
+            return xn, k + 1
+        x = xn
+    return x, 100
 
 
 def set_partition_count(m, l):

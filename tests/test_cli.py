@@ -223,6 +223,16 @@ def test_module_entry_point():
     assert r.stdout.split("\n")[0] == "301"
 
 
+def test_import_leaves_scipy_submodules_unloaded():
+    # scipy.integrate and scipy.stats take about a second to import, and
+    # only saddle_diagnostics and binomial_ci need them
+    code = ("import sys, coupons, coupons.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.stats') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def _console_script_target():
     """The `module:attr` that pyproject.toml declares for the `coupons` command."""
     if sys.version_info >= (3, 11):

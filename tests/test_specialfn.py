@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from coupons import (NumericsError, f_drift, g_theta, lambert_w0, rate_j,
                      saddle_params, tail_h, xi_of_lambda, xi_via_lambertw)
+from coupons.specialfn import _xi_newton
 
-from oracles import fd_derivatives_123_4, rate_j_reference, xi_bisect
+from oracles import (fd_derivatives_123_4, rate_j_reference, xi_bisect,
+                     xi_newton_reference)
 
 XI_1 = xi_bisect(1.0)  # independent bisection value of xi(1)
 
@@ -64,6 +66,21 @@ def test_xi_dual_route_agreement():
         a = xi_of_lambda(lam)
         b = xi_via_lambertw(lam)
         assert abs(a - b) <= 1e-11 * a
+
+
+def test_xi_newton_cycle_exit_is_bit_identical():
+    # leaving a 2-cycle early must return the very double the plain loop
+    # returns at its 100-iteration cap, and the sample must contain such cycles
+    rng = np.random.default_rng(1906)
+    lams = np.concatenate([np.linspace(1e-4, 10.0, 25000),
+                           10.0 ** rng.uniform(-8.0, 4.0, 25000),
+                           [0.0006506993242453797]])  # drifts without cycling
+    capped = 0
+    for lam in lams.tolist():
+        want, iters = xi_newton_reference(lam)
+        assert _xi_newton(lam) == want, lam
+        capped += iters == 100
+    assert capped >= 1000
 
 
 @given(st.floats(min_value=1e-9, max_value=20.0))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from coupons import (ExactBackend, LogDPBackend, ResourceCapError, chi,
                      psi_log, psi_log_forms, ratio_r, saddle_diagnostics,
                      stirling_exact, surjection_log_probability,
                      transition_error)
-from coupons.stirling import _log_big
+from coupons.stirling import _log_big, _rows
 
 from oracles import set_partition_count
 
@@ -106,6 +107,23 @@ def test_exact_routes_agree():
         for l in range(1, min(m, 30) + 1):
             want = float(Fraction(stirling_exact(m - 1, l - 1), stirling_exact(m, l)))
             assert R[m, l] == be.ratio(m, l) == want, (m, l)
+
+
+def test_explicit_sum_matches_recurrence():
+    # single values come from the explicit sum, tables from the DP rows
+    rows = _rows(150)
+    for m in range(151):
+        row = next(rows)
+        assert [stirling_exact(m, l) for l in range(m + 1)] == row, m
+    for m, l in [(1200, 400), (800, 799), (3000, 2)]:
+        dp = next(itertools.islice(_rows(l), m, None))
+        assert stirling_exact(m, l) == dp[l], (m, l)
+    R = ExactBackend().ratio_table(400, 200)
+    be = ExactBackend()
+    pairs = [(m, l) for m in range(1, 401, 8) for l in range(1, min(m, 200) + 1, 4)]
+    assert len(pairs) >= 1800
+    for m, l in pairs:
+        assert be.ratio(m, l) == R[m, l], (m, l)
 
 
 # --- backends -----------------------------------------------------------
