@@ -164,8 +164,9 @@ def estimate_accessibility(k, n, trials, seed=0, backend=None, jobs=1):
     N = k * n + 1
     if backend is None:
         backend = auto_backend(N, n)
-    Z = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=jobs)
-    hits = int(_dyck_flags(Z, k, n).sum())
+    flags = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=jobs,
+                              reduce=lambda Z: _dyck_flags(Z, k, n))
+    hits = int(flags.sum())
     est = hits / trials
     return est, math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
 
@@ -287,11 +288,14 @@ def estimate_middle_crossing(k, n, trials, seed=0, C=1.0, backend=None, jobs=1):
     N = k * n + 1
     if backend is None:
         backend = auto_backend(N, n)
-    Z = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=jobs)
-    Y = Z[:, ::-1]
     cols = np.arange(x_lo, x_hi + 1)
-    crossed = np.any(k * Y[:, cols] <= cols - 1, axis=1)
-    est = float(crossed.mean())
+
+    def crossed(Z):
+        Y = Z[:, ::-1]
+        return np.any(k * Y[:, cols] <= cols - 1, axis=1)
+
+    est = float(conditioned_paths(N, n, trials, backend=backend, seed=seed,
+                                  jobs=jobs, reduce=crossed).mean())
     return est, math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
 
 

@@ -9,6 +9,12 @@ law conditioned on T_n <= N; no asymptotics are involved.
 Randomness: counter-based Philox streams, one sub-stream per
 trajectory index (key = base_seed * 2^64 + index).  Batches are
 therefore reproducible and independent of chunking or worker count.
+
+Batches are drawn in chunks of rows; each worker re-keys one Philox bit
+generator per trajectory instead of building a generator per row.  With
+`conditioned_paths(..., reduce=f)` every chunk is mapped to one value per
+path and dropped, so memory is one chunk per worker plus the reduced
+outputs, whatever the number of trials.
 """
 
 import concurrent.futures
@@ -62,12 +68,40 @@ class Trajectory:
         return self
 
 
-def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1):
+def _substreams(seed):
+    """draw(index, out): fill `out` with the uniforms of sub-stream (seed, index).
+
+    One Philox bit generator is re-keyed through `.state` (key [index, seed],
+    counter 0, empty buffer) before each draw, which gives the bits of a
+    fresh `_rng(seed, index)` without building a generator per trajectory.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    key = np.array([0, int(seed) & _U64], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def draw(index, out):
+        key[0] = int(index) & _U64
+        bitgen.state = state
+        gen.random(out=out)
+
+    return draw
+
+
+def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     """Sample `trials` reversed-chain paths; returns int32 array (trials, N+1).
 
     Row i is drawn from sub-stream (seed, i), so any contiguous batch of
     rows is reproducible in isolation and the result is independent of
     jobs and of internal chunk sizes.
+
+    With `reduce`, each chunk of paths, a (count, N+1) int32 view of the
+    chunk's buffer, is passed to `reduce`, which must return a new
+    length-count array.  The result is those arrays concatenated in
+    trajectory order, and no path matrix is kept: memory is one chunk per
+    worker (at most about 64 MB while N < 15625) plus the reduced outputs.
     """
     if not (1 <= n <= N):
         raise ValueError("conditioned_paths: need 1 <= n <= N")
@@ -77,33 +111,38 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1):
         backend = auto_backend(N, n)
     rtab = backend.ratio_table(N, n)
 
-    Z = np.empty((trials, N + 1), dtype=np.int32)
     chunk = max(256, min(65536, int(4e6 // (N + 1))))
+    spans = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
+    Z = np.empty((trials, N + 1), dtype=np.int32) if reduce is None else None
 
     def run(start, count):
-        # per-trajectory draws land in rows, then one transpose copy so
-        # the time loop reads/writes contiguous rows
+        # rows are drawn per trajectory, then one transpose copy so the
+        # time loop reads and writes contiguous rows without temporaries;
+        # z stays in [0, n], so take(mode="clip") skips the checked copy
+        draw = _substreams(seed)
         U = np.empty((count, N))
         for i in range(count):
-            U[i] = _rng(seed, start + i).random(N)
+            draw(start + i, U[i])
         UT = np.ascontiguousarray(U.T)
+        del U  # peak per chunk is U + UT; ZT is allocated after U is freed
         ZT = np.empty((N + 1, count), dtype=np.int32)
-        z = np.full(count, n, dtype=np.int32)
-        ZT[0] = z
+        ZT[0] = n
+        thr = np.empty(count)
+        step = np.empty(count, dtype=bool)
         for t in range(N):
-            row = rtab[N - t]
-            z = z - (UT[t] < row[z])
-            ZT[t + 1] = z
+            np.take(rtab[N - t], ZT[t], out=thr, mode="clip")
+            np.less(UT[t], thr, out=step)
+            np.subtract(ZT[t], step, out=ZT[t + 1])
+        if reduce is not None:
+            return reduce(ZT.T)
         Z[start:start + count] = ZT.T
 
-    spans = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
     if jobs > 1 and len(spans) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-            list(ex.map(lambda sp: run(*sp), spans))
+            parts = list(ex.map(lambda sp: run(*sp), spans))
     else:
-        for sp in spans:
-            run(*sp)
-    return Z
+        parts = [run(*sp) for sp in spans]
+    return Z if reduce is None else np.concatenate(parts)
 
 
 def sample_conditioned(N, n, backend=None, seed=0):
@@ -234,8 +273,8 @@ def sup_distance_batch(N, n, trials, a, seed=0, backend=None, jobs=1, step=1e-3)
     if nu <= 0.0:
         raise ValueError("sup_distance_batch: need N > n")
     curve = solve_completion_curve(nu, a, step=step, richardson_check=False)
-    Z = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=jobs)
-    d = sup_distances_of(Z, curve, N, n)
+    d = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=jobs,
+                          reduce=lambda Z: sup_distances_of(Z, curve, N, n))
     qs = np.quantile(d, [0.05, 0.25, 0.5, 0.75, 0.95])
     return {
         "N": int(N), "n": int(n), "nu": nu, "a": float(a),

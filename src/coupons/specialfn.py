@@ -196,8 +196,10 @@ class SaddleParams:
         if not (self.lam <= self.xi * (1 + rtol)
                 and self.xi <= min(2.0 * self.lam, b) * (1 + rtol)):
             raise NumericsError("SaddleParams: xi outside [lam, min(2lam,1+lam)]")
-        if not (0.0 < self.rho < 1.0 / b):
-            raise NumericsError("SaddleParams: rho outside (0, 1/(1+lam))")
+        # rho < 1/(1+lam) checked as xi > ln(1+lam): rho = e^-xi underflows
+        # to 0.0 for lam above about 745
+        if not (self.rho >= 0.0 and self.xi > math.log1p(self.lam)):
+            raise NumericsError("SaddleParams: rho outside [0, 1/(1+lam))")
         if not (self.lam <= 2.0 * self.v * (1 + rtol)
                 and 2.0 * self.v <= b * (1 + rtol)):
             raise NumericsError("SaddleParams: v outside [lam/2, (1+lam)/2]")

@@ -127,10 +127,11 @@ class LogDPBackend:
         L = np.full((M + 1, W + 1), -np.inf)
         L[0, 0] = 0.0
         lnl = np.log(np.arange(1, W + 1, dtype=float))
+        tmp = np.empty(W)
         for m in range(1, M + 1):
             w = min(m, W)
-            L[m, 1:w + 1] = np.logaddexp(lnl[:w] + L[m - 1, 1:w + 1],
-                                         L[m - 1, 0:w])
+            np.add(lnl[:w], L[m - 1, 1:w + 1], out=tmp[:w])
+            np.logaddexp(tmp[:w], L[m - 1, 0:w], out=L[m, 1:w + 1])
         self._L = L
 
     def _ensure(self, m, l):
@@ -160,7 +161,8 @@ class LogDPBackend:
         L = self._L
         R = np.zeros((N + 1, n + 1))
         with np.errstate(invalid="ignore"):
-            R[1:, 1:] = np.exp(L[0:N, 0:n] - L[1:N + 1, 1:n + 1])
+            np.subtract(L[0:N, 0:n], L[1:N + 1, 1:n + 1], out=R[1:, 1:])
+            np.exp(R[1:, 1:], out=R[1:, 1:])
         np.nan_to_num(R, copy=False, nan=0.0, posinf=0.0)
         np.clip(R, 0.0, 1.0, out=R)
         return R

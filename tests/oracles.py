@@ -4,8 +4,10 @@ Everything in here deliberately avoids the library's own algorithms:
 xi comes from plain interval bisection (not Newton, not Lambert W),
 partition counts from explicit enumeration (not the DP recurrence),
 path laws from exhaustive word enumeration, derivatives from finite
-differences, and the rate function from 50-digit arithmetic on the
-raw displayed formula.  The one exception is `xi_newton_reference`, a
+differences, the rate function from 50-digit arithmetic on the raw
+displayed formula, and sampler rows from a freshly built Philox
+generator and a scalar chain walk (not the chunked, re-keyed vector
+loop).  The one exception is `xi_newton_reference`, a
 frozen copy of the library's plain 100-iteration Newton loop, which
 pins the bits its cycle exit must reproduce.
 
@@ -64,6 +66,20 @@ def xi_newton_reference(lam):
             return xn, k + 1
         x = xn
     return x, 100
+
+
+def reversed_chain_reference(rtab, N, n, seed, index):
+    """Row `index` of the conditioned sampler, one step at a time.
+
+    Draws the N uniforms of a freshly built Philox(key = seed * 2^64 + index)
+    and walks the reversed chain with a scalar loop over the ratio table.
+    """
+    import numpy as np
+    u = np.random.Generator(np.random.Philox(key=(seed << 64) | index)).random(N)
+    z = [n]
+    for t in range(N):
+        z.append(z[-1] - 1 if u[t] < rtab[N - t, z[-1]] else z[-1])
+    return z
 
 
 def set_partition_count(m, l):

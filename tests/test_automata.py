@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -199,6 +200,19 @@ def test_estimate_accessibility_approaches_constant():
     # finite-n estimate should already be near the k=2 limit at n=300
     est, se = estimate_accessibility(2, 300, 20000, seed=6)
     assert abs(est - korshunov_constant(2)) <= 0.05
+
+
+def test_estimate_accessibility_memory_flat_in_trials():
+    # chunks are reduced to Dyck flags and dropped: no (trials, N+1) matrix
+    peaks = []
+    for trials in (2000, 8000):
+        tracemalloc.start()
+        try:
+            estimate_accessibility(2, 1000, trials, jobs=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1e6
 
 
 def test_korshunov_report_record():

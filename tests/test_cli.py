@@ -65,6 +65,14 @@ def test_stirling_value(tmp_path, capsys):
     assert abs(301.0 - math.exp(float(out[1].split("=")[1])) * (1.0 + chi)) < 1e-10
 
 
+def test_stirling_value_large_lambda(capsys):
+    # psi_log(5000, 2) needs saddle_params(2499), whose rho underflows to 0.0
+    assert main(["stirling", "5000", "2"]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out[0] == str(stirling_exact(5000, 2))
+    assert [line.split("=")[0] for line in out[1:]] == ["psi_log", "chi", "l_chi"]
+
+
 def test_stirling_degenerate_has_no_diagnostics(capsys):
     assert main(["stirling", "5", "5"]) == 0
     out = capsys.readouterr().out.strip().split("\n")

@@ -1,5 +1,6 @@
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,11 @@ from coupons import (ExactBackend, LogDPBackend, Trajectory, auto_backend,
                      solve_completion_curve, sup_distance, sup_distance_batch,
                      trajectory_to_csv, transition_error)
 
-from oracles import enumerate_surjective_paths
+from coupons import sampler
+from coupons.automata import _dyck_flags
+from coupons.sampler import _rng, _substreams, sup_distances_of
+
+from oracles import enumerate_surjective_paths, reversed_chain_reference
 
 
 def _path_ids(Z, s=None):
@@ -61,6 +66,58 @@ def test_seed_determinism_and_substreams():
     # single-trajectory API equals row 0 of the batch
     tr = sample_conditioned(40, 17, seed=123)
     assert np.array_equal(tr.z, a[0])
+
+
+# N = 2001 gives chunks of 1998 rows: 4100 trials cross two chunk boundaries
+BIG = dict(N=2001, n=1000, trials=4100, seed=77)
+
+
+@pytest.fixture(scope="module")
+def big_batch():
+    backend = LogDPBackend()
+    return backend, conditioned_paths(BIG["N"], BIG["n"], BIG["trials"],
+                                      backend=backend, seed=BIG["seed"])
+
+
+def test_multi_chunk_threaded_batch(big_batch, monkeypatch):
+    backend, Z = big_batch
+    N, n, seed = BIG["N"], BIG["n"], BIG["seed"]
+    chunks = []
+    original = sampler._substreams
+
+    def counting(seed):
+        chunks.append(threading.current_thread() is threading.main_thread())
+        return original(seed)
+
+    monkeypatch.setattr(sampler, "_substreams", counting)
+    Z3 = conditioned_paths(N, n, BIG["trials"], backend=backend, seed=seed, jobs=3)
+    assert len(chunks) == 3 and not any(chunks)  # spans 1998, 1998, 104 in workers
+    assert np.array_equal(Z3, Z)
+    rtab = backend.ratio_table(N, n)
+    for i in (0, 1997, 1998, 1999, 3995, 3996, 4099):
+        assert Z[i].tolist() == reversed_chain_reference(rtab, N, n, seed, i)
+
+
+def test_reduce_equals_reducer_of_full_matrix(big_batch):
+    backend, Z = big_batch
+    N, n, seed = BIG["N"], BIG["n"], BIG["seed"]
+    flags = conditioned_paths(N, n, BIG["trials"], backend=backend, seed=seed,
+                              jobs=2, reduce=lambda B: _dyck_flags(B, 2, n))
+    assert flags.shape == (BIG["trials"],)
+    assert np.array_equal(flags, _dyck_flags(Z, 2, n))
+    curve = solve_completion_curve((N - n) / n, 0.2, richardson_check=False)
+    d = conditioned_paths(N, n, BIG["trials"], backend=backend, seed=seed,
+                          reduce=lambda B: sup_distances_of(B, curve, N, n))
+    assert np.array_equal(d, sup_distances_of(Z, curve, N, n))
+
+
+def test_rekeyed_substreams_equal_fresh_generators():
+    out = np.empty(1001)
+    for seed in (0, 2 ** 63, 2 ** 64 - 1):
+        draw = _substreams(seed)
+        for index in (0, 1, 2 ** 40 + 3, 1):
+            draw(index, out)
+            assert np.array_equal(out, _rng(seed, index).random(1001))
 
 
 def test_backends_agree_in_distribution_exactly():

@@ -147,6 +147,13 @@ def test_saddle_params_domain():
         saddle_params(-1.0)
 
 
+def test_saddle_params_large_lambda_underflowed_rho():
+    # rho = e^-xi underflows to 0.0 above lam ~ 745; rho < 1/(1+lam) still holds
+    for lam in (746.0, 2499.0):
+        sp = saddle_params(lam)
+        assert sp.rho == 0.0 and sp.xi > math.log1p(lam)
+
+
 @given(st.floats(min_value=1e-4, max_value=20.0))
 def test_saddle_params_coefficient_bounds(lam):
     sp = saddle_params(lam)
