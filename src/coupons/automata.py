@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, ResourceCapError
-from .sampler import _rng, auto_backend, conditioned_paths
+from .sampler import _rng, conditioned_paths
 from .specialfn import xi_of_lambda
 from .stirling import stirling_exact
 
@@ -148,7 +148,7 @@ def _dyck_flags(Z, k, n):
     return np.all(Y[:, cols] >= levels + 1, axis=1)
 
 
-def estimate_accessibility(k, n, trials, seed=0, backend=None, jobs=1):
+def estimate_accessibility(k, n, trials, seed=0, jobs=1):
     """Monte-Carlo accessibility frequency among surjective structures.
 
     Draws conditioned completion paths at N = kn+1 and applies the Dyck
@@ -162,9 +162,7 @@ def estimate_accessibility(k, n, trials, seed=0, backend=None, jobs=1):
     if trials < 1:
         raise ValueError("estimate_accessibility: trials must be >= 1")
     N = k * n + 1
-    if backend is None:
-        backend = auto_backend(N, n)
-    flags = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=jobs,
+    flags = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
                               reduce=lambda Z: _dyck_flags(Z, k, n))
     hits = int(flags.sum())
     est = hits / trials
@@ -269,7 +267,7 @@ def exact_accessible_count(k, n):
     return accessible, surjective
 
 
-def estimate_middle_crossing(k, n, trials, seed=0, C=1.0, backend=None, jobs=1):
+def estimate_middle_crossing(k, n, trials, seed=0, C=1.0, jobs=1):
     """Frequency of paths touching the critical line inside the middle window.
 
     Window I2 = [a n, k n - 2 C k^2 n^(1/3)] in column units, with
@@ -286,16 +284,14 @@ def estimate_middle_crossing(k, n, trials, seed=0, C=1.0, backend=None, jobs=1):
     if x_hi < x_lo:
         raise ValueError("estimate_middle_crossing: empty window at n=%d" % n)
     N = k * n + 1
-    if backend is None:
-        backend = auto_backend(N, n)
     cols = np.arange(x_lo, x_hi + 1)
 
     def crossed(Z):
         Y = Z[:, ::-1]
         return np.any(k * Y[:, cols] <= cols - 1, axis=1)
 
-    est = float(conditioned_paths(N, n, trials, backend=backend, seed=seed,
-                                  jobs=jobs, reduce=crossed).mean())
+    est = float(conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
+                                  reduce=crossed).mean())
     return est, math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
 
 

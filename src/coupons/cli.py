@@ -31,18 +31,25 @@ def _u64(text):
     return v
 
 
-def _int_list(text):
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list")
+def _jobs(text):
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError("--jobs must be >= 1")
+    return v
 
 
-def _float_list(text):
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a comma-separated float list")
+def _list_of(kind):
+    """argparse type: a nonempty comma-separated list of `kind` values."""
+    def parse(text):
+        try:
+            vals = [kind(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            vals = []
+        if not vals:
+            raise argparse.ArgumentTypeError(
+                "expected a nonempty comma-separated %s list" % kind.__name__)
+        return vals
+    return parse
 
 
 def _resolve_out(path):
@@ -165,8 +172,8 @@ def build_parser():
     ps.add_argument("--cap", type=int, default=stirling.DEFAULT_EXACT_CAP)
     ps.add_argument("--verify", action="store_true",
                     help="emit the l|chi| and l|r-rho| bound table")
-    ps.add_argument("--lams", type=_float_list, default=[0.5, 1.0, 2.0])
-    ps.add_argument("--ells", type=_int_list, default=[50, 100, 200, 400, 800])
+    ps.add_argument("--lams", type=_list_of(float), default=[0.5, 1.0, 2.0])
+    ps.add_argument("--ells", type=_list_of(int), default=[50, 100, 200, 400, 800])
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_stirling)
 
@@ -178,7 +185,7 @@ def build_parser():
     pm.add_argument("--seed", type=_u64, default=0)
     pm.add_argument("--backend", default="auto",
                     choices=["auto", "exact", "logdp"])
-    pm.add_argument("--jobs", type=int, default=1)
+    pm.add_argument("--jobs", type=_jobs, default=1)
     pm.add_argument("--step", type=float, default=1e-3)
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_simulate)
@@ -188,13 +195,13 @@ def build_parser():
     pk.add_argument("--n", type=int, required=True)
     pk.add_argument("--trials", type=int, required=True)
     pk.add_argument("--seed", type=_u64, default=0)
-    pk.add_argument("--jobs", type=int, default=1)
+    pk.add_argument("--jobs", type=_jobs, default=1)
     pk.add_argument("--out", default=None)
     pk.set_defaults(func=cmd_korshunov)
 
     pl = sub.add_parser("ldp", help="large-deviation rate vs exact log-probabilities")
     pl.add_argument("--nu", type=float, required=True)
-    pl.add_argument("--n", type=_int_list, default=[50, 100, 200])
+    pl.add_argument("--n", type=_list_of(int), default=[50, 100, 200])
     pl.add_argument("--out", default=None)
     pl.set_defaults(func=cmd_ldp)
 

@@ -145,9 +145,9 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     return Z if reduce is None else np.concatenate(parts)
 
 
-def sample_conditioned(N, n, backend=None, seed=0):
+def sample_conditioned(N, n, seed=0):
     """One conditioned trajectory, drawn from sub-stream (seed, 0)."""
-    Z = conditioned_paths(N, n, 1, backend=backend, seed=seed)
+    Z = conditioned_paths(N, n, 1, seed=seed)
     return Trajectory(N=N, n=n, seed=int(seed), z=Z[0].copy()).validate()
 
 
@@ -286,7 +286,7 @@ def sup_distance_batch(N, n, trials, a, seed=0, backend=None, jobs=1, step=1e-3)
     }
 
 
-def prefix_law(N, n, s, backend=None):
+def prefix_law(N, n, s):
     """Exact law of the first s decrement indicators of the reversed chain.
 
     Returns (exact, iid, tv): arrays over the 2^s patterns (bit j of the
@@ -297,9 +297,7 @@ def prefix_law(N, n, s, backend=None):
         raise ValueError("prefix_law: need 1 <= n < N")
     if not (1 <= s <= min(20, N)):
         raise ValueError("prefix_law: need 1 <= s <= min(20, N)")
-    if backend is None:
-        backend = auto_backend(N, n)
-    rtab = backend.ratio_table(N, n)
+    rtab = auto_backend(N, n).ratio_table(N, n)
     rho = math.exp(-xi_of_lambda((N - n) / n))
 
     size = 1 << s

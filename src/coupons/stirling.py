@@ -20,8 +20,10 @@ integral representation
 
     {m l} = (m!/l!) (e^xi - 1)^l xi^{-m} / (2 pi) * Int_{-pi}^{pi} g(theta)^l dtheta.
 
-Two interchangeable evaluation strategies are exposed as backends:
-Exact (big integers) and LogDP (float64 log-space recurrence).
+Ratio tables come from two interchangeable, stateless backends: Exact
+(big integers) and LogDP (float64 log-space recurrence).  Both roll their
+recurrence row by row in one pass and cache nothing between calls, so a
+table costs its own size in memory and LogDP holds only two log rows.
 """
 
 import itertools
@@ -44,6 +46,23 @@ def _rows(width):
         prev = row if m > width else row + [0]  # {m-1 m} = 0
         row = [0] + [a + l * b for l, a, b in
                      zip(range(1, min(m, width) + 1), prev, prev[1:])]
+
+
+def _log_rows(width):
+    """Log-space rolling DP: yield rows m = 0, 1, 2, ... of ln {m l}, l <= width.
+
+    Each row is a new float64 array of length width+1, -inf where {m l} = 0.
+    """
+    row = np.full(width + 1, -np.inf)
+    row[0] = 0.0  # ln {0 0}
+    lnl = np.log(np.arange(1, width + 1, dtype=float))
+    tmp = np.empty(width)
+    for m in itertools.count(1):
+        yield row
+        prev, row = row, np.full(width + 1, -np.inf)
+        w = min(m, width)
+        np.add(lnl[:w], prev[1:w + 1], out=tmp[:w])
+        np.logaddexp(tmp[:w], prev[0:w], out=row[1:w + 1])
 
 
 def _stirling_sum(m, l):
@@ -115,64 +134,38 @@ class LogDPBackend:
     ln {m l} is good to 4e-14 relative; where r > 0, r is within 5.9e-13
     absolute and 4.6e-10 relative error.  r is the exp of a difference of
     two logs, so its relative error grows with ln {m l}, i.e. with m.
-    The table is built lazily and regrown on demand.
+    The backend holds no state: each call rolls the recurrence two rows at
+    a time, so its memory is the returned table (a few rows for log_value).
     """
 
     kind = "LogDP"
-
-    def __init__(self):
-        self._L = None  # shape (M+1, W+1)
-
-    def _build(self, M, W):
-        L = np.full((M + 1, W + 1), -np.inf)
-        L[0, 0] = 0.0
-        lnl = np.log(np.arange(1, W + 1, dtype=float))
-        tmp = np.empty(W)
-        for m in range(1, M + 1):
-            w = min(m, W)
-            np.add(lnl[:w], L[m - 1, 1:w + 1], out=tmp[:w])
-            np.logaddexp(tmp[:w], L[m - 1, 0:w], out=L[m, 1:w + 1])
-        self._L = L
-
-    def _ensure(self, m, l):
-        if self._L is None or self._L.shape[0] <= m or self._L.shape[1] <= l:
-            M = m if self._L is None else max(m, self._L.shape[0] - 1)
-            W = l if self._L is None else max(l, self._L.shape[1] - 1)
-            self._build(M, W)
 
     def log_value(self, m, l):
         """ln {m l}; -inf where {m l} = 0."""
         if m < 0 or l < 0 or l > m:
             raise ValueError("log_value: bad arguments (%r, %r)" % (m, l))
-        self._ensure(m, l)
-        return float(self._L[m, l])
-
-    def ratio(self, m, l):
-        if not (1 <= l <= m):
-            raise ValueError("ratio: need 1 <= l <= m, got (%r, %r)" % (m, l))
-        self._ensure(m, l)
-        d = self._L[m - 1, l - 1] - self._L[m, l]
-        if not np.isfinite(d):
-            return 0.0
-        return float(min(1.0, math.exp(d)))
+        return float(next(itertools.islice(_log_rows(l), m, None))[l])
 
     def ratio_table(self, N, n):
-        self._ensure(N, n)
-        L = self._L
+        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined)."""
         R = np.zeros((N + 1, n + 1))
-        with np.errstate(invalid="ignore"):
-            np.subtract(L[0:N, 0:n], L[1:N + 1, 1:n + 1], out=R[1:, 1:])
-            np.exp(R[1:, 1:], out=R[1:, 1:])
-        np.nan_to_num(R, copy=False, nan=0.0, posinf=0.0)
-        np.clip(R, 0.0, 1.0, out=R)
+        rows = _log_rows(n)
+        prev = next(rows)
+        with np.errstate(invalid="ignore"):  # -inf - -inf where {m l} = 0
+            for m in range(1, N + 1):
+                row = next(rows)
+                r = R[m, 1:]
+                np.subtract(prev[:n], row[1:], out=r)
+                np.exp(r, out=r)
+                np.nan_to_num(r, copy=False, nan=0.0, posinf=0.0)
+                np.clip(r, 0.0, 1.0, out=r)
+                prev = row
         return R
 
 
-def ratio_r(m, l, backend=None):
-    """Transition ratio r(m,l) = {m-1 l-1}/{m l} in [0, 1]."""
-    if backend is None:
-        backend = ExactBackend()
-    return backend.ratio(m, l)
+def ratio_r(m, l):
+    """Transition ratio r(m,l) = {m-1 l-1}/{m l} in [0, 1], correctly rounded."""
+    return ExactBackend().ratio(m, l)
 
 
 def psi_log_forms(m, l):
@@ -214,13 +207,13 @@ def chi(m, l, cap=DEFAULT_EXACT_CAP):
     return math.expm1(_log_big(s) - psi_log(m, l))
 
 
-def transition_error(m, l, backend=None):
+def transition_error(m, l):
     """|r(m,l) - rho(lambda)| at lambda = (m-l)/l > 0."""
     if not (1 <= l < m):
         raise ValueError(
             "transition_error: need 1 <= l < m (lambda > 0), got (%r, %r)" % (m, l))
     lam = (m - l) / l
-    r = ratio_r(m, l, backend=backend)
+    r = ratio_r(m, l)
     return abs(r - math.exp(-xi_of_lambda(lam)))
 
 

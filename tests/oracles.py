@@ -7,9 +7,12 @@ path laws from exhaustive word enumeration, derivatives from finite
 differences, the rate function from 50-digit arithmetic on the raw
 displayed formula, and sampler rows from a freshly built Philox
 generator and a scalar chain walk (not the chunked, re-keyed vector
-loop).  The one exception is `xi_newton_reference`, a
-frozen copy of the library's plain 100-iteration Newton loop, which
-pins the bits its cycle exit must reproduce.
+loop).  The exceptions are frozen copies of earlier library code that
+pin the bits a faster route must reproduce: `xi_newton_reference`, the
+plain 100-iteration Newton loop its cycle exit must match, and
+`logdp_log_table_reference` with `logdp_ratio_table_reference`, the
+resident log table and vectorized ratio step that the rolling LogDP
+backend must match.
 
 Run `python tests/oracles.py` to regenerate the fine-step curve
 goldens (slow; the frozen values live in the tests).
@@ -66,6 +69,32 @@ def xi_newton_reference(lam):
             return xn, k + 1
         x = xn
     return x, 100
+
+
+def logdp_log_table_reference(M, W):
+    """Whole table L[m, l] = ln {m l}, m <= M, l <= W, by the log-space recurrence."""
+    import numpy as np
+    L = np.full((M + 1, W + 1), -np.inf)
+    L[0, 0] = 0.0
+    lnl = np.log(np.arange(1, W + 1, dtype=float))
+    tmp = np.empty(W)
+    for m in range(1, M + 1):
+        w = min(m, W)
+        np.add(lnl[:w], L[m - 1, 1:w + 1], out=tmp[:w])
+        np.logaddexp(tmp[:w], L[m - 1, 0:w], out=L[m, 1:w + 1])
+    return L
+
+
+def logdp_ratio_table_reference(L, N, n):
+    """R[m, l] = exp(L[m-1, l-1] - L[m, l]) over the whole table at once, in [0, 1]."""
+    import numpy as np
+    R = np.zeros((N + 1, n + 1))
+    with np.errstate(invalid="ignore"):
+        np.subtract(L[0:N, 0:n], L[1:N + 1, 1:n + 1], out=R[1:, 1:])
+        np.exp(R[1:, 1:], out=R[1:, 1:])
+    np.nan_to_num(R, copy=False, nan=0.0, posinf=0.0)
+    np.clip(R, 0.0, 1.0, out=R)
+    return R
 
 
 def reversed_chain_reference(rtab, N, n, seed, index):

@@ -108,6 +108,19 @@ def test_stirling_verify_table(tmp_path):
     assert 0.0 < float(row50[3]) < 1.0
 
 
+def test_empty_list_flags_are_usage_errors():
+    for argv in (["stirling", "--verify", "--ells", ""],
+                 ["stirling", "--verify", "--ells", ","],
+                 ["stirling", "--verify", "--lams", ","],
+                 ["stirling", "--verify", "--lams", ""],
+                 ["stirling", "--verify", "--lams", "1,x"],
+                 ["ldp", "--nu", "1", "--n", ""],
+                 ["ldp", "--nu", "1", "--n", " , "]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
 # --- simulate --------------------------------------------------------------------
 
 def test_simulate_schema_and_determinism(tmp_path):
@@ -153,6 +166,15 @@ def test_simulate_bad_parameters():
         main(["simulate", "--N", "60", "--n", "30", "--trials", "5",
               "--a", "0.2", "--seed", "-1"])
     assert exc.value.code == 2
+
+
+def test_jobs_below_one_is_usage_error():
+    for argv in (["simulate", "--N", "40", "--n", "20", "--trials", "5", "--a", "0.2"],
+                 ["korshunov", "--k", "2", "--n", "10", "--trials", "10"]):
+        for jobs in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--jobs", jobs])
+            assert exc.value.code == 2, (argv[0], jobs)
 
 
 # --- korshunov --------------------------------------------------------------------

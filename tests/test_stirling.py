@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ from coupons import (ExactBackend, LogDPBackend, ResourceCapError, chi,
                      transition_error)
 from coupons.stirling import _log_big, _rows
 
-from oracles import set_partition_count
+from oracles import (logdp_log_table_reference, logdp_ratio_table_reference,
+                     set_partition_count)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -149,6 +151,38 @@ def test_logdp_ratio_table_matches_exact():
     assert np.max(err) <= 2e-12
     live = R1 > 1e-300
     assert np.max(err[live] / R1[live]) <= 1e-9
+
+
+@pytest.mark.parametrize("N, n", [(41, 20), (600, 300), (2001, 1000), (4001, 2001)])
+def test_logdp_bytes_match_resident_table(N, n):
+    # the rolling rows reproduce the whole-table build bit for bit
+    L = logdp_log_table_reference(N, n)
+    lb = LogDPBackend()
+    for m, l in [(N, n), (N // 2, n // 3), (n, n), (n + 1, n)]:
+        assert lb.log_value(m, l) == float(L[m, l]), (m, l)
+    if N == 4001:
+        # N = 4000 is above exact_cap: the LogDP route of `ldp --nu 1 --n 2000`
+        want = math.lgamma(2001) + float(L[4000, 2000]) - 4000 * math.log(2000)
+        assert surjection_log_probability(4000, 2000) == want
+    R_ref = logdp_ratio_table_reference(L, N, n)
+    del L
+    assert np.array_equal(lb.ratio_table(N, n), R_ref)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_logdp_memory_is_the_returned_table():
+    R, peak = _traced_peak(lambda: LogDPBackend().ratio_table(2001, 1000))
+    assert peak <= R.nbytes + 2 ** 20
+    _, peak = _traced_peak(lambda: LogDPBackend().log_value(4000, 2000))
+    assert peak < 2 ** 20
 
 
 # --- psi, chi, transition error ------------------------------------------
