@@ -38,6 +38,14 @@ def _jobs(text):
     return v
 
 
+def finite(text):
+    """argparse type: a float that is neither nan nor +-inf."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("not finite: %r" % text)
+    return v
+
+
 def _list_of(kind):
     """argparse type: a nonempty comma-separated list of `kind` values."""
     def parse(text):
@@ -47,7 +55,7 @@ def _list_of(kind):
             vals = []
         if not vals:
             raise argparse.ArgumentTypeError(
-                "expected a nonempty comma-separated %s list" % kind.__name__)
+                "expected a nonempty comma-separated list of %s values" % kind.__name__)
         return vals
     return parse
 
@@ -160,9 +168,9 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pc = sub.add_parser("curve", help="solve the limiting completion curve")
-    pc.add_argument("--nu", type=float, required=True)
-    pc.add_argument("--a", type=float, required=True)
-    pc.add_argument("--step", type=float, default=1e-3)
+    pc.add_argument("--nu", type=finite, required=True)
+    pc.add_argument("--a", type=finite, required=True)
+    pc.add_argument("--step", type=finite, default=1e-3)
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_curve)
 
@@ -172,7 +180,7 @@ def build_parser():
     ps.add_argument("--cap", type=int, default=stirling.DEFAULT_EXACT_CAP)
     ps.add_argument("--verify", action="store_true",
                     help="emit the l|chi| and l|r-rho| bound table")
-    ps.add_argument("--lams", type=_list_of(float), default=[0.5, 1.0, 2.0])
+    ps.add_argument("--lams", type=_list_of(finite), default=[0.5, 1.0, 2.0])
     ps.add_argument("--ells", type=_list_of(int), default=[50, 100, 200, 400, 800])
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_stirling)
@@ -181,12 +189,12 @@ def build_parser():
     pm.add_argument("--N", type=int, required=True)
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--trials", type=int, required=True)
-    pm.add_argument("--a", type=float, required=True)
+    pm.add_argument("--a", type=finite, required=True)
     pm.add_argument("--seed", type=_u64, default=0)
     pm.add_argument("--backend", default="auto",
                     choices=["auto", "exact", "logdp"])
     pm.add_argument("--jobs", type=_jobs, default=1)
-    pm.add_argument("--step", type=float, default=1e-3)
+    pm.add_argument("--step", type=finite, default=1e-3)
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_simulate)
 
@@ -200,7 +208,7 @@ def build_parser():
     pk.set_defaults(func=cmd_korshunov)
 
     pl = sub.add_parser("ldp", help="large-deviation rate vs exact log-probabilities")
-    pl.add_argument("--nu", type=float, required=True)
+    pl.add_argument("--nu", type=finite, required=True)
     pl.add_argument("--n", type=_list_of(int), default=[50, 100, 200])
     pl.add_argument("--out", default=None)
     pl.set_defaults(func=cmd_ldp)

@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .specialfn import f_drift
+from .specialfn import _xi_crosscheck, _xi_newton
 
 _RICHARDSON_TOL = 1e-8
+# slopes per Lambert-W cross-check pass; bounds the temporaries of the pass
+_XI_CHECK_BLOCK = 4096
 
 
 def patient_curve(t):
@@ -71,14 +73,21 @@ class Curve:
         return float(np.interp(x, self.xs[::-1], self.ys[::-1]))
 
 
-def _slope(x, y):
+def _slope(x, y, lams, xis, j):
+    # F((x-y)/y) with the Newton root alone; its lambda and xi go to slot
+    # j of lams/xis for the path's batched Lambert-W cross-check
     lam = (x - y) / y
     if lam < 0.0:
         # roundoff can push x slightly below y right at the anchor
         if lam < -1e-12:
             raise NumericsError("curve solver left the region y <= x")
         lam = 0.0
-    return f_drift(lam)
+    if lam == 0.0:
+        return 1.0
+    xi = _xi_newton(lam)
+    lams[j] = lam
+    xis[j] = xi
+    return math.exp(-xi)
 
 
 def _rk4_path(nu, a, step):
@@ -86,19 +95,25 @@ def _rk4_path(nu, a, step):
     nsteps = max(1, int(math.ceil((x0 - a) / step - 1e-12)))
     xs = np.empty(nsteps + 1)
     ys = np.empty(nsteps + 1)
+    # the four slopes of step i use slots 4i..4i+3; lambda = 0 leaves 0
+    lams = np.zeros(4 * nsteps)
+    xis = np.zeros(4 * nsteps)
     xs[0], ys[0] = x0, 1.0
     y = 1.0
     for i in range(nsteps):
         x = x0 - i * step
         h = min(step, x - a)  # last step lands exactly on a
-        k1 = _slope(x, y)
-        k2 = _slope(x - 0.5 * h, y - 0.5 * h * k1)
-        k3 = _slope(x - 0.5 * h, y - 0.5 * h * k2)
-        k4 = _slope(x - h, y - h * k3)
+        j = 4 * i
+        k1 = _slope(x, y, lams, xis, j)
+        k2 = _slope(x - 0.5 * h, y - 0.5 * h * k1, lams, xis, j + 1)
+        k3 = _slope(x - 0.5 * h, y - 0.5 * h * k2, lams, xis, j + 2)
+        k4 = _slope(x - h, y - h * k3, lams, xis, j + 3)
         y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs[i + 1] = x - h
         ys[i + 1] = y
     xs[-1] = a
+    for j in range(0, lams.size, _XI_CHECK_BLOCK):
+        _xi_crosscheck(lams[j:j + _XI_CHECK_BLOCK], xis[j:j + _XI_CHECK_BLOCK])
     return xs, ys
 
 
@@ -107,11 +122,16 @@ def solve_completion_curve(nu, a, step=1e-3, richardson_check=True):
 
     Classic fixed-step RK4 (bit-reproducible across runs); when
     richardson_check is set the solve is repeated at step/2 and the two
-    grids must agree to 1e-8 at shared points.
+    grids must agree to 1e-8 at shared points.  Each path's slopes use the
+    Newton root of xi; all of a path's xi values are then cross-checked
+    against the Lambert-W route in one array pass (NumericsError on a
+    disagreement).
     """
     nu = float(nu)
     a = float(a)
     step = float(step)
+    if not (math.isfinite(nu) and math.isfinite(a) and math.isfinite(step)):
+        raise ValueError("solve_completion_curve: nu, a and step must be finite")
     if nu <= 0.0:
         raise ValueError("solve_completion_curve: nu must be > 0")
     if not (0.0 < a < 1.0 + nu):

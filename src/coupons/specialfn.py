@@ -1,4 +1,4 @@
-"""Scalar special functions for the conditioned coupon collector.
+"""Special functions for the conditioned coupon collector.
 
 Everything here revolves around the implicit equation
 
@@ -14,6 +14,12 @@ Stirling numbers {(1+lam)l, l}.  Derived quantities:
     h   = tail-majorant exponent used by the saddle diagnostics,
     g   = normalized characteristic factor whose l-th power is
           integrated in the saddle-point representation.
+
+xi comes from safeguarded Newton and is cross-checked against the
+Lambert-W closed form.  lambert_w0 and xi_via_lambertw take a scalar or
+an array; _xi_crosscheck compares many Newton roots in one array pass,
+which xi_of_lambda runs on its single value and the RK4 curve solver on
+all the xi values of a path.
 
 All functions are pure; there is no module state.
 """
@@ -41,50 +47,67 @@ def lambert_w0(z):
 
     Solves w * exp(w) = z for z >= -1/e by Halley iteration.  Arguments
     up to 1e-15 below the branch point are clamped onto it; anything
-    lower raises ValueError.
+    lower raises ValueError.  Accepts a scalar (returns a float) or an
+    ndarray (returns an array of its shape); every element runs the same
+    iteration with its own stopping tests, so an element's value does not
+    depend on the other elements.
     """
-    z = float(z)
-    if z < _BRANCH_POINT - 1e-15:
-        raise ValueError("lambert_w0: argument %r below branch point -1/e" % z)
-    if z <= _BRANCH_POINT:
-        return -1.0
-    if z == 0.0:
-        return 0.0
+    scalar = np.ndim(z) == 0
+    z = np.asarray(z, dtype=float)
+    zf = z.ravel()
+    below = zf < _BRANCH_POINT - 1e-15
+    if below.any():
+        raise ValueError("lambert_w0: argument %r below branch point -1/e"
+                         % float(zf[np.argmax(below)]))
+    edge = zf <= _BRANCH_POINT
+    out = np.where(edge, -1.0, 0.0)  # z == 0 gives 0.0
+    idx = np.flatnonzero(~edge & (zf != 0.0))  # nan iterates and fails below
+    zz = zf[idx]
 
     # initial guess: series in p = sqrt(2(e z + 1)) near the branch
     # point, log asymptote for large z, identity-ish guess in between
-    q = math.e * z + 1.0
-    if q < 0.36:
-        p = math.sqrt(2.0 * q)
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    elif z < math.e:
-        w = z / (1.0 + z)
-    else:
-        l1 = math.log(z)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
+    w = zz / (1.0 + zz)
+    near = math.e * zz + 1.0 < 0.36
+    p = np.sqrt(2.0 * (math.e * zz[near] + 1.0))
+    w[near] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    large = ~near & (zz >= math.e)
+    l1 = np.log(zz[large])
+    l2 = np.log(l1)
+    w[large] = l1 - l2 + l2 / l1
 
-    tol = 1e-15 * max(abs(z), 1e-290)
+    tol = 1e-15 * np.maximum(np.abs(zz), 1e-290)
     for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - z
-        if abs(f) <= tol:
-            return w
+        ew = np.exp(w)
+        f = w * ew - zz
+        done = np.abs(f) <= tol
+        if done.any():
+            out[idx[done]] = w[done]
+            keep = ~done
+            idx, zz, tol, w, ew, f = (v[keep] for v in (idx, zz, tol, w, ew, f))
+        if not idx.size:
+            break
         w1 = w + 1.0
         # Halley step: f / (e^w (w+1) - (w+2) f / (2w+2))
         denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
         step = f / denom
-        w -= step
-        if w < -1.0:
-            w = -1.0 + 0.25 * (w + step + 1.0)  # keep inside the branch
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
-            ew = math.exp(w)
-            if abs(w * ew - z) <= tol:
-                return w
-    ew = math.exp(w)
-    if abs(w * ew - z) <= 1e-13 * max(abs(z), 1e-290):
-        return w
-    raise NumericsError("lambert_w0 did not converge for z=%r" % z)
+        w = w - step
+        low = w < -1.0
+        w[low] = -1.0 + 0.25 * (w[low] + step[low] + 1.0)  # keep inside the branch
+        # step-size stop: a step below 1e-16 (1+|w|) ends the iteration
+        # where the residual recheck passes
+        small = np.abs(step) <= 1e-16 * (1.0 + np.abs(w))
+        if small.any():
+            done = small & (np.abs(w * np.exp(w) - zz) <= tol)
+            out[idx[done]] = w[done]
+            keep = ~done
+            idx, zz, tol, w = (v[keep] for v in (idx, zz, tol, w))
+    if idx.size:
+        fine = np.abs(w * np.exp(w) - zz) <= 1e-13 * np.maximum(np.abs(zz), 1e-290)
+        if not fine.all():
+            raise NumericsError("lambert_w0 did not converge for z=%r"
+                                % float(zz[np.argmin(fine)]))
+        out[idx] = w
+    return float(out[0]) if scalar else out.reshape(z.shape)
 
 
 def _xi_newton(lam):
@@ -130,14 +153,39 @@ def xi_via_lambertw(lam):
 
     Independent of the Newton route; used as its cross-check.  Loses
     precision for small lam (branch-point square root), see
-    _XI_CROSSCHECK_MIN_LAMBDA.
+    _XI_CROSSCHECK_MIN_LAMBDA.  Accepts a scalar (returns a float) or an
+    ndarray (returns an array of its shape).
     """
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError("xi_via_lambertw: negative lambda %r" % lam)
-    if lam == 0.0:
-        return 0.0
-    return 1.0 + lam + lambert_w0(-(1.0 + lam) * math.exp(-1.0 - lam))
+    scalar = np.ndim(lam) == 0
+    lam = np.asarray(lam, dtype=float)
+    negative = lam[lam < 0.0]
+    if negative.size:
+        raise ValueError("xi_via_lambertw: negative lambda %r" % float(negative[0]))
+    c = 1.0 + lam
+    xi = np.where(lam == 0.0, 0.0, c + lambert_w0(-c * np.exp(-c)))
+    return float(xi) if scalar else xi
+
+
+def _xi_crosscheck(lams, xis):
+    """Check Newton roots xis at lams against the Lambert-W route, in one array pass.
+
+    Only lam >= _XI_CROSSCHECK_MIN_LAMBDA is checked, to relative
+    tolerance _XI_CROSSCHECK_RTOL; NumericsError names the first lam
+    that disagrees.
+    """
+    lams = np.asarray(lams, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    checked = lams >= _XI_CROSSCHECK_MIN_LAMBDA
+    if not checked.any():
+        return
+    lam, xi = lams[checked], xis[checked]
+    xi_w = xi_via_lambertw(lam)
+    bad = np.abs(xi_w - xi) > _XI_CROSSCHECK_RTOL * xi
+    if bad.any():
+        i = np.argmax(bad)
+        raise NumericsError(
+            "xi routes disagree at lambda=%r: newton=%.17g lambertw=%.17g"
+            % (float(lam[i]), xi[i], xi_w[i]))
 
 
 def xi_of_lambda(lam):
@@ -145,20 +193,19 @@ def xi_of_lambda(lam):
 
     Safeguarded Newton on the bracket [lam, min(2 lam, 1+lam)], then
     cross-checked against the Lambert-W closed form (a branch mistake
-    in either route would trip the check).
+    in either route would trip the check) on every call.  The RK4 curve
+    solver runs the same Newton and cross-checks all the xi of a path in
+    one array pass.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError("xi_of_lambda: lambda must be finite, got %r" % lam)
     if lam < 0.0:
         raise ValueError("xi_of_lambda: negative lambda %r" % lam)
     if lam == 0.0:
         return 0.0
     xi = _xi_newton(lam)
-    if lam >= _XI_CROSSCHECK_MIN_LAMBDA:
-        xi_w = xi_via_lambertw(lam)
-        if abs(xi_w - xi) > _XI_CROSSCHECK_RTOL * xi:
-            raise NumericsError(
-                "xi routes disagree at lambda=%r: newton=%.17g lambertw=%.17g"
-                % (lam, xi, xi_w))
+    _xi_crosscheck(lam, xi)
     return xi
 
 

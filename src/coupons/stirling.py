@@ -147,19 +147,25 @@ class LogDPBackend:
         return float(next(itertools.islice(_log_rows(l), m, None))[l])
 
     def ratio_table(self, N, n):
-        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined)."""
+        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined).
+
+        Row m writes only 1 <= l <= min(m, n); the entries with l > m keep
+        the zeros R starts with.  On that range ln {m l} is finite, and so
+        is ln {m-1 l-1} except ln {m-1 0} = -inf for m >= 2, whose exp is
+        0: no difference is nan or +inf, and exp leaves nothing below 0,
+        so only the upper clip to 1 is needed.
+        """
         R = np.zeros((N + 1, n + 1))
         rows = _log_rows(n)
         prev = next(rows)
-        with np.errstate(invalid="ignore"):  # -inf - -inf where {m l} = 0
-            for m in range(1, N + 1):
-                row = next(rows)
-                r = R[m, 1:]
-                np.subtract(prev[:n], row[1:], out=r)
-                np.exp(r, out=r)
-                np.nan_to_num(r, copy=False, nan=0.0, posinf=0.0)
-                np.clip(r, 0.0, 1.0, out=r)
-                prev = row
+        for m in range(1, N + 1):
+            row = next(rows)
+            w = min(m, n)
+            r = R[m, 1:w + 1]
+            np.subtract(prev[:w], row[1:w + 1], out=r)
+            np.exp(r, out=r)
+            np.minimum(r, 1.0, out=r)
+            prev = row
         return R
 
 

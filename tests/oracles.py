@@ -12,7 +12,8 @@ pin the bits a faster route must reproduce: `xi_newton_reference`, the
 plain 100-iteration Newton loop its cycle exit must match, and
 `logdp_log_table_reference` with `logdp_ratio_table_reference`, the
 resident log table and vectorized ratio step that the rolling LogDP
-backend must match.
+backend must match, and `rk4_path_reference`, the per-slope RK4 path
+whose bytes the batched-check curve solver must match.
 
 Run `python tests/oracles.py` to regenerate the fine-step curve
 goldens (slow; the frozen values live in the tests).
@@ -210,6 +211,46 @@ def rk4_reference(nu, a, step):
         y = y - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         xs.append(x - h)
         ys.append(y)
+    return xs, ys
+
+
+def rk4_path_reference(nu, a, step):
+    """Frozen per-slope RK4 path of the curve solver; returns (xs, ys) arrays.
+
+    Each slope is the drift F(lam) = exp(-xi(lam)) evaluated on its own,
+    as the solver did when every slope called `f_drift`; xi is the plain
+    Newton loop of `xi_newton_reference`, whose bits the library's Newton
+    reproduces, so these are the curve bytes the solver must keep.
+    """
+    import numpy as np
+
+    def slope(x, y):
+        lam = (x - y) / y
+        if lam < 0.0:
+            if lam < -1e-12:
+                raise ValueError("left the region y <= x")
+            lam = 0.0
+        if lam == 0.0:
+            return 1.0
+        return math.exp(-xi_newton_reference(lam)[0])
+
+    x0 = 1.0 + nu
+    nsteps = max(1, int(math.ceil((x0 - a) / step - 1e-12)))
+    xs = np.empty(nsteps + 1)
+    ys = np.empty(nsteps + 1)
+    xs[0], ys[0] = x0, 1.0
+    y = 1.0
+    for i in range(nsteps):
+        x = x0 - i * step
+        h = min(step, x - a)
+        k1 = slope(x, y)
+        k2 = slope(x - 0.5 * h, y - 0.5 * h * k1)
+        k3 = slope(x - 0.5 * h, y - 0.5 * h * k2)
+        k4 = slope(x - h, y - h * k3)
+        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs[i + 1] = x - h
+        ys[i + 1] = y
+    xs[-1] = a
     return xs, ys
 
 

@@ -53,6 +53,21 @@ def test_curve_bad_domain():
     assert main(["curve", "--nu", "1", "--a", "3.0"]) == 2
 
 
+def test_nonfinite_floats_are_usage_errors():
+    for argv in (["curve", "--nu", "inf", "--a", "0.2"],
+                 ["curve", "--nu", "1", "--a", "nan"],
+                 ["curve", "--nu", "1", "--a", "0.2", "--step", "inf"],
+                 ["stirling", "--verify", "--lams", "inf", "--ells", "10"],
+                 ["stirling", "--verify", "--lams", "1,nan", "--ells", "10"],
+                 ["ldp", "--nu", "inf"],
+                 ["simulate", "--N", "40", "--n", "20", "--trials", "2", "--a", "nan"],
+                 ["simulate", "--N", "40", "--n", "20", "--trials", "2", "--a", "0.2",
+                  "--step", "-inf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
 # --- stirling ------------------------------------------------------------------
 
 def test_stirling_value(tmp_path, capsys):

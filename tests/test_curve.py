@@ -1,14 +1,18 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coupons import (NumericsError, curve_to_csv, envelope, f_drift,
+from coupons import (NumericsError, curve, curve_to_csv, envelope, f_drift,
                      lambda_along, patient_curve, solve_completion_curve,
                      strip_clearance)
+from coupons.cli import main
+
+from oracles import rk4_path_reference
 
 # frozen from an independent step-1e-6 RK4 with bisection drift
 # (regenerate with `python tests/oracles.py`)
@@ -45,6 +49,13 @@ def test_solver_domain_errors():
         solve_completion_curve(1.0, 0.0)
     with pytest.raises(ValueError):
         solve_completion_curve(1.0, 0.1, step=0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_completion_curve(bad, 0.2)
+        with pytest.raises(ValueError):
+            solve_completion_curve(1.0, bad)
+        with pytest.raises(ValueError):
+            solve_completion_curve(1.0, 0.2, step=bad)
 
 
 def test_solver_region_and_slope():
@@ -147,3 +158,38 @@ def test_csv_emission_deterministic():
     first = lines[1].split(",")
     assert float(first[0]) == 2.0 and float(first[1]) == 1.0
     assert len(lines) == len(c.xs) + 1
+
+
+# --- batched xi cross-check ---------------------------------------------------
+
+@pytest.mark.parametrize("nu,a", [(1.0, 0.2), (0.5, 0.1), (3.0, 0.5),
+                                  (0.05, 0.01), (10.0, 0.3)])
+def test_rk4_path_bytes_match_per_slope_reference(nu, a):
+    for step in (1e-3, 5e-4):
+        xs, ys = curve._rk4_path(nu, a, step)
+        want_xs, want_ys = rk4_path_reference(nu, a, step)
+        assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys), step
+
+
+def test_perturbed_newton_root_is_caught(monkeypatch):
+    newton = curve._xi_newton
+
+    def faulty(lam):
+        xi = newton(lam)
+        return xi * (1.0 + 1e-9) if 0.5 < lam < 0.6 else xi
+
+    monkeypatch.setattr(curve, "_xi_newton", faulty)
+    with pytest.raises(NumericsError, match=r"lambda=0\.5"):
+        solve_completion_curve(1.0, 0.2)
+    assert main(["curve", "--nu", "1", "--a", "0.2"]) == 4
+
+
+def test_solver_memory_is_bounded():
+    # the path's lambda and xi live in two preallocated arrays of 4 * nsteps
+    tracemalloc.start()
+    try:
+        solve_completion_curve(3.0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

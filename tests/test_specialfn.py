@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from coupons import (NumericsError, f_drift, g_theta, lambert_w0, rate_j,
                      saddle_params, tail_h, xi_of_lambda, xi_via_lambertw)
-from coupons.specialfn import _xi_newton
+from coupons.specialfn import _xi_crosscheck, _xi_newton
 
 from oracles import (fd_derivatives_123_4, rate_j_reference, xi_bisect,
                      xi_newton_reference)
@@ -40,6 +41,46 @@ def test_w0_defining_residual(z):
     assert abs(w * math.exp(w) - z) <= 1e-13 * max(abs(z), 1e-6)
 
 
+def _w0_grid():
+    bp = -math.exp(-1.0)
+    return np.concatenate([
+        np.logspace(-12.0, 6.0, 1801),
+        bp + np.logspace(-16.0, -3.0, 131), [np.nextafter(bp, 0.0), bp],
+        np.linspace(-1e-3, 1e-3, 101), [-1e-300, 1e-300],
+        np.linspace(math.e - 1e-3, math.e + 1e-3, 101), [math.e]])
+
+
+def test_w0_array_equals_scalar_bit_for_bit():
+    z = _w0_grid()
+    w = lambert_w0(z)
+    assert w.shape == z.shape and w.dtype == np.float64
+    assert np.array_equal(w, [lambert_w0(v) for v in z.tolist()])
+    assert np.array_equal(lambert_w0(z[:2000].reshape(40, 50)), w[:2000].reshape(40, 50))
+    assert type(lambert_w0(1.0)) is float
+    assert type(lambert_w0(np.float64(1.0))) is float
+
+
+def test_w0_array_residual():
+    z = _w0_grid()
+    w = lambert_w0(z)
+    assert np.all(w >= -1.0)
+    assert np.all(np.abs(w * np.exp(w) - z) <= 1e-13 * np.maximum(np.abs(z), 1e-290))
+
+
+def test_w0_array_below_branch_point_rejects_whole_array():
+    z = np.array([0.5, -math.exp(-1.0) - 1e-10, 1.0])
+    with pytest.raises(ValueError, match="below branch point"):
+        lambert_w0(z)
+
+
+def test_w0_nonfinite_does_not_converge():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NumericsError), np.errstate(invalid="ignore"):
+            lambert_w0(bad)
+        with pytest.raises(NumericsError), np.errstate(invalid="ignore"):
+            lambert_w0(np.array([1.0, bad]))
+
+
 # --- xi_of_lambda -------------------------------------------------------
 
 def test_xi_zero_exact():
@@ -61,11 +102,36 @@ def test_xi_negative_rejected():
         xi_of_lambda(-0.1)
 
 
+def test_xi_nonfinite_rejected():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            xi_of_lambda(bad)
+
+
 def test_xi_dual_route_agreement():
     for lam in np.linspace(0.05, 20.0, 97):
         a = xi_of_lambda(lam)
         b = xi_via_lambertw(lam)
         assert abs(a - b) <= 1e-11 * a
+
+
+def test_xi_via_lambertw_array_equals_scalar():
+    lams = np.concatenate([[0.0], np.logspace(-6.0, 3.0, 400)])
+    xis = xi_via_lambertw(lams)
+    assert xis[0] == 0.0
+    assert np.array_equal(xis, [xi_via_lambertw(l) for l in lams.tolist()])
+    with pytest.raises(ValueError):
+        xi_via_lambertw(np.array([1.0, -0.5]))
+
+
+def test_xi_crosscheck_names_first_disagreement():
+    lams = np.linspace(0.01, 5.0, 500)
+    xis = np.array([_xi_newton(l) for l in lams.tolist()])
+    _xi_crosscheck(lams, xis)
+    bad = xis.copy()
+    bad[[3, 200, 300]] *= 1.0 + 1e-9  # lams[3] is below the checked range
+    with pytest.raises(NumericsError, match=re.escape("lambda=%r:" % float(lams[200]))):
+        _xi_crosscheck(lams, bad)
 
 
 def test_xi_newton_cycle_exit_is_bit_identical():
