@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, ResourceCapError
-from .sampler import _rng, conditioned_paths
+from .sampler import _rng, _word_paths, conditioned_paths
 from .specialfn import xi_of_lambda
 from .stirling import stirling_exact
 
@@ -247,15 +247,7 @@ def exact_accessible_count(k, n):
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         W = ((ids[:, None] // powers[None, :]) % n).astype(np.int32) + 1
-        # running distinct-count paths via bitmask
-        seen = np.zeros(len(ids), dtype=np.uint64)
-        y = np.zeros(len(ids), dtype=np.int32)
-        Y = np.empty((len(ids), N), dtype=np.int32)
-        for t in range(N):
-            bit = np.uint64(1) << (W[:, t] - 1).astype(np.uint64)
-            y = y + ((seen & bit) == 0)
-            seen |= bit
-            Y[:, t] = y
+        Y = _word_paths(W)[:, 1:]  # Y[:, t] = y_{t+1}
         surj = Y[:, -1] == n
         surjective += int(surj.sum())
         ok = surj & np.all(Y[:, cols] >= levels + 1, axis=1)

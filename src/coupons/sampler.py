@@ -242,23 +242,15 @@ def _check_curve_matches(curve, N, n):
     return nu
 
 
-def _grid_indices(curve, n, N):
-    idx = np.floor(n * curve.xs + 1e-9).astype(np.int64)
-    return np.clip(idx, 0, N)
-
-
 def sup_distance(traj, curve):
     """sup over the curve grid of |y_{floor(n x)}/n - zeta(nu, x)|."""
-    _check_curve_matches(curve, traj.N, traj.n)
-    idx = _grid_indices(curve, traj.n, traj.N)
-    vals = traj.z[traj.N - idx] / traj.n
-    return float(np.max(np.abs(vals - curve.ys)))
+    return float(sup_distances_of(traj.z[None, :], curve, traj.N, traj.n)[0])
 
 
 def sup_distances_of(Z, curve, N, n):
     """Vectorized sup_distance for a batch array from conditioned_paths."""
     _check_curve_matches(curve, N, n)
-    idx = _grid_indices(curve, n, N)
+    idx = np.clip(np.floor(n * curve.xs + 1e-9).astype(np.int64), 0, N)
     vals = Z[:, N - idx] / n
     return np.max(np.abs(vals - curve.ys[None, :]), axis=1)
 

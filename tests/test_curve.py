@@ -88,7 +88,7 @@ def test_envelope_numbers_nu1_x1():
 
 
 def test_richardson_stability():
-    # solving with the built-in half-step check must simply succeed
+    # solving with the built-in closed-form check must simply succeed
     solve_completion_curve(1.5, 0.3, step=1e-3, richardson_check=True)
 
 
@@ -146,6 +146,16 @@ def test_strip_clearance():
         strip_clearance(1, 0.1)
 
 
+def test_strip_clearance_at_largest_eps():
+    # the window [2 k eps, k - 2 k^2 eps] is one point at eps = 1/(2(k+1)),
+    # and its computed ends may cross by one ulp
+    for k in range(2, 41):
+        assert strip_clearance(k, 1.0 / (2.0 * (k + 1))), k
+    for k in range(2, 9):
+        for frac in (1e-3, 0.01, 0.1, 0.3, 0.5, 0.9):
+            assert strip_clearance(k, frac / (2.0 * (k + 1))), (k, frac)
+
+
 def test_csv_emission_deterministic():
     c = solve_completion_curve(1.0, 1.5, step=1e-2, richardson_check=False)
     buf1, buf2 = io.StringIO(), io.StringIO()
@@ -193,3 +203,51 @@ def test_solver_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+# --- closed form ----------------------------------------------------------------
+
+@pytest.mark.parametrize("nu,a", [(1.0, 0.2), (0.5, 0.1), (3.0, 0.5),
+                                  (0.05, 0.01), (10.0, 0.3)])
+def test_zeta_matches_rk4_oracle(nu, a):
+    xs, ys = rk4_path_reference(nu, a, 1e-3)
+    assert np.max(np.abs(curve._zeta(nu, xs) - ys)) <= 1e-10
+
+
+def test_zeta_tends_to_patient_curve():
+    x = np.linspace(0.0, 5.0, 501)
+    assert np.max(np.abs(curve._zeta(40.0, x) - patient_curve(x))) <= 1e-15
+
+
+def test_closed_form_check_rejects_inaccurate_grid():
+    # this step's grid is 1.24e-8 off the closed form
+    with pytest.raises(NumericsError, match="closed form"):
+        solve_completion_curve(0.1, 0.033, step=7e-3)
+    assert main(["curve", "--nu", "0.1", "--a", "0.033", "--step", "0.007"]) == 4
+
+
+def test_closed_form_check_catches_one_bad_point(monkeypatch):
+    rk4_path = curve._rk4_path
+
+    def faulty(nu, a, step):
+        xs, ys = rk4_path(nu, a, step)
+        ys[len(ys) // 2] += 2e-8
+        return xs, ys
+
+    monkeypatch.setattr(curve, "_rk4_path", faulty)
+    with pytest.raises(NumericsError, match="closed form"):
+        solve_completion_curve(1.0, 0.2)
+    assert main(["curve", "--nu", "1", "--a", "0.2"]) == 4
+
+
+def test_solver_runs_one_rk4_path(monkeypatch):
+    rk4_path = curve._rk4_path
+    calls = []
+
+    def counted(nu, a, step):
+        calls.append(step)
+        return rk4_path(nu, a, step)
+
+    monkeypatch.setattr(curve, "_rk4_path", counted)
+    solve_completion_curve(1.0, 0.2)
+    assert calls == [1e-3]

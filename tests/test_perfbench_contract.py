@@ -41,7 +41,7 @@ def test_entry_point_resolves(layer, modname, attr):
 
 
 def test_tracer_counts_the_cli_workloads(tmp_path):
-    runs = [  # curve: a step of 0.05 fails the CLI's half-step Richardson check
+    runs = [  # curve: a step of 0.05 fails the CLI's closed-form check
         ["curve", "--nu", "1", "--a", "0.2", "--step", "0.01"],
         ["korshunov", "--k", "2", "--n", "20", "--trials", "50"],
         ["simulate", "--N", "40", "--n", "20", "--trials", "10", "--a", "0.2"],
