@@ -70,12 +70,11 @@ class Curve:
     ys: np.ndarray = field(repr=False)
 
     def y_at(self, x):
-        """Linear interpolation of y on the solved grid."""
+        """zeta(nu, x) by the closed form, for x in [a, 1+nu]."""
         x = float(x)
         if x < self.a - 1e-12 or x > 1.0 + self.nu + 1e-12:
             raise ValueError("y_at: x=%r outside [%r, %r]" % (x, self.a, 1.0 + self.nu))
-        # np.interp wants ascending abscissae
-        return float(np.interp(x, self.xs[::-1], self.ys[::-1]))
+        return float(_zeta(self.nu, x))
 
 
 def _zeta(nu, x):
@@ -173,9 +172,7 @@ def solve_completion_curve(nu, a, step=1e-3, richardson_check=True):
 def lambda_along(curve, x):
     """lambda(x) = x/zeta(x) - 1 = theta x/(1 - e^{-theta x}) - 1 at curve.nu."""
     x = float(x)
-    if x < curve.a - 1e-12 or x > 1.0 + curve.nu + 1e-12:
-        raise ValueError("lambda_along: x=%r outside [%r, %r]" % (x, curve.a, 1.0 + curve.nu))
-    return x / float(_zeta(curve.nu, x)) - 1.0
+    return x / curve.y_at(x) - 1.0
 
 
 def strip_clearance(k, eps):

@@ -179,6 +179,9 @@ def test_rk4_path_bytes_match_per_slope_reference(nu, a):
         xs, ys = curve._rk4_path(nu, a, step)
         want_xs, want_ys = rk4_path_reference(nu, a, step)
         assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys), step
+        if step == 1e-3:
+            # the closed form against the per-slope oracle; measured max 3.3e-11
+            assert np.max(np.abs(curve._zeta(nu, want_xs) - want_ys)) <= 1e-10
 
 
 def test_perturbed_newton_root_is_caught(monkeypatch):
@@ -206,13 +209,6 @@ def test_solver_memory_is_bounded():
 
 
 # --- closed form ----------------------------------------------------------------
-
-@pytest.mark.parametrize("nu,a", [(1.0, 0.2), (0.5, 0.1), (3.0, 0.5),
-                                  (0.05, 0.01), (10.0, 0.3)])
-def test_zeta_matches_rk4_oracle(nu, a):
-    xs, ys = rk4_path_reference(nu, a, 1e-3)
-    assert np.max(np.abs(curve._zeta(nu, xs) - ys)) <= 1e-10
-
 
 def test_zeta_tends_to_patient_curve():
     x = np.linspace(0.0, 5.0, 501)
