@@ -94,8 +94,9 @@ def _stirling_verify(lams, ells, out):
     for lam in lams:
         for l in ells:
             m = int(round((1.0 + lam) * l))
-            lc = l * abs(stirling.chi(m, l))
-            lr = l * stirling.transition_error(m, l)
+            ch, err = stirling._chi_and_transition_error(m, l)
+            lc = l * abs(ch)
+            lr = l * err
             worst_chi = max(worst_chi, lc)
             worst_r = max(worst_r, lr)
             lines.append("%.17g,%d,%d,%.17g,%.17g" % (lam, l, m, lc, lr))
@@ -114,7 +115,7 @@ def cmd_stirling(args):
     lines = [str(val)]
     if 1 <= l < m:
         pl = stirling.psi_log(m, l)
-        ch = stirling.chi(m, l, cap=args.cap)
+        ch = stirling._chi_of(val, m, l)
         lines.append("psi_log=%.17g" % pl)
         lines.append("chi=%.17g" % ch)
         lines.append("l_chi=%.17g" % (l * ch))

@@ -11,6 +11,15 @@ Single exact values and ratios come from the explicit sum
 (Graham, Knuth, Patashnik, Concrete Mathematics, eq. 6.19), which costs
 l big powers instead of the m*l big-integer steps of the recurrence;
 whole ratio tables, which need every row anyway, use the recurrence.
+One pass of the sum gives both values a ratio needs: with
+u_i = C(l,i) i^(m-1) and s_i = (-1)^(l-i),
+
+    a = Sum s_i u_i = l! {m-1 l},     b = Sum s_i i u_i = l! {m l},
+
+so one power per i serves both sums, {m l} = b // l!, and by the
+recurrence r(m,l) = {m-1 l-1}/{m l} = (b - l a)/b.  Single values,
+single ratios and the chi/r-rho grid of `stirling --verify` all share
+this pass.
 
 On top of the raw numbers this module evaluates the transition ratio
 r(m,l) = {m-1 l-1}/{m l} of the reversed collector chain, the
@@ -65,15 +74,21 @@ def _log_rows(width):
         np.logaddexp(tmp[:w], prev[0:w], out=row[1:w + 1])
 
 
-def _stirling_sum(m, l):
-    """Exact {m l} for 0 <= l <= m by the explicit sum, divided once by l!."""
-    total = 1 if m == 0 else 0  # the i = 0 term, 0^m
+def _explicit_sum(m, l):
+    """({m l}, r(m, l)) for 1 <= l <= m, from one pass of the explicit sum."""
+    a = (-1) ** l if m == 1 else 0  # i = 0 adds (-1)^l 0^(m-1) to a (0^0 = 1), 0 to b
+    b = 0
     c = 1  # C(l, i)
     for i in range(1, l + 1):
         c = c * (l - i + 1) // i
-        term = c * i ** m
-        total += term if (l - i) % 2 == 0 else -term
-    return total // math.factorial(l)
+        u = c * i ** (m - 1)
+        if (l - i) % 2 == 0:
+            a += u
+            b += i * u
+        else:
+            a -= u
+            b -= i * u
+    return b // math.factorial(l), (b - l * a) / b
 
 
 def stirling_exact(m, l, cap=DEFAULT_EXACT_CAP):
@@ -85,7 +100,9 @@ def stirling_exact(m, l, cap=DEFAULT_EXACT_CAP):
     if m > cap:
         raise ResourceCapError(
             "stirling_exact: m=%d exceeds cap %d (raise cap= explicitly)" % (m, cap))
-    return _stirling_sum(m, l)
+    if l == 0:
+        return 1 if m == 0 else 0
+    return _explicit_sum(m, l)[0]
 
 
 def _log_big(x):
@@ -104,8 +121,9 @@ class ExactBackend:
 
     Python's int / int true division is correctly rounded, so every ratio
     is the double nearest to {m-1 l-1}/{m l}, subnormals included.  A
-    single ratio takes its two values from the explicit sum (no cap);
-    a table rolls the recurrence once over all its rows.
+    single ratio is (b - l a)/b from one pass of the explicit sum, with
+    a = l! {m-1 l} and b = l! {m l} (no cap): the same rational, so the
+    same rounding; a table rolls the recurrence once over all its rows.
     """
 
     kind = "Exact"
@@ -113,7 +131,7 @@ class ExactBackend:
     def ratio(self, m, l):
         if not (1 <= l <= m):
             raise ValueError("ratio: need 1 <= l <= m, got (%r, %r)" % (m, l))
-        return _stirling_sum(m - 1, l - 1) / _stirling_sum(m, l)
+        return _explicit_sum(m, l)[1]
 
     def ratio_table(self, N, n):
         """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined)."""
@@ -207,10 +225,19 @@ def psi_log(m, l):
     return form_a
 
 
+def _chi_of(s, m, l):
+    """chi(m, l) from s = {m l}: expm1 of the log difference to psi."""
+    return math.expm1(_log_big(s) - psi_log(m, l))
+
+
+def _rho_gap(r, m, l):
+    """|r - rho(lambda)| at lambda = (m-l)/l, for r = r(m, l)."""
+    return abs(r - math.exp(-xi_of_lambda((m - l) / l)))
+
+
 def chi(m, l, cap=DEFAULT_EXACT_CAP):
     """Relative error chi = ({m l} - psi)/psi, via expm1 of a log difference."""
-    s = stirling_exact(m, l, cap=cap)
-    return math.expm1(_log_big(s) - psi_log(m, l))
+    return _chi_of(stirling_exact(m, l, cap=cap), m, l)
 
 
 def transition_error(m, l):
@@ -218,9 +245,19 @@ def transition_error(m, l):
     if not (1 <= l < m):
         raise ValueError(
             "transition_error: need 1 <= l < m (lambda > 0), got (%r, %r)" % (m, l))
-    lam = (m - l) / l
-    r = ratio_r(m, l)
-    return abs(r - math.exp(-xi_of_lambda(lam)))
+    return _rho_gap(ratio_r(m, l), m, l)
+
+
+def _chi_and_transition_error(m, l, cap=DEFAULT_EXACT_CAP):
+    """(chi(m, l, cap), transition_error(m, l)) from one explicit-sum pass.
+
+    Equal to the two calls bit for bit; outside 1 <= l < m <= cap it makes
+    them, so the error raised is chi's own.
+    """
+    if not (1 <= l < m <= cap):
+        return chi(m, l, cap=cap), transition_error(m, l)
+    s, r = _explicit_sum(m, l)
+    return _chi_of(s, m, l), _rho_gap(r, m, l)
 
 
 def surjection_log_probability(N, n, exact_cap=3000):

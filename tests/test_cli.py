@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,8 +10,9 @@ import sys
 import jsonschema
 import pytest
 
-from coupons.cli import main
-from coupons import korshunov_constant, stirling_exact
+from coupons.cli import build_parser, main
+from coupons import (chi, korshunov_constant, stirling, stirling_exact,
+                     transition_error)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -104,6 +106,45 @@ def test_stirling_cap_and_override(capsys):
     assert int(out[0]) == stirling_exact(100, 50)
     # the cap parameter itself allows raising past the default
     assert stirling_exact(5001, 2, cap=5100) == 2 ** 5000 - 1
+
+
+def test_stirling_cap_message(capsys):
+    # the single value and the verify grid stop at the same default cap
+    want = "numeric error: stirling_exact: m=6000 exceeds cap 5000 (raise cap= explicitly)\n"
+    for argv in (["stirling", "6000", "10"],
+                 ["stirling", "--verify", "--lams", "2", "--ells", "2000"]):
+        assert main(argv) == 4, argv
+        cap = capsys.readouterr()
+        assert (cap.out, cap.err) == ("", want), argv
+
+
+# sha256 of stdout, measured at commit d3ff9c2 (before values and ratios
+# shared one explicit-sum pass): a faster exact route must keep these bytes
+STDOUT_SHA256 = {
+    "stirling --verify":
+        "a83db2fbfd077b203c5dc99f67d8359e7ea92eeaa06f63afcabfc34be3afbdc7",
+    "stirling --verify --ells 50,100,200,400":
+        "f2c334cdb4243d0d9872443ae9f21bae3d82bb022c56e75e2f3e3a46f658b767",
+    "stirling 3000 1000":
+        "c682eaba7233f5f210611296bbb4436c6500d7e53de9713668f167b8e409ba7d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+def test_stirling_stdout_digest(argv, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_verify_route_equals_chi_and_transition_error():
+    # one pass per grid point gives the bits of the two separate routes
+    args = build_parser().parse_args(["stirling", "--verify"])
+    grid = [(int(round((1.0 + lam) * l)), l) for lam in args.lams for l in args.ells]
+    assert len(grid) == 15
+    for m, l in grid:
+        assert stirling._chi_and_transition_error(m, l) \
+            == (chi(m, l), transition_error(m, l)), (m, l)
 
 
 def test_stirling_missing_args():

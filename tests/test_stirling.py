@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ from coupons import (ExactBackend, LogDPBackend, ResourceCapError, chi,
 from coupons.stirling import _log_big, _rows
 
 from oracles import (logdp_log_table_reference, logdp_ratio_table_reference,
-                     set_partition_count)
+                     set_partition_count, stirling_sum_reference)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -126,6 +127,24 @@ def test_explicit_sum_matches_recurrence():
     assert len(pairs) >= 1800
     for m, l in pairs:
         assert be.ratio(m, l) == R[m, l], (m, l)
+
+
+def test_one_pass_matches_single_sum_reference():
+    # value and ratio from the pair sum equal the frozen one-value sum and
+    # the ratio of two of its values; the 12 points are the bench's verify grid
+    grid = [(int(round((1.0 + lam) * l)), l)
+            for lam in (0.5, 1.0, 2.0) for l in (50, 100, 200, 400)]
+    pairs = [(m, l) for m in range(151) for l in range(m + 1)] + grid + [(5000, 2)]
+    ref = functools.cache(stirling_sum_reference)
+    be = ExactBackend()
+    for m, l in pairs:
+        assert stirling_exact(m, l) == ref(m, l), (m, l)
+        if l >= 1:
+            assert be.ratio(m, l) == ref(m - 1, l - 1) / ref(m, l), (m, l)
+    # m = 1 is the only pass with an i = 0 term, (-1)^l 0^(m-1) = -1
+    assert be.ratio(1, 1) == 1.0
+    for m in (2, 3, 50, 151, 1200):
+        assert be.ratio(m, 1) == 0.0 and be.ratio(m, m) == 1.0, m
 
 
 # --- backends -----------------------------------------------------------
