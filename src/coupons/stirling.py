@@ -248,14 +248,14 @@ def transition_error(m, l):
     return _rho_gap(ratio_r(m, l), m, l)
 
 
-def _chi_and_transition_error(m, l, cap=DEFAULT_EXACT_CAP):
-    """(chi(m, l, cap), transition_error(m, l)) from one explicit-sum pass.
+def _chi_and_transition_error(m, l):
+    """(chi(m, l), transition_error(m, l)) from one explicit-sum pass.
 
-    Equal to the two calls bit for bit; outside 1 <= l < m <= cap it makes
-    them, so the error raised is chi's own.
+    Equal to the two calls bit for bit; outside 1 <= l < m <= DEFAULT_EXACT_CAP
+    it makes them, so the error raised is chi's own.
     """
-    if not (1 <= l < m <= cap):
-        return chi(m, l, cap=cap), transition_error(m, l)
+    if not (1 <= l < m <= DEFAULT_EXACT_CAP):
+        return chi(m, l), transition_error(m, l)
     s, r = _explicit_sum(m, l)
     return _chi_of(s, m, l), _rho_gap(r, m, l)
 

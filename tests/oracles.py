@@ -12,10 +12,8 @@ pin the bits a faster route must reproduce: `xi_newton_reference`, the
 plain 100-iteration Newton loop its cycle exit must match, and
 `logdp_log_table_reference` with `logdp_ratio_table_reference`, the
 resident log table and vectorized ratio step that the rolling LogDP
-backend must match, `rk4_path_reference`, the per-slope RK4 path
-whose bytes the batched-check curve solver must match, and
-`stirling_sum_reference`, the one-value explicit sum whose values (and
-ratios of two of them) the one-pass pair sum must reproduce.
+backend must match, and `rk4_path_reference`, the per-slope RK4 path
+whose bytes the batched-check curve solver must match.
 
 Run `python tests/oracles.py` to regenerate the fine-step curve
 goldens (slow; the frozen values live in the tests).
@@ -98,17 +96,6 @@ def logdp_ratio_table_reference(L, N, n):
     np.nan_to_num(R, copy=False, nan=0.0, posinf=0.0)
     np.clip(R, 0.0, 1.0, out=R)
     return R
-
-
-def stirling_sum_reference(m, l):
-    """Exact {m l} for 0 <= l <= m by the explicit sum, divided once by l!."""
-    total = 1 if m == 0 else 0  # the i = 0 term, 0^m
-    c = 1  # C(l, i)
-    for i in range(1, l + 1):
-        c = c * (l - i + 1) // i
-        term = c * i ** m
-        total += term if (l - i) % 2 == 0 else -term
-    return total // math.factorial(l)
 
 
 def reversed_chain_reference(rtab, N, n, seed, index):

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import tracemalloc
@@ -16,7 +15,7 @@ from coupons import (ExactBackend, LogDPBackend, ResourceCapError, chi,
 from coupons.stirling import _log_big, _rows
 
 from oracles import (logdp_log_table_reference, logdp_ratio_table_reference,
-                     set_partition_count, stirling_sum_reference)
+                     set_partition_count)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -113,38 +112,32 @@ def test_exact_routes_agree():
 
 
 def test_explicit_sum_matches_recurrence():
-    # single values come from the explicit sum, tables from the DP rows
+    # single values and ratios come from the explicit sum, tables from the DP
+    # rows; a ratio must be the int/int quotient of two DP values
+    be = ExactBackend()
     rows = _rows(150)
+    prev = None
     for m in range(151):
         row = next(rows)
         assert [stirling_exact(m, l) for l in range(m + 1)] == row, m
-    for m, l in [(1200, 400), (800, 799), (3000, 2)]:
-        dp = next(itertools.islice(_rows(l), m, None))
-        assert stirling_exact(m, l) == dp[l], (m, l)
+        for l in range(1, m + 1):  # m = 1 is the only pass with an i = 0 term
+            assert be.ratio(m, l) == prev[l - 1] / row[l], (m, l)
+        prev = row
+    # the 12 points of the bench's verify grid, then l = m - 1 and l = 2 edges
+    ms_of_l = {l: [int(round((1.0 + lam) * l)) for lam in (0.5, 1.0, 2.0)]
+               for l in (50, 100, 200, 400)}
+    ms_of_l.update({799: [800], 2: [3000, 5000]})
+    for l, ms in ms_of_l.items():
+        for m, row in zip(range(max(ms) + 1), _rows(l)):
+            if m in ms:
+                assert stirling_exact(m, l) == row[l], (m, l)
+                assert be.ratio(m, l) == prev[l - 1] / row[l], (m, l)
+            prev = row
     R = ExactBackend().ratio_table(400, 200)
-    be = ExactBackend()
     pairs = [(m, l) for m in range(1, 401, 8) for l in range(1, min(m, 200) + 1, 4)]
     assert len(pairs) >= 1800
     for m, l in pairs:
         assert be.ratio(m, l) == R[m, l], (m, l)
-
-
-def test_one_pass_matches_single_sum_reference():
-    # value and ratio from the pair sum equal the frozen one-value sum and
-    # the ratio of two of its values; the 12 points are the bench's verify grid
-    grid = [(int(round((1.0 + lam) * l)), l)
-            for lam in (0.5, 1.0, 2.0) for l in (50, 100, 200, 400)]
-    pairs = [(m, l) for m in range(151) for l in range(m + 1)] + grid + [(5000, 2)]
-    ref = functools.cache(stirling_sum_reference)
-    be = ExactBackend()
-    for m, l in pairs:
-        assert stirling_exact(m, l) == ref(m, l), (m, l)
-        if l >= 1:
-            assert be.ratio(m, l) == ref(m - 1, l - 1) / ref(m, l), (m, l)
-    # m = 1 is the only pass with an i = 0 term, (-1)^l 0^(m-1) = -1
-    assert be.ratio(1, 1) == 1.0
-    for m in (2, 3, 50, 151, 1200):
-        assert be.ratio(m, 1) == 0.0 and be.ratio(m, m) == 1.0, m
 
 
 # --- backends -----------------------------------------------------------
