@@ -13,6 +13,7 @@ relative --out paths.
 """
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -21,7 +22,7 @@ import sys
 
 from . import automata, curve, sampler, stirling
 from .errors import NumericsError
-from .specialfn import rate_j, xi_of_lambda
+from .specialfn import rate_j, saddle_params, xi_of_lambda
 
 
 def _u64(text):
@@ -91,10 +92,12 @@ def cmd_curve(args):
 def _stirling_verify(lams, ells, out):
     lines = ["lam,ell,m,l_abs_chi,l_trans_err"]
     worst_chi = worst_r = 0.0
+    saddle = functools.lru_cache(maxsize=None)(saddle_params)  # one xi solve per lambda
     for lam in lams:
         for l in ells:
             m = int(round((1.0 + lam) * l))
-            ch, err = stirling._chi_and_transition_error(m, l)
+            sp = saddle((m - l) / l) if 1 <= l < m else None
+            ch, err = stirling._chi_and_transition_error(m, l, sp)
             lc = l * abs(ch)
             lr = l * err
             worst_chi = max(worst_chi, lc)
@@ -115,7 +118,7 @@ def cmd_stirling(args):
     lines = [str(val)]
     if 1 <= l < m:
         pl = stirling.psi_log(m, l)
-        ch = stirling._chi_of(val, m, l)
+        ch = stirling._chi_of(val, pl)
         lines.append("psi_log=%.17g" % pl)
         lines.append("chi=%.17g" % ch)
         lines.append("l_chi=%.17g" % (l * ch))

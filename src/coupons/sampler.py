@@ -10,15 +10,18 @@ Randomness: counter-based Philox streams, one sub-stream per
 trajectory index (key = base_seed * 2^64 + index).  Batches are
 therefore reproducible and independent of chunking or worker count.
 
-Batches are drawn in chunks of rows; each worker re-keys one Philox bit
+Batches are drawn in spans of rows; each span re-keys one Philox bit
 generator per trajectory instead of building a generator per row.  With
-`conditioned_paths(..., reduce=f)` every chunk is mapped to one value per
-path and dropped, so memory is one chunk per worker plus the reduced
-outputs, whatever the number of trials.
+`conditioned_paths(..., reduce=f)` every span is mapped to one value per
+path and dropped, so memory is one span's buffers per process plus the
+reduced outputs, whatever the number of trials.  With jobs > 1 the spans
+run in forked worker processes.
 """
 
-import concurrent.futures
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +93,69 @@ def _substreams(seed):
     return draw
 
 
+_span = None  # in a forked worker: the span function of its batch
+
+
+def _start_worker(run):
+    """Pool initializer: install `run`, and exit once the parent has gone.
+
+    A forked worker holds copies of its pool's pipe ends, so it would wait
+    forever for work from a parent that was killed; a daemon thread
+    watches for the change of parent instead.
+    """
+    global _span
+    _span = run
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _forked_span(start, count):
+    return _span(start, count)
+
+
+def _span_runner(rtab, N, n, seed, size, reduce):
+    """run(start, count): the reversed chain for rows start..start+count-1.
+
+    count <= size.  The buffers are allocated on the first call and kept
+    for every later span of the same runner, so a worker faults its pages
+    in once.  Rows are drawn per trajectory into U, then one transpose
+    copy UT lets the time loop read and write contiguous rows without
+    temporaries; the int32 ZT is written over U's memory once the
+    transpose has consumed it, so the peak is U + UT.  z stays in [0, n],
+    so take(mode="clip") skips the checked copy.  Returns reduce(Z) or,
+    without reduce, the (count, N+1) view Z of the runner's buffer, which
+    the next span overwrites.
+    """
+    draw = _substreams(seed)
+    bufs = []
+
+    def run(start, count):
+        if not bufs:
+            bufs.extend((np.empty(size * N), np.empty(size * N),
+                         np.empty(size), np.empty(size, dtype=bool)))
+        U = bufs[0][:count * N].reshape(count, N)
+        for i in range(count):
+            draw(start + i, U[i])
+        UT = bufs[1][:count * N].reshape(N, count)
+        np.copyto(UT, U.T)
+        thr, step = bufs[2][:count], bufs[3][:count]
+        ZT = bufs[0].view(np.int32)[:(N + 1) * count].reshape(N + 1, count)
+        ZT[0] = n
+        for t in range(N):
+            np.take(rtab[N - t], ZT[t], out=thr, mode="clip")
+            np.less(UT[t], thr, out=step)
+            np.subtract(ZT[t], step, out=ZT[t + 1])
+        return ZT.T if reduce is None else reduce(ZT.T)
+
+    return run
+
+
 def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     """Sample `trials` reversed-chain paths; returns int32 array (trials, N+1).
 
@@ -97,11 +163,24 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     rows is reproducible in isolation and the result is independent of
     jobs and of internal chunk sizes.
 
-    With `reduce`, each chunk of paths, a (count, N+1) int32 view of the
-    chunk's buffer, is passed to `reduce`, which must return a new
+    The rows run in spans of at most one chunk, about 4e6/(N+1) rows.
+    With `reduce`, each span of paths, a (count, N+1) int32 view of the
+    span's buffer, is passed to `reduce`, which must return a new
     length-count array.  The result is those arrays concatenated in
-    trajectory order, and no path matrix is kept: memory is one chunk per
-    worker (at most about 64 MB while N < 15625) plus the reduced outputs.
+    trajectory order, and no path matrix is kept: memory is one span's
+    buffers (at most about 64 MB while N < 15625) plus the reduced outputs.
+
+    With jobs > 1 and more than one chunk, the trials are split into
+    equal spans, a multiple of `jobs` of them, and run by min(jobs, spans)
+    worker processes forked from this one: the ratio table and `reduce`
+    reach them copy-on-write as the pool initializer's arguments, which
+    fork does not pickle, and each sends back only its reduced arrays
+    (its int32 rows without `reduce`).  Each worker holds one span's
+    buffers, and the workers have exited when this returns; an exception
+    raised in a worker is re-raised here.  Where the platform cannot fork,
+    the spans run serially in this process, with the same output.
+    Python 3.12 and later warn when forking a process that runs threads,
+    as numpy's OpenBLAS pool does.
     """
     if not (1 <= n <= N):
         raise ValueError("conditioned_paths: need 1 <= n <= N")
@@ -112,37 +191,34 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     rtab = backend.ratio_table(N, n)
 
     chunk = max(256, min(65536, int(4e6 // (N + 1))))
-    spans = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
-    Z = np.empty((trials, N + 1), dtype=np.int32) if reduce is None else None
+    starts = list(range(0, trials, chunk))
+    ctx = None
+    if jobs > 1 and len(starts) > 1:
+        count = min(trials, -(-len(starts) // jobs) * jobs)
+        size, extra = divmod(trials, count)
+        starts = [i * size + min(i, extra) for i in range(count)]
+        import multiprocessing  # deferred: about 15 ms of import, used only here
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+    counts = np.diff(starts + [trials]).tolist()
+    run = _span_runner(rtab, N, n, seed, max(counts), reduce)
+    if ctx is None:
+        return _gather(map(run, starts, counts), starts, counts, N, reduce)
 
-    def run(start, count):
-        # rows are drawn per trajectory, then one transpose copy so the
-        # time loop reads and writes contiguous rows without temporaries;
-        # z stays in [0, n], so take(mode="clip") skips the checked copy
-        draw = _substreams(seed)
-        U = np.empty((count, N))
-        for i in range(count):
-            draw(start + i, U[i])
-        UT = np.ascontiguousarray(U.T)
-        del U  # peak per chunk is U + UT; ZT is allocated after U is freed
-        ZT = np.empty((N + 1, count), dtype=np.int32)
-        ZT[0] = n
-        thr = np.empty(count)
-        step = np.empty(count, dtype=bool)
-        for t in range(N):
-            np.take(rtab[N - t], ZT[t], out=thr, mode="clip")
-            np.less(UT[t], thr, out=step)
-            np.subtract(ZT[t], step, out=ZT[t + 1])
-        if reduce is not None:
-            return reduce(ZT.T)
-        Z[start:start + count] = ZT.T
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(jobs, len(starts)), mp_context=ctx,
+                             initializer=_start_worker, initargs=(run,)) as pool:
+        return _gather(pool.map(_forked_span, starts, counts), starts, counts, N, reduce)
 
-    if jobs > 1 and len(spans) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(lambda sp: run(*sp), spans))
-    else:
-        parts = [run(*sp) for sp in spans]
-    return Z if reduce is None else np.concatenate(parts)
+
+def _gather(parts, starts, counts, N, reduce):
+    """The batch from its spans' results, taken in order as they arrive."""
+    if reduce is not None:
+        return np.concatenate(list(parts))
+    Z = np.empty((sum(counts), N + 1), dtype=np.int32)
+    for start, count, part in zip(starts, counts, parts):
+        Z[start:start + count] = part
+    return Z
 
 
 def sample_conditioned(N, n, seed=0):

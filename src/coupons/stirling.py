@@ -192,18 +192,20 @@ def ratio_r(m, l):
     return ExactBackend().ratio(m, l)
 
 
-def psi_log_forms(m, l):
+def psi_log_forms(m, l, sp=None):
     """Both displayed forms of ln psi(m,l); they are algebraically equal.
 
     Form A:  psi = (1/2pi)(m!/l!)((e^xi-1)/xi^{1+lam})^l sqrt(pi/(v l))
     Form B:  psi = (m!/l!)(e^xi-1)^l xi^{-m} / sqrt(2 pi m (1 - (m/l) e^{-xi}))
 
     Their equality reduces to m(xi - lam) = 2 l v via (1+lam)e^{-xi} = 1+lam-xi.
+    `sp` is saddle_params((m - l) / l) when the caller already has it.
     """
     if not (1 <= l < m):
         raise ValueError("psi_log: need 1 <= l < m, got (%r, %r)" % (m, l))
     lam = (m - l) / l
-    sp = saddle_params(lam)
+    if sp is None:
+        sp = saddle_params(lam)
     xi, v = sp.xi, sp.v
     lnb = xi + math.log1p(-math.exp(-xi))  # ln(e^xi - 1), overflow-free
     base = math.lgamma(m + 1) - math.lgamma(l + 1)
@@ -215,9 +217,9 @@ def psi_log_forms(m, l):
     return form_a, form_b
 
 
-def psi_log(m, l):
+def psi_log(m, l, sp=None):
     """ln psi(m,l), with the two displayed forms cross-checked to 1e-9."""
-    form_a, form_b = psi_log_forms(m, l)
+    form_a, form_b = psi_log_forms(m, l, sp)
     if abs(form_a - form_b) > 1e-9 * max(1.0, abs(form_a)):
         raise NumericsError(
             "psi_log forms disagree at (%d, %d): %.17g vs %.17g"
@@ -225,19 +227,14 @@ def psi_log(m, l):
     return form_a
 
 
-def _chi_of(s, m, l):
-    """chi(m, l) from s = {m l}: expm1 of the log difference to psi."""
-    return math.expm1(_log_big(s) - psi_log(m, l))
-
-
-def _rho_gap(r, m, l):
-    """|r - rho(lambda)| at lambda = (m-l)/l, for r = r(m, l)."""
-    return abs(r - math.exp(-xi_of_lambda((m - l) / l)))
+def _chi_of(s, psi):
+    """chi from s = {m l} and psi = psi_log(m, l): expm1 of their log difference."""
+    return math.expm1(_log_big(s) - psi)
 
 
 def chi(m, l, cap=DEFAULT_EXACT_CAP):
     """Relative error chi = ({m l} - psi)/psi, via expm1 of a log difference."""
-    return _chi_of(stirling_exact(m, l, cap=cap), m, l)
+    return _chi_of(stirling_exact(m, l, cap=cap), psi_log(m, l))
 
 
 def transition_error(m, l):
@@ -245,19 +242,23 @@ def transition_error(m, l):
     if not (1 <= l < m):
         raise ValueError(
             "transition_error: need 1 <= l < m (lambda > 0), got (%r, %r)" % (m, l))
-    return _rho_gap(ratio_r(m, l), m, l)
+    return abs(ratio_r(m, l) - math.exp(-xi_of_lambda((m - l) / l)))
 
 
-def _chi_and_transition_error(m, l):
+def _chi_and_transition_error(m, l, sp=None):
     """(chi(m, l), transition_error(m, l)) from one explicit-sum pass.
 
-    Equal to the two calls bit for bit; outside 1 <= l < m <= DEFAULT_EXACT_CAP
-    it makes them, so the error raised is chi's own.
+    Equal to the two calls bit for bit, also when `sp` passes in
+    saddle_params((m - l) / l) (rho is e^-xi there too); outside
+    1 <= l < m <= DEFAULT_EXACT_CAP it makes them, so the error raised is
+    chi's own.
     """
     if not (1 <= l < m <= DEFAULT_EXACT_CAP):
         return chi(m, l), transition_error(m, l)
     s, r = _explicit_sum(m, l)
-    return _chi_of(s, m, l), _rho_gap(r, m, l)
+    if sp is None:
+        sp = saddle_params((m - l) / l)
+    return _chi_of(s, psi_log(m, l, sp)), abs(r - sp.rho)
 
 
 def surjection_log_probability(N, n, exact_cap=3000):

@@ -7,8 +7,9 @@ path laws from exhaustive word enumeration, derivatives from finite
 differences, the rate function from 50-digit arithmetic on the raw
 displayed formula, and sampler rows from a freshly built Philox
 generator and a scalar chain walk (not the chunked, re-keyed vector
-loop).  The exceptions are frozen copies of earlier library code that
-pin the bits a faster route must reproduce: `xi_newton_reference`, the
+loop), and the walk's no-crossing probability from a killed-walk DP
+(not sampled walks).  The exceptions are frozen copies of earlier
+library code that pin the bits a faster route must reproduce: `xi_newton_reference`, the
 plain 100-iteration Newton loop its cycle exit must match, and
 `logdp_log_table_reference` with `logdp_ratio_table_reference`, the
 resident log table and vectorized ratio step that the rolling LogDP
@@ -110,6 +111,26 @@ def reversed_chain_reference(rtab, N, n, seed, index):
     for t in range(N):
         z.append(z[-1] - 1 if u[t] < rtab[N - t, z[-1]] else z[-1])
     return z
+
+
+def walk_max_reference(k, rho, horizon):
+    """P(S_t <= 0 for t = 1..horizon) for the walk with steps -1 (prob 1-rho), k-1 (rho).
+
+    Killed-walk DP over the positions 0, -1, ..., -horizon: the walk goes
+    down by at most one per step, so those positions hold every path whose
+    maximum has stayed <= 0, and an up-step that would cross 0 drops its
+    mass.  Exact up to rounding, with no Monte Carlo.
+    """
+    import numpy as np
+    p = np.zeros(horizon + 1)  # p[j] = P(S_t = -j and no crossing so far)
+    p[0] = 1.0
+    up = k - 1
+    for _ in range(horizon):
+        q = np.zeros_like(p)
+        q[1:] = (1.0 - rho) * p[:-1]
+        q[:len(p) - up] += rho * p[up:]
+        p = q
+    return float(p.sum())
 
 
 def set_partition_count(m, l):

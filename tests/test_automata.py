@@ -12,7 +12,7 @@ from coupons import (BoxedDiagram, NumericsError, ResourceCapError,
                      korshunov_report, pollaczek_crossing,
                      simulate_walk_max, stirling_exact, surjection_to_diagram)
 
-from oracles import xi_bisect
+from oracles import walk_max_reference, xi_bisect
 
 PI0_K2 = 0.7449990250840247
 
@@ -178,8 +178,16 @@ def test_pollaczek_route():
 
 
 def test_walk_max_simulation_matches_pi0():
-    est, se = simulate_walk_max(2, 1000000, horizon=500, seed=2)
-    assert abs(est - PI0_K2) <= 4.0 * se
+    # the killed-walk DP is P(max over 500 steps <= 0) exactly; the horizon
+    # bias is exponentially small, so it equals pi0 to rounding
+    for k in range(2, 11):
+        pi0, _ = pollaczek_crossing(k)
+        rho = math.exp(-xi_bisect(k - 1.0))
+        assert abs(walk_max_reference(k, rho, 500) - pi0) <= 1e-13, k
+    # a short run of the sampler against the same DP; criterion 8 runs 1e6 walks
+    rho = math.exp(-xi_bisect(1.0))
+    est, se = simulate_walk_max(2, 10000, horizon=500, seed=2)
+    assert abs(est - walk_max_reference(2, rho, 500)) <= 4.0 * se
     with pytest.raises(ValueError):
         simulate_walk_max(1, 100)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -11,8 +12,8 @@ import jsonschema
 import pytest
 
 from coupons.cli import build_parser, main
-from coupons import (chi, korshunov_constant, stirling, stirling_exact,
-                     transition_error)
+from coupons import (chi, korshunov_constant, saddle_params, specialfn, stirling,
+                     stirling_exact, transition_error)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -143,8 +144,28 @@ def test_verify_route_equals_chi_and_transition_error():
     grid = [(int(round((1.0 + lam) * l)), l) for lam in args.lams for l in args.ells]
     assert len(grid) == 15
     for m, l in grid:
-        assert stirling._chi_and_transition_error(m, l) \
-            == (chi(m, l), transition_error(m, l)), (m, l)
+        want = (chi(m, l), transition_error(m, l))
+        assert stirling._chi_and_transition_error(m, l) == want, (m, l)
+        sp = saddle_params((m - l) / l)
+        assert stirling._chi_and_transition_error(m, l, sp) == want, (m, l)
+
+
+def test_stirling_solves_xi_once_per_lambda(monkeypatch, capsys):
+    calls = []
+    original = specialfn.xi_of_lambda
+
+    def counting(lam):
+        calls.append(lam)
+        return original(lam)
+
+    monkeypatch.setattr(specialfn, "xi_of_lambda", counting)
+    monkeypatch.setattr(stirling, "xi_of_lambda", counting)
+    for argv, lams in ((["stirling", "--verify"], [0.5, 1.0, 2.0]),
+                       (["stirling", "3000", "1000"], [2.0])):
+        calls.clear()
+        assert main(argv) == 0
+        assert sorted(calls) == lams, argv
+    capsys.readouterr()
 
 
 def test_stirling_missing_args():
@@ -198,6 +219,21 @@ def test_simulate_jobs_do_not_change_bytes(tmp_path):
     _, t1 = run_out(base + ["--jobs", "1"], tmp_path, "j1.json")
     _, t8 = run_out(base + ["--jobs", "8"], tmp_path, "j8.json")
     assert t1 == t8
+
+
+def test_multi_span_jobs_do_not_change_bytes(capsys):
+    # N = 2001 and 2000 give chunks of 1998 and 1999 rows, so these batches
+    # have several spans and --jobs above 1 runs them in worker processes
+    for base, jobs in ((["korshunov", "--k", "2", "--n", "1000", "--trials", "4100"],
+                        ("1", "2", "3", "8")),
+                       (["simulate", "--N", "2000", "--n", "1000", "--trials", "2100",
+                         "--a", "0.2"], ("1", "2"))):
+        outs = set()
+        for j in jobs:
+            assert main(base + ["--jobs", j]) == 0
+            outs.add(capsys.readouterr().out)
+            assert multiprocessing.active_children() == []
+        assert len(outs) == 1, base[0]
 
 
 def test_simulate_backend_choices(tmp_path):

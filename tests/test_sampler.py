@@ -1,6 +1,12 @@
 import io
 import math
-import threading
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from coupons import (ExactBackend, LogDPBackend, Trajectory, auto_backend,
 
 from coupons import sampler
 from coupons.automata import _dyck_flags
+from coupons.errors import NumericsError
 from coupons.sampler import _rng, _substreams, sup_distances_of
 
 from oracles import enumerate_surjective_paths, reversed_chain_reference
@@ -79,23 +86,110 @@ def big_batch():
                                       backend=backend, seed=BIG["seed"])
 
 
-def test_multi_chunk_threaded_batch(big_batch, monkeypatch):
+def _span_record(B):
+    # (pid of the process that ran the span, span length) for each row of a span
+    return np.column_stack((np.full(len(B), os.getpid()), np.full(len(B), len(B))))
+
+
+def _spans_of(record):
+    # the spans as (pid, length) pairs, in trajectory order
+    spans, i = [], 0
+    while i < len(record):
+        pid, length = record[i]
+        assert (record[i:i + length] == (pid, length)).all()
+        spans.append((int(pid), int(length)))
+        i += length
+    return spans
+
+
+def test_multi_span_forked_batch(big_batch):
     backend, Z = big_batch
-    N, n, seed = BIG["N"], BIG["n"], BIG["seed"]
-    chunks = []
-    original = sampler._substreams
-
-    def counting(seed):
-        chunks.append(threading.current_thread() is threading.main_thread())
-        return original(seed)
-
-    monkeypatch.setattr(sampler, "_substreams", counting)
-    Z3 = conditioned_paths(N, n, BIG["trials"], backend=backend, seed=seed, jobs=3)
-    assert len(chunks) == 3 and not any(chunks)  # spans 1998, 1998, 104 in workers
+    N, n, seed, trials = BIG["N"], BIG["n"], BIG["seed"], BIG["trials"]
+    # jobs=2: 3 chunks round up to 4 equal spans; jobs=3: 3 spans within one row
+    for jobs, lengths in ((2, [1025] * 4), (3, [1367, 1367, 1366])):
+        spans = _spans_of(conditioned_paths(N, n, trials, backend=backend, seed=seed,
+                                            jobs=jobs, reduce=_span_record))
+        assert [length for _, length in spans] == lengths
+        pids = {pid for pid, _ in spans}
+        assert os.getpid() not in pids and len(pids) <= jobs
+        assert multiprocessing.active_children() == []
+    Z3 = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=3)
+    assert multiprocessing.active_children() == []
     assert np.array_equal(Z3, Z)
     rtab = backend.ratio_table(N, n)
-    for i in (0, 1997, 1998, 1999, 3995, 3996, 4099):
+    for i in (0, 1366, 1367, 1997, 1998, 2733, 2734, 3995, 3996, 4099):
         assert Z[i].tolist() == reversed_chain_reference(rtab, N, n, seed, i)
+
+
+def test_worker_exception_reaches_parent(big_batch):
+    backend, _ = big_batch
+
+    def fail(B):
+        raise NumericsError("reduce failed in process %d" % os.getpid())
+
+    with pytest.raises(NumericsError, match="reduce failed in process") as exc:
+        conditioned_paths(BIG["N"], BIG["n"], BIG["trials"], backend=backend,
+                          seed=BIG["seed"], jobs=2, reduce=fail)
+    assert int(str(exc.value).split()[-1]) != os.getpid()  # raised in a worker
+    assert multiprocessing.active_children() == []
+
+
+def test_spans_run_serially_without_fork(big_batch, monkeypatch):
+    backend, Z = big_batch
+    N, n, seed, trials = BIG["N"], BIG["n"], BIG["seed"], BIG["trials"]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    spans = _spans_of(conditioned_paths(N, n, trials, backend=backend, seed=seed,
+                                        jobs=3, reduce=_span_record))
+    assert spans == [(os.getpid(), 1367), (os.getpid(), 1367), (os.getpid(), 1366)]
+    assert np.array_equal(conditioned_paths(N, n, trials, backend=backend, seed=seed,
+                                            jobs=3), Z)
+
+
+def _alive(pid):
+    # a reaped process is gone; an unreaped one counts as alive unless a zombie
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_workers_exit_when_the_parent_is_killed(tmp_path):
+    # a killed parent never shuts its pool down: its workers must not wait forever
+    code = textwrap.dedent("""
+        import os, sys, time
+        from coupons import conditioned_paths
+
+        def hold(B):
+            open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+            time.sleep(60)
+
+        conditioned_paths(2001, 1000, 4100, seed=1, jobs=2, reduce=hold)
+    """)
+    src = os.path.dirname(os.path.dirname(sampler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env)
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(os.listdir(tmp_path)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait()
+    pids = [int(name) for name in os.listdir(tmp_path)]
+    try:
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in pids):
+            assert time.monotonic() < deadline, "workers %s outlived their parent" % pids
+            time.sleep(0.05)
+    finally:
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_reduce_equals_reducer_of_full_matrix(big_batch):
