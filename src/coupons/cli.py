@@ -96,8 +96,7 @@ def _stirling_verify(lams, ells, out):
     for lam in lams:
         for l in ells:
             m = int(round((1.0 + lam) * l))
-            sp = saddle((m - l) / l) if 1 <= l < m else None
-            ch, err = stirling._chi_and_transition_error(m, l, sp)
+            ch, err = stirling._chi_and_transition_error(m, l, saddle)
             lc = l * abs(ch)
             lr = l * err
             worst_chi = max(worst_chi, lc)

@@ -93,6 +93,14 @@ def _substreams(seed):
     return draw
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 _span = None  # in a forked worker: the span function of its batch
 
 
@@ -170,6 +178,7 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     trajectory order, and no path matrix is kept: memory is one span's
     buffers (at most about 64 MB while N < 15625) plus the reduced outputs.
 
+    `jobs` is first capped at the number of CPUs this process may use.
     With jobs > 1 and more than one chunk, the trials are split into
     equal spans, a multiple of `jobs` of them, and run by min(jobs, spans)
     worker processes forked from this one: the ratio table and `reduce`
@@ -192,6 +201,7 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
 
     chunk = max(256, min(65536, int(4e6 // (N + 1))))
     starts = list(range(0, trials, chunk))
+    jobs = min(jobs, _cpus())  # the output does not depend on jobs
     ctx = None
     if jobs > 1 and len(starts) > 1:
         count = min(trials, -(-len(starts) // jobs) * jobs)

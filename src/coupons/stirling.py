@@ -192,20 +192,23 @@ def ratio_r(m, l):
     return ExactBackend().ratio(m, l)
 
 
-def psi_log_forms(m, l, sp=None):
+def psi_log_forms(m, l):
     """Both displayed forms of ln psi(m,l); they are algebraically equal.
 
     Form A:  psi = (1/2pi)(m!/l!)((e^xi-1)/xi^{1+lam})^l sqrt(pi/(v l))
     Form B:  psi = (m!/l!)(e^xi-1)^l xi^{-m} / sqrt(2 pi m (1 - (m/l) e^{-xi}))
 
     Their equality reduces to m(xi - lam) = 2 l v via (1+lam)e^{-xi} = 1+lam-xi.
-    `sp` is saddle_params((m - l) / l) when the caller already has it.
     """
+    return _psi_log_forms(m, l, saddle_params)
+
+
+def _psi_log_forms(m, l, saddle):
+    # psi_log_forms with saddle(lam) giving saddle_params(lam), e.g. from a cache
     if not (1 <= l < m):
         raise ValueError("psi_log: need 1 <= l < m, got (%r, %r)" % (m, l))
     lam = (m - l) / l
-    if sp is None:
-        sp = saddle_params(lam)
+    sp = saddle(lam)
     xi, v = sp.xi, sp.v
     lnb = xi + math.log1p(-math.exp(-xi))  # ln(e^xi - 1), overflow-free
     base = math.lgamma(m + 1) - math.lgamma(l + 1)
@@ -217,9 +220,13 @@ def psi_log_forms(m, l, sp=None):
     return form_a, form_b
 
 
-def psi_log(m, l, sp=None):
+def psi_log(m, l):
     """ln psi(m,l), with the two displayed forms cross-checked to 1e-9."""
-    form_a, form_b = psi_log_forms(m, l, sp)
+    return _psi_log(m, l, saddle_params)
+
+
+def _psi_log(m, l, saddle):
+    form_a, form_b = _psi_log_forms(m, l, saddle)
     if abs(form_a - form_b) > 1e-9 * max(1.0, abs(form_a)):
         raise NumericsError(
             "psi_log forms disagree at (%d, %d): %.17g vs %.17g"
@@ -245,20 +252,19 @@ def transition_error(m, l):
     return abs(ratio_r(m, l) - math.exp(-xi_of_lambda((m - l) / l)))
 
 
-def _chi_and_transition_error(m, l, sp=None):
+def _chi_and_transition_error(m, l, saddle=saddle_params):
     """(chi(m, l), transition_error(m, l)) from one explicit-sum pass.
 
-    Equal to the two calls bit for bit, also when `sp` passes in
-    saddle_params((m - l) / l) (rho is e^-xi there too); outside
+    Equal to the two calls bit for bit, also when `saddle` is a cache of
+    saddle_params (rho is e^-xi there too); outside
     1 <= l < m <= DEFAULT_EXACT_CAP it makes them, so the error raised is
-    chi's own.
+    chi's own and `saddle` is not called.
     """
     if not (1 <= l < m <= DEFAULT_EXACT_CAP):
         return chi(m, l), transition_error(m, l)
     s, r = _explicit_sum(m, l)
-    if sp is None:
-        sp = saddle_params((m - l) / l)
-    return _chi_of(s, psi_log(m, l, sp)), abs(r - sp.rho)
+    sp = saddle((m - l) / l)
+    return _chi_of(s, _psi_log(m, l, lambda lam: sp)), abs(r - sp.rho)
 
 
 def surjection_log_probability(N, n, exact_cap=3000):

@@ -147,7 +147,15 @@ def test_verify_route_equals_chi_and_transition_error():
         want = (chi(m, l), transition_error(m, l))
         assert stirling._chi_and_transition_error(m, l) == want, (m, l)
         sp = saddle_params((m - l) / l)
-        assert stirling._chi_and_transition_error(m, l, sp) == want, (m, l)
+        assert stirling._chi_and_transition_error(m, l, lambda lam: sp) == want, (m, l)
+
+
+def test_verify_above_cap_raises_the_cap_error(capsys):
+    # the cap is checked before any saddle solve, which would fail or
+    # overflow at such lambdas
+    for lam in ("1e17", "1e110"):
+        assert main(["stirling", "--verify", "--lams", lam, "--ells", "1"]) == 4
+        assert "exceeds cap 5000" in capsys.readouterr().err, lam
 
 
 def test_stirling_solves_xi_once_per_lambda(monkeypatch, capsys):

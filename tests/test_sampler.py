@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import multiprocessing
@@ -86,6 +87,12 @@ def big_batch():
                                       backend=backend, seed=BIG["seed"])
 
 
+@pytest.fixture
+def cpus8(monkeypatch):
+    # jobs is capped at the CPU count; fix it so the span layout is the host's own
+    monkeypatch.setattr(sampler, "_cpus", lambda: 8)
+
+
 def _span_record(B):
     # (pid of the process that ran the span, span length) for each row of a span
     return np.column_stack((np.full(len(B), os.getpid()), np.full(len(B), len(B))))
@@ -102,7 +109,7 @@ def _spans_of(record):
     return spans
 
 
-def test_multi_span_forked_batch(big_batch):
+def test_multi_span_forked_batch(big_batch, cpus8):
     backend, Z = big_batch
     N, n, seed, trials = BIG["N"], BIG["n"], BIG["seed"], BIG["trials"]
     # jobs=2: 3 chunks round up to 4 equal spans; jobs=3: 3 spans within one row
@@ -121,7 +128,7 @@ def test_multi_span_forked_batch(big_batch):
         assert Z[i].tolist() == reversed_chain_reference(rtab, N, n, seed, i)
 
 
-def test_worker_exception_reaches_parent(big_batch):
+def test_worker_exception_reaches_parent(big_batch, cpus8):
     backend, _ = big_batch
 
     def fail(B):
@@ -134,7 +141,7 @@ def test_worker_exception_reaches_parent(big_batch):
     assert multiprocessing.active_children() == []
 
 
-def test_spans_run_serially_without_fork(big_batch, monkeypatch):
+def test_spans_run_serially_without_fork(big_batch, cpus8, monkeypatch):
     backend, Z = big_batch
     N, n, seed, trials = BIG["N"], BIG["n"], BIG["seed"], BIG["trials"]
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -143,6 +150,38 @@ def test_spans_run_serially_without_fork(big_batch, monkeypatch):
     assert spans == [(os.getpid(), 1367), (os.getpid(), 1367), (os.getpid(), 1366)]
     assert np.array_equal(conditioned_paths(N, n, trials, backend=backend, seed=seed,
                                             jobs=3), Z)
+
+
+def test_jobs_capped_at_cpus(big_batch, monkeypatch):
+    # a huge jobs value must not fork that many processes
+    backend, Z = big_batch
+    N, n, seed, trials = BIG["N"], BIG["n"], BIG["seed"], BIG["trials"]
+    pools = []
+
+    class InlinePool:
+        # records the worker count it was asked for and runs the spans here
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            pools.append(max_workers)
+            self.run = initargs[0]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *spans):
+            return map(self.run, *spans)
+
+    assert 1 <= sampler._cpus() <= (os.cpu_count() or 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sampler, "_cpus", lambda: 3)
+    spans = _spans_of(conditioned_paths(N, n, trials, backend=backend, seed=seed,
+                                        jobs=10 ** 6, reduce=_span_record))
+    assert pools == [3] and [length for _, length in spans] == [1367, 1367, 1366]
+    assert np.array_equal(conditioned_paths(N, n, trials, backend=backend, seed=seed,
+                                            jobs=10 ** 6), Z)
+    assert pools == [3, 3]
 
 
 def _alive(pid):
@@ -162,7 +201,9 @@ def test_workers_exit_when_the_parent_is_killed(tmp_path):
     # a killed parent never shuts its pool down: its workers must not wait forever
     code = textwrap.dedent("""
         import os, sys, time
-        from coupons import conditioned_paths
+        from coupons import conditioned_paths, sampler
+
+        sampler._cpus = lambda: 2
 
         def hold(B):
             open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
