@@ -11,10 +11,9 @@ from .stirling import (ExactBackend, LogDPBackend, chi, psi_log,
 from .curve import (Curve, curve_to_csv, envelope, lambda_along,
                     patient_curve, solve_completion_curve, strip_clearance)
 from .sampler import (Trajectory, auto_backend, conditioned_paths, prefix_law,
-                      rejection_paths, rejection_sample, sample_conditioned,
-                      sample_patient, sup_distance, sup_distance_batch,
-                      sup_distances_of, trajectory_to_csv)
-from .automata import (BoxedDiagram, bfs_accessible, binomial_ci, dyck_check,
+                      rejection_paths, sample_conditioned, sample_patient,
+                      sup_distance, sup_distance_batch, sup_distances_of)
+from .automata import (BoxedDiagram, bfs_accessible, dyck_check,
                        estimate_accessibility, estimate_middle_crossing,
                        exact_accessible_count, korshunov_constant,
                        korshunov_report, pollaczek_crossing,
@@ -34,10 +33,9 @@ __all__ = [
     "Curve", "curve_to_csv", "envelope", "lambda_along", "patient_curve",
     "solve_completion_curve", "strip_clearance",
     "Trajectory", "auto_backend", "conditioned_paths", "prefix_law",
-    "rejection_paths", "rejection_sample", "sample_conditioned",
-    "sample_patient", "sup_distance", "sup_distance_batch",
-    "sup_distances_of", "trajectory_to_csv",
-    "BoxedDiagram", "bfs_accessible", "binomial_ci", "dyck_check",
+    "rejection_paths", "sample_conditioned", "sample_patient",
+    "sup_distance", "sup_distance_batch", "sup_distances_of",
+    "BoxedDiagram", "bfs_accessible", "dyck_check",
     "estimate_accessibility", "estimate_middle_crossing",
     "exact_accessible_count", "korshunov_constant", "korshunov_report",
     "pollaczek_crossing", "simulate_walk_max", "structure_from_diagram",

@@ -22,8 +22,10 @@ import numpy as np
 
 from .errors import NumericsError, ResourceCapError
 from .sampler import _rng, _word_paths, conditioned_paths
-from .specialfn import xi_of_lambda
+from .specialfn import f_drift
 from .stirling import stirling_exact
+
+_WINDOW_C = 1.0  # estimate_middle_crossing: the constant C of the window I2
 
 
 def _as_path(y):
@@ -36,6 +38,20 @@ def _as_path(y):
     return y
 
 
+def _dyck_flags(Z, k, n):
+    # the k-Dyck test on each row of Z, a batch of reversed paths
+    Y = Z[:, ::-1]  # forward paths with leading 0: Y[:, i] = y_i
+    levels = np.arange(n)
+    cols = levels * k + 1
+    return np.all(Y[:, cols] >= levels + 1, axis=1)
+
+
+def _frequency(hits, trials):
+    """(hits / trials, its normal-approximation binomial standard error)."""
+    est = hits / trials
+    return est, math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
+
+
 def dyck_check(y, k):
     """True iff y_{l k + 1} >= l + 1 for all l in [0, n-1]."""
     k = int(k)
@@ -46,8 +62,7 @@ def dyck_check(y, k):
     n = int(y[-1])
     if N != k * n + 1:
         raise ValueError("dyck_check: path length %d != k*n+1 = %d" % (N, k * n + 1))
-    levels = np.arange(n)
-    return bool(np.all(y[levels * k] >= levels + 1))  # y[i-1] is y_i
+    return bool(_dyck_flags(np.concatenate(([0], y))[None, ::-1], k, n)[0])
 
 
 @dataclass
@@ -140,14 +155,6 @@ def bfs_accessible(marks, k, n):
     return count == n
 
 
-def _dyck_flags(Z, k, n):
-    # vectorized dyck_check over a batch of reversed paths (rows of Z)
-    Y = Z[:, ::-1]  # forward paths with leading 0: Y[:, i] = y_i
-    levels = np.arange(n)
-    cols = levels * k + 1
-    return np.all(Y[:, cols] >= levels + 1, axis=1)
-
-
 def estimate_accessibility(k, n, trials, seed=0, jobs=1):
     """Monte-Carlo accessibility frequency among surjective structures.
 
@@ -164,9 +171,7 @@ def estimate_accessibility(k, n, trials, seed=0, jobs=1):
     N = k * n + 1
     flags = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
                               reduce=lambda Z: _dyck_flags(Z, k, n))
-    hits = int(flags.sum())
-    est = hits / trials
-    return est, math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
+    return _frequency(int(flags.sum()), trials)
 
 
 def korshunov_constant(k):
@@ -174,7 +179,7 @@ def korshunov_constant(k):
     k = int(k)
     if k < 2:
         raise ValueError("korshunov_constant: need k >= 2")
-    return 1.0 - k * math.exp(-xi_of_lambda(k - 1.0))
+    return 1.0 - k * f_drift(k - 1.0)
 
 
 def pollaczek_crossing(k):
@@ -187,7 +192,7 @@ def pollaczek_crossing(k):
     k = int(k)
     if k < 2:
         raise ValueError("pollaczek_crossing: need k >= 2")
-    rho = math.exp(-xi_of_lambda(k - 1.0))
+    rho = f_drift(k - 1.0)
     d = k * rho - 1.0
     pi0 = -d / (1.0 - rho)
     non_crossing = (1.0 - rho) * pi0
@@ -207,7 +212,7 @@ def simulate_walk_max(k, runs, horizon=500, seed=0):
         raise ValueError("simulate_walk_max: need k >= 2")
     if runs < 1 or horizon < 1:
         raise ValueError("simulate_walk_max: runs and horizon must be >= 1")
-    rho = math.exp(-xi_of_lambda(k - 1.0))
+    rho = f_drift(k - 1.0)
     rng = _rng(seed, 0)
     hits = 0
     done = 0
@@ -218,8 +223,7 @@ def simulate_walk_max(k, runs, horizon=500, seed=0):
         smax = np.cumsum(steps, axis=1, dtype=np.int32).max(axis=1)
         hits += int((smax <= 0).sum())
         done += m
-    est = hits / runs
-    return est, math.sqrt(max(est * (1.0 - est), 1e-300) / runs)
+    return _frequency(hits, runs)
 
 
 def exact_accessible_count(k, n):
@@ -238,8 +242,6 @@ def exact_accessible_count(k, n):
         raise ResourceCapError(
             "exact_accessible_count: %d^%d = %d words exceeds the 1e8 cap"
             % (n, N, total))
-    levels = np.arange(n)
-    cols = levels * k  # 0-based columns of y_{lk+1}
     powers = n ** np.arange(N, dtype=np.int64)
     surjective = 0
     accessible = 0
@@ -247,10 +249,10 @@ def exact_accessible_count(k, n):
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         W = ((ids[:, None] // powers[None, :]) % n).astype(np.int32) + 1
-        Y = _word_paths(W)[:, 1:]  # Y[:, t] = y_{t+1}
+        Y = _word_paths(W)  # forward paths with leading 0
         surj = Y[:, -1] == n
         surjective += int(surj.sum())
-        ok = surj & np.all(Y[:, cols] >= levels + 1, axis=1)
+        ok = surj & _dyck_flags(Y[:, ::-1], k, n)
         accessible += int(ok.sum())
     expected = math.factorial(n) * stirling_exact(N, n)
     if surjective != expected:
@@ -259,11 +261,11 @@ def exact_accessible_count(k, n):
     return accessible, surjective
 
 
-def estimate_middle_crossing(k, n, trials, seed=0, C=1.0, jobs=1):
+def estimate_middle_crossing(k, n, trials, seed=0, jobs=1):
     """Frequency of paths touching the critical line inside the middle window.
 
     Window I2 = [a n, k n - 2 C k^2 n^(1/3)] in column units, with
-    a = e^{-k}/8; a crossing at column x means k y_x <= x - 1.  The
+    a = e^{-k}/8 and C = _WINDOW_C; a crossing at column x means k y_x <= x - 1.  The
     frequency must vanish as n grows (the limit curve clears the strip).
     """
     k = int(k)
@@ -272,7 +274,7 @@ def estimate_middle_crossing(k, n, trials, seed=0, C=1.0, jobs=1):
         raise ValueError("estimate_middle_crossing: need k >= 2 and n >= 2")
     a = math.exp(-k) / 8.0
     x_lo = max(1, int(math.ceil(a * n)))
-    x_hi = min(k * n + 1, int(math.floor(k * n - 2.0 * C * k * k * n ** (1.0 / 3.0))))
+    x_hi = min(k * n + 1, int(math.floor(k * n - 2.0 * _WINDOW_C * k * k * n ** (1.0 / 3.0))))
     if x_hi < x_lo:
         raise ValueError("estimate_middle_crossing: empty window at n=%d" % n)
     N = k * n + 1
@@ -282,26 +284,8 @@ def estimate_middle_crossing(k, n, trials, seed=0, C=1.0, jobs=1):
         Y = Z[:, ::-1]
         return np.any(k * Y[:, cols] <= cols - 1, axis=1)
 
-    est = float(conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
-                                  reduce=crossed).mean())
-    return est, math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
-
-
-def binomial_ci(successes, trials, alpha=0.05, exact=False):
-    """Binomial confidence interval: normal approximation or Clopper-Pearson."""
-    if trials < 1 or not (0 <= successes <= trials):
-        raise ValueError("binomial_ci: bad counts")
-    import scipy.stats  # deferred: costs ~1 s of import, used only here
-    p = successes / trials
-    if not exact:
-        z = float(scipy.stats.norm.ppf(1.0 - alpha / 2.0))
-        half = z * math.sqrt(max(p * (1.0 - p), 1e-300) / trials)
-        return max(0.0, p - half), min(1.0, p + half)
-    lo = 0.0 if successes == 0 else \
-        scipy.stats.beta.ppf(alpha / 2.0, successes, trials - successes + 1)
-    hi = 1.0 if successes == trials else \
-        scipy.stats.beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes)
-    return float(lo), float(hi)
+    flags = conditioned_paths(N, n, trials, seed=seed, jobs=jobs, reduce=crossed)
+    return _frequency(int(flags.sum()), trials)
 
 
 def korshunov_report(k, n, trials, seed=0, jobs=1):

@@ -32,11 +32,15 @@ def _u64(text):
     return v
 
 
-def _jobs(text):
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("--jobs must be >= 1")
-    return v
+def _at_least(low):
+    """argparse type: an int >= low."""
+    def parse(text):
+        v = int(text)
+        if v < low:
+            raise argparse.ArgumentTypeError("must be >= %d" % low)
+        return v
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def finite(text):
@@ -126,15 +130,8 @@ def cmd_stirling(args):
 
 
 def cmd_simulate(args):
-    if args.backend == "exact":
-        be = stirling.ExactBackend()
-    elif args.backend == "logdp":
-        be = stirling.LogDPBackend()
-    else:
-        be = None  # auto
     rec = sampler.sup_distance_batch(args.N, args.n, args.trials, args.a,
-                                     seed=args.seed, backend=be,
-                                     jobs=args.jobs, step=args.step)
+                                     seed=args.seed, jobs=args.jobs, step=args.step)
     _emit(_jsonify(rec), args.out)
     return 0
 
@@ -180,7 +177,7 @@ def build_parser():
     ps = sub.add_parser("stirling", help="exact Stirling numbers and diagnostics")
     ps.add_argument("m", type=int, nargs="?", default=None)
     ps.add_argument("l", type=int, nargs="?", default=None)
-    ps.add_argument("--cap", type=int, default=stirling.DEFAULT_EXACT_CAP)
+    ps.add_argument("--cap", type=_at_least(0), default=stirling.DEFAULT_EXACT_CAP)
     ps.add_argument("--verify", action="store_true",
                     help="emit the l|chi| and l|r-rho| bound table")
     ps.add_argument("--lams", type=_list_of(finite), default=[0.5, 1.0, 2.0])
@@ -194,9 +191,7 @@ def build_parser():
     pm.add_argument("--trials", type=int, required=True)
     pm.add_argument("--a", type=finite, required=True)
     pm.add_argument("--seed", type=_u64, default=0)
-    pm.add_argument("--backend", default="auto",
-                    choices=["auto", "exact", "logdp"])
-    pm.add_argument("--jobs", type=_jobs, default=1)
+    pm.add_argument("--jobs", type=_at_least(1), default=1)
     pm.add_argument("--step", type=finite, default=1e-3)
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_simulate)
@@ -206,7 +201,7 @@ def build_parser():
     pk.add_argument("--n", type=int, required=True)
     pk.add_argument("--trials", type=int, required=True)
     pk.add_argument("--seed", type=_u64, default=0)
-    pk.add_argument("--jobs", type=_jobs, default=1)
+    pk.add_argument("--jobs", type=_at_least(1), default=1)
     pk.add_argument("--out", default=None)
     pk.set_defaults(func=cmd_korshunov)
 

@@ -18,7 +18,6 @@ reduced outputs, whatever the number of trials.  With jobs > 1 the spans
 run in forked worker processes.
 """
 
-import math
 import os
 import threading
 import time
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import solve_completion_curve
-from .specialfn import xi_of_lambda
+from .specialfn import f_drift
 from .stirling import ExactBackend, LogDPBackend
 
 _U64 = (1 << 64) - 1
@@ -313,12 +312,6 @@ def rejection_paths(N, n, count, seed=0, max_attempts=None):
     return Y[:, ::-1].astype(np.int32)
 
 
-def rejection_sample(N, n, seed=0, max_attempts=100000):
-    """One trajectory by accept-reject on uniform words (small N, n only)."""
-    Z = rejection_paths(N, n, 1, seed=seed, max_attempts=max_attempts)
-    return Trajectory(N=N, n=n, seed=int(seed), z=Z[0].copy()).validate()
-
-
 def _check_curve_matches(curve, N, n):
     if N <= n:
         raise ValueError("sup_distance: need N > n (Lambda > 0)")
@@ -341,7 +334,7 @@ def sup_distances_of(Z, curve, N, n):
     return np.max(np.abs(vals - curve.ys[None, :]), axis=1)
 
 
-def sup_distance_batch(N, n, trials, a, seed=0, backend=None, jobs=1, step=1e-3):
+def sup_distance_batch(N, n, trials, a, seed=0, jobs=1, step=1e-3):
     """Monte-Carlo batch of sup-distances against the solved limit curve.
 
     Returns the batch-statistics dict (JSON-ready): parameters, the
@@ -351,7 +344,7 @@ def sup_distance_batch(N, n, trials, a, seed=0, backend=None, jobs=1, step=1e-3)
     if nu <= 0.0:
         raise ValueError("sup_distance_batch: need N > n")
     curve = solve_completion_curve(nu, a, step=step, richardson_check=False)
-    d = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=jobs,
+    d = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
                           reduce=lambda Z: sup_distances_of(Z, curve, N, n))
     qs = np.quantile(d, [0.05, 0.25, 0.5, 0.75, 0.95])
     return {
@@ -376,7 +369,7 @@ def prefix_law(N, n, s):
     if not (1 <= s <= min(20, N)):
         raise ValueError("prefix_law: need 1 <= s <= min(20, N)")
     rtab = auto_backend(N, n).ratio_table(N, n)
-    rho = math.exp(-xi_of_lambda((N - n) / n))
+    rho = f_drift((N - n) / n)
 
     size = 1 << s
     exact = np.zeros(size)
@@ -397,10 +390,3 @@ def prefix_law(N, n, s):
         iid[patt] = rho ** k * (1.0 - rho) ** (s - k)
     tv = 0.5 * float(np.abs(exact - iid).sum())
     return exact, iid, tv
-
-
-def trajectory_to_csv(traj, fh):
-    """Write `t,z` integer rows for one trajectory."""
-    fh.write("t,z\n")
-    for t, z in enumerate(traj.z):
-        fh.write("%d,%d\n" % (t, int(z)))

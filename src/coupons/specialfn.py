@@ -211,11 +211,6 @@ def xi_of_lambda(lam):
 
 def f_drift(x):
     """F(x) = exp(-xi(x)) = rho(x), the ODE drift; decreasing, F(0)=1."""
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("f_drift: negative argument %r" % x)
-    if x == 0.0:
-        return 1.0
     return math.exp(-xi_of_lambda(x))
 
 

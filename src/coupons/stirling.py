@@ -41,9 +41,10 @@ import math
 import numpy as np
 
 from .errors import NumericsError, QuadratureError, ResourceCapError
-from .specialfn import g_theta, saddle_params, tail_h, xi_of_lambda
+from .specialfn import f_drift, g_theta, saddle_params, tail_h
 
 DEFAULT_EXACT_CAP = 5000
+_SURJECTION_EXACT_CAP = 3000  # surjection_log_probability: big integers up to this N
 _LN2 = math.log(2.0)
 
 
@@ -239,9 +240,9 @@ def _chi_of(s, psi):
     return math.expm1(_log_big(s) - psi)
 
 
-def chi(m, l, cap=DEFAULT_EXACT_CAP):
+def chi(m, l):
     """Relative error chi = ({m l} - psi)/psi, via expm1 of a log difference."""
-    return _chi_of(stirling_exact(m, l, cap=cap), psi_log(m, l))
+    return _chi_of(stirling_exact(m, l), psi_log(m, l))
 
 
 def transition_error(m, l):
@@ -249,7 +250,7 @@ def transition_error(m, l):
     if not (1 <= l < m):
         raise ValueError(
             "transition_error: need 1 <= l < m (lambda > 0), got (%r, %r)" % (m, l))
-    return abs(ratio_r(m, l) - math.exp(-xi_of_lambda((m - l) / l)))
+    return abs(ratio_r(m, l) - f_drift((m - l) / l))
 
 
 def _chi_and_transition_error(m, l, saddle=saddle_params):
@@ -267,17 +268,17 @@ def _chi_and_transition_error(m, l, saddle=saddle_params):
     return _chi_of(s, _psi_log(m, l, lambda lam: sp)), abs(r - sp.rho)
 
 
-def surjection_log_probability(N, n, exact_cap=3000):
+def surjection_log_probability(N, n):
     """ln P(T_n <= N) = ln(n! {N n} n^{-N}) for the patient collector.
 
-    Exact big-integer route up to N = exact_cap, log-space DP beyond.
+    Exact big-integer route up to N = 3000, log-space DP beyond.
     """
     if not (1 <= n <= N):
         raise ValueError("surjection_log_probability: need 1 <= n <= N")
     if n == 1:
         return 0.0
-    if N <= exact_cap:
-        lns = _log_big(stirling_exact(N, n, cap=max(N, DEFAULT_EXACT_CAP)))
+    if N <= _SURJECTION_EXACT_CAP:
+        lns = _log_big(stirling_exact(N, n))
     else:
         lns = LogDPBackend().log_value(N, n)
     return math.lgamma(n + 1) + lns - N * math.log(n)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coupons import (BoxedDiagram, NumericsError, ResourceCapError,
-                     bfs_accessible, binomial_ci, dyck_check,
+                     bfs_accessible, dyck_check,
                      estimate_accessibility, estimate_middle_crossing,
                      exact_accessible_count, korshunov_constant,
                      korshunov_report, pollaczek_crossing,
@@ -247,19 +247,3 @@ def test_middle_crossing_window_errors():
         estimate_middle_crossing(2, 2, 10)  # empty window
     with pytest.raises(ValueError):
         estimate_middle_crossing(1, 100, 10)
-
-
-# --- binomial ci ------------------------------------------------------------------
-
-def test_binomial_ci():
-    lo, hi = binomial_ci(50, 100)
-    assert lo < 0.5 < hi
-    lo2, hi2 = binomial_ci(50, 100, exact=True)
-    assert lo2 < 0.5 < hi2
-    # exact interval respects the boundary at zero successes
-    lo3, hi3 = binomial_ci(0, 20, exact=True)
-    assert lo3 == 0.0 and 0.0 < hi3 < 0.3
-    lo4, hi4 = binomial_ci(0, 20)
-    assert lo4 == 0.0
-    with pytest.raises(ValueError):
-        binomial_ci(5, 4)

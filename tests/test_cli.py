@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,12 +12,14 @@ import sys
 import jsonschema
 import pytest
 
+import coupons
 from coupons.cli import build_parser, main
 from coupons import (chi, korshunov_constant, saddle_params, specialfn, stirling,
                      stirling_exact, transition_error)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _schema(name):
@@ -119,8 +122,20 @@ def test_stirling_cap_message(capsys):
         assert (cap.out, cap.err) == ("", want), argv
 
 
-# sha256 of stdout, measured at commit d3ff9c2 (before values and ratios
-# shared one explicit-sum pass): a faster exact route must keep these bytes
+def test_stirling_negative_cap_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stirling", "5", "3", "--cap", "-1"])
+    assert exc.value.code == 2
+    assert "argument --cap: must be >= 0" in capsys.readouterr().err
+    assert main(["stirling", "0", "0", "--cap", "0"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+# sha256 of stdout: the stirling cases measured at commit d3ff9c2 (before
+# values and ratios shared one explicit-sum pass), the sampler cases at
+# commit 1a22897 (before the simulate --backend flag went and rho, the Dyck
+# test and the binomial frequency each got one route), on the Exact table
+# (n <= 300) and the LogDP table.  A faster or simpler route must keep them.
 STDOUT_SHA256 = {
     "stirling --verify":
         "a83db2fbfd077b203c5dc99f67d8359e7ea92eeaa06f63afcabfc34be3afbdc7",
@@ -128,6 +143,14 @@ STDOUT_SHA256 = {
         "f2c334cdb4243d0d9872443ae9f21bae3d82bb022c56e75e2f3e3a46f658b767",
     "stirling 3000 1000":
         "c682eaba7233f5f210611296bbb4436c6500d7e53de9713668f167b8e409ba7d",
+    "simulate --N 100 --n 50 --trials 40 --a 0.2 --seed 5":
+        "c735e5a7d76301409c28301216b29daeb302b238d72b14684e447a65b6ac3178",
+    "korshunov --k 2 --n 40 --trials 500 --seed 5":
+        "bc23ba7ba7c025460f6a89f3b9420be72db4b12941f49397a9627adc9f66109b",
+    "simulate --N 1000 --n 400 --trials 20 --a 0.2 --seed 5":
+        "e1a153e3333efe57ae673bdc0b58e34bce6b99168e0212d1db8ac3d5629e9e9a",
+    "korshunov --k 2 --n 400 --trials 300 --seed 5":
+        "e6719c560addf3aed0ac0cb953efd6220277f705e60b3348d03ad5a0036b7c42",
 }
 
 
@@ -166,8 +189,8 @@ def test_stirling_solves_xi_once_per_lambda(monkeypatch, capsys):
         calls.append(lam)
         return original(lam)
 
+    # stirling reaches xi only through specialfn (saddle_params, f_drift)
     monkeypatch.setattr(specialfn, "xi_of_lambda", counting)
-    monkeypatch.setattr(stirling, "xi_of_lambda", counting)
     for argv, lams in ((["stirling", "--verify"], [0.5, 1.0, 2.0]),
                        (["stirling", "3000", "1000"], [2.0])):
         calls.clear()
@@ -244,14 +267,12 @@ def test_multi_span_jobs_do_not_change_bytes(capsys):
         assert len(outs) == 1, base[0]
 
 
-def test_simulate_backend_choices(tmp_path):
+def test_simulate_backend_choices():
+    # the ratio table follows from n alone: simulate takes no --backend
     base = ["simulate", "--N", "40", "--n", "20", "--trials", "10", "--a", "0.2"]
-    _, te = run_out(base + ["--backend", "exact"], tmp_path, "be.json")
-    _, tl = run_out(base + ["--backend", "logdp"], tmp_path, "bl.json")
-    assert json.loads(te)["sup_distances"] == json.loads(tl)["sup_distances"]
-    for bad in ("saddle", "bogus"):
+    for value in ("auto", "exact", "logdp", "bogus"):
         with pytest.raises(SystemExit) as exc:
-            main(base + ["--backend", bad])
+            main(base + ["--backend", value])
         assert exc.value.code == 2
 
 
@@ -355,12 +376,35 @@ def test_module_entry_point():
 
 def test_import_leaves_scipy_submodules_unloaded():
     # scipy.integrate and scipy.stats take about a second to import, and
-    # only saddle_diagnostics and binomial_ci need them
+    # only saddle_diagnostics needs scipy (scipy.integrate)
     code = ("import sys, coupons, coupons.cli; print(sorted(m for m in "
             "('scipy.integrate', 'scipy.stats') if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# the whole CLI surface: a new option, or a removed one, is a deliberate edit here
+SUBCOMMAND_OPTIONS = {
+    "curve": ["-h", "--help", "--nu", "--a", "--step", "--out"],
+    "stirling": ["-h", "--help", "--cap", "--verify", "--lams", "--ells", "--out"],
+    "simulate": ["-h", "--help", "--N", "--n", "--trials", "--a", "--seed", "--jobs",
+                 "--step", "--out"],
+    "korshunov": ["-h", "--help", "--k", "--n", "--trials", "--seed", "--jobs", "--out"],
+    "ldp": ["-h", "--help", "--nu", "--n", "--out"],
+}
+
+
+def test_public_surface():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: [s for a in p._actions for s in a.option_strings]
+           for name, p in sub.choices.items()}
+    assert got == SUBCOMMAND_OPTIONS
+    # every export is documented: a new one needs a README entry too
+    with open(README) as fh:
+        readme = fh.read()
+    assert [name for name in coupons.__all__ if "`%s`" % name not in readme] == []
 
 
 def _console_script_target():

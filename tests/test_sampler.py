@@ -1,5 +1,4 @@
 import concurrent.futures
-import io
 import math
 import multiprocessing
 import os
@@ -15,9 +14,9 @@ import scipy.stats
 
 from coupons import (ExactBackend, LogDPBackend, Trajectory, auto_backend,
                      conditioned_paths, prefix_law, rejection_paths,
-                     rejection_sample, sample_conditioned, sample_patient,
+                     sample_conditioned, sample_patient,
                      solve_completion_curve, sup_distance, sup_distance_batch,
-                     trajectory_to_csv, transition_error)
+                     transition_error)
 
 from coupons import sampler
 from coupons.automata import _dyck_flags
@@ -366,8 +365,8 @@ def test_patient_pointwise_mean():
 
 def test_rejection_bijections_are_staircase():
     for seed in range(5):
-        tr = rejection_sample(5, 5, seed=seed)
-        assert np.array_equal(tr.z, np.arange(5, -1, -1))
+        z = rejection_paths(5, 5, 1, seed=seed)[0]
+        assert np.array_equal(z, np.arange(5, -1, -1))
 
 
 def test_rejection_matches_enumeration_y4():
@@ -469,15 +468,3 @@ def test_prefix_law_argument_errors():
         prefix_law(100, 100, 3)
     with pytest.raises(ValueError):
         prefix_law(100, 50, 25)
-
-
-# --- serialization -----------------------------------------------------------
-
-def test_trajectory_csv():
-    tr = sample_conditioned(8, 4, seed=2)
-    buf = io.StringIO()
-    trajectory_to_csv(tr, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,z"
-    assert lines[1] == "0,4" and lines[-1] == "8,0"
-    assert len(lines) == 10

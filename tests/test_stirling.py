@@ -173,7 +173,7 @@ def test_logdp_bytes_match_resident_table(N, n):
     for m, l in [(N, n), (N // 2, n // 3), (n, n), (n + 1, n)]:
         assert lb.log_value(m, l) == float(L[m, l]), (m, l)
     if N == 4001:
-        # N = 4000 is above exact_cap: the LogDP route of `ldp --nu 1 --n 2000`
+        # N = 4000 is above the exact route's 3000: the LogDP route of `ldp --nu 1 --n 2000`
         want = math.lgamma(2001) + float(L[4000, 2000]) - 4000 * math.log(2000)
         assert surjection_log_probability(4000, 2000) == want
     R_ref = logdp_ratio_table_reference(L, N, n)
@@ -255,7 +255,7 @@ def test_surjection_probability_trivial():
 
 def test_surjection_probability_exact_vs_logdp_route():
     a = surjection_log_probability(400, 200)
-    b = surjection_log_probability(400, 200, exact_cap=100)  # force LogDP
+    b = math.lgamma(201) + LogDPBackend().log_value(400, 200) - 400 * math.log(200)
     assert abs(a - b) <= 1e-9 * abs(a)
 
 
