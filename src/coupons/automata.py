@@ -261,7 +261,7 @@ def exact_accessible_count(k, n):
     return accessible, surjective
 
 
-def estimate_middle_crossing(k, n, trials, seed=0, jobs=1):
+def estimate_middle_crossing(k, n, trials, seed=0):
     """Frequency of paths touching the critical line inside the middle window.
 
     Window I2 = [a n, k n - 2 C k^2 n^(1/3)] in column units, with
@@ -284,7 +284,7 @@ def estimate_middle_crossing(k, n, trials, seed=0, jobs=1):
         Y = Z[:, ::-1]
         return np.any(k * Y[:, cols] <= cols - 1, axis=1)
 
-    flags = conditioned_paths(N, n, trials, seed=seed, jobs=jobs, reduce=crossed)
+    flags = conditioned_paths(N, n, trials, seed=seed, reduce=crossed)
     return _frequency(int(flags.sum()), trials)
 
 

@@ -379,7 +379,7 @@ def prefix_law(N, n, s):
         pr = 1.0
         k = 0
         for j in range(s):
-            r = rtab[N - j, l] if l >= 1 else 0.0
+            r = rtab[N - j, l] if 1 <= l <= N - j else 0.0  # only the band
             if (patt >> j) & 1:
                 pr *= r
                 l -= 1

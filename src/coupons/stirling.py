@@ -33,9 +33,11 @@ Ratio tables come from two interchangeable, stateless backends: Exact
 (big integers) and LogDP (float64 log-space recurrence).  Both roll their
 recurrence row by row in one pass and cache nothing between calls, so a
 table costs its own size in memory and LogDP holds only two log rows.
+A table for the chain from (N, n) is filled only on the band the chain
+can reach, max(1, m - (N - n)) <= l <= min(m, n) in row m, and is 0 off
+it: each step lowers l by at most one, so after t steps l >= n - t.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -48,31 +50,58 @@ _SURJECTION_EXACT_CAP = 3000  # surjection_log_probability: big integers up to t
 _LN2 = math.log(2.0)
 
 
-def _rows(width):
-    """Rolling DP: yield rows m = 0, 1, 2, ... of {m l}, truncated to l <= width."""
-    row = [1]  # row 0: {0 0} = 1
-    for m in itertools.count(1):
-        yield row
-        prev = row if m > width else row + [0]  # {m-1 m} = 0
-        row = [0] + [a + l * b for l, a, b in
-                     zip(range(1, min(m, width) + 1), prev, prev[1:])]
+def _band(N, n):
+    """Yield (lo, hi) for rows m = 0..N of the band of the chain from (N, n).
 
-
-def _log_rows(width):
-    """Log-space rolling DP: yield rows m = 0, 1, 2, ... of ln {m l}, l <= width.
-
-    Each row is a new float64 array of length width+1, -inf where {m l} = 0.
+    Row m >= 1 is max(1, m - (N - n)) <= l <= min(m, n); row 0 holds
+    {0 0} alone.  {m l} needs only {m-1 l} and {m-1 l-1}, which are on the
+    band or are the zeros beside it, so the band is closed under the
+    recurrence and its entries do not depend on the rest of the table.
     """
-    row = np.full(width + 1, -np.inf)
-    row[0] = 0.0  # ln {0 0}
-    lnl = np.log(np.arange(1, width + 1, dtype=float))
-    tmp = np.empty(width)
-    for m in itertools.count(1):
-        yield row
-        prev, row = row, np.full(width + 1, -np.inf)
-        w = min(m, width)
-        np.add(lnl[:w], prev[1:w + 1], out=tmp[:w])
-        np.logaddexp(tmp[:w], prev[0:w], out=row[1:w + 1])
+    if not 0 <= n <= N:
+        raise ValueError("ratio_table: need 0 <= n <= N, got (%r, %r)" % (N, n))
+    yield 0, 0
+    for m in range(1, N + 1):
+        yield max(1, m - (N - n)), min(m, n)
+
+
+def _rows(N, n):
+    """Rolling DP: yield (lo, hi, row) for rows m = 0..N of {m l} on the band.
+
+    Each row is a new list of length n+1, 0 off the band.
+    """
+    band = _band(N, n)
+    row = [1] + [0] * n  # {0 0} = 1
+    yield next(band) + (row,)
+    for lo, hi in band:
+        prev, row = row, [0] * (n + 1)
+        row[lo:hi + 1] = [l * a + b for l, a, b in
+                          zip(range(lo, hi + 1), prev[lo:hi + 1], prev[lo - 1:hi])]
+        yield lo, hi, row
+
+
+def _log_rows(N, n):
+    """Log-space rolling DP: yield (lo, hi, row) for rows m = 0..N of ln {m l}.
+
+    Two float64 rows of length n+1 take turns, so a yielded row is
+    overwritten two rows later.  Off the band a row holds -inf, except
+    entries below lo left from the row two before, which nothing reads:
+    row m+1 reads row m from lo(m+1) - 1 up, which is lo(m) or l = 0.
+    """
+    band = _band(N, n)
+    rows = np.full((2, n + 1), -np.inf)
+    rows[0, 0] = 0.0  # ln {0 0}
+    yield next(band) + (rows[0],)
+    lnl = np.log(np.arange(1, n + 1, dtype=float))
+    tmp = np.empty(n)
+    for m, (lo, hi) in enumerate(band, 1):
+        prev, row = rows[(m - 1) % 2], rows[m % 2]
+        if m == 2:
+            row[0] = -np.inf  # was ln {0 0}; ln {m 0} = -inf for m >= 1
+        t = tmp[:hi - lo + 1]
+        np.add(lnl[lo - 1:hi], prev[lo:hi + 1], out=t)
+        np.logaddexp(t, prev[lo - 1:hi], out=row[lo:hi + 1])
+        yield lo, hi, row
 
 
 def _explicit_sum(m, l):
@@ -124,7 +153,7 @@ class ExactBackend:
     is the double nearest to {m-1 l-1}/{m l}, subnormals included.  A
     single ratio is (b - l a)/b from one pass of the explicit sum, with
     a = l! {m-1 l} and b = l! {m l} (no cap): the same rational, so the
-    same rounding; a table rolls the recurrence once over all its rows.
+    same rounding; a table rolls the recurrence once over its band.
     """
 
     kind = "Exact"
@@ -135,13 +164,17 @@ class ExactBackend:
         return _explicit_sum(m, l)[1]
 
     def ratio_table(self, N, n):
-        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined)."""
+        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) on the band, 0 off it.
+
+        The band is the set of states the reversed chain from (N, n) can
+        visit: it lowers l by at most one per step, so row m holds
+        max(1, m - (N - n)) <= l <= min(m, n).  Needs 0 <= n <= N.
+        """
+        rows = _rows(N, n)
+        _, _, prev = next(rows)
         R = np.zeros((N + 1, n + 1))
-        rows = _rows(n)
-        prev = next(rows)
-        for m in range(1, N + 1):
-            row = next(rows)
-            R[m, 1:len(row)] = [a / b for a, b in zip(prev, row[1:])]
+        for m, (lo, hi, row) in enumerate(rows, 1):
+            R[m, lo:hi + 1] = [a / b for a, b in zip(prev[lo - 1:hi], row[lo:hi + 1])]
             prev = row
         return R
 
@@ -149,39 +182,48 @@ class ExactBackend:
 class LogDPBackend:
     """float64 log-space recurrence L(m,l) = logaddexp(ln l + L(m-1,l), L(m-1,l-1)).
 
-    Measured against ExactBackend over the whole (1500, 300) table:
-    ln {m l} is good to 4e-14 relative; where r > 0, r is within 5.9e-13
-    absolute and 4.6e-10 relative error.  r is the exp of a difference of
-    two logs, so its relative error grows with ln {m l}, i.e. with m.
+    Measured against ExactBackend on every 1 <= l <= min(m, 300) with
+    m <= 1500 (rows 0..1500 of the (1800, 300) table, whose band holds
+    them all): ln {m l} is good to 4e-14 relative; where r > 0, r is
+    within 5.9e-13 absolute and 4.6e-10 relative error.  r is the exp of
+    a difference of two logs, so its relative error grows with ln {m l},
+    i.e. with m.  An entry's bits do not depend on the table it is in.
     The backend holds no state: each call rolls the recurrence two rows at
-    a time, so its memory is the returned table (a few rows for log_value).
+    a time over the band, so its memory is the returned table (two rows
+    for log_value).
     """
 
     kind = "LogDP"
 
     def log_value(self, m, l):
-        """ln {m l}; -inf where {m l} = 0."""
+        """ln {m l}; -inf where {m l} = 0.
+
+        Rolls the band of (m, l), which is the set of entries ln {m l}
+        depends on.
+        """
         if m < 0 or l < 0 or l > m:
             raise ValueError("log_value: bad arguments (%r, %r)" % (m, l))
-        return float(next(itertools.islice(_log_rows(l), m, None))[l])
+        for _, _, row in _log_rows(m, l):
+            pass
+        return float(row[l])
 
     def ratio_table(self, N, n):
-        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) (0 where undefined).
+        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) on the band, 0 off it.
 
-        Row m writes only 1 <= l <= min(m, n); the entries with l > m keep
-        the zeros R starts with.  On that range ln {m l} is finite, and so
-        is ln {m-1 l-1} except ln {m-1 0} = -inf for m >= 2, whose exp is
-        0: no difference is nan or +inf, and exp leaves nothing below 0,
-        so only the upper clip to 1 is needed.
+        The band is the set of states the reversed chain from (N, n) can
+        visit: it lowers l by at most one per step, so row m holds
+        max(1, m - (N - n)) <= l <= min(m, n).  Needs 0 <= n <= N.  On the
+        band ln {m l} is finite, and so is ln {m-1 l-1} except
+        ln {m-1 0} = -inf for m >= 2, whose exp is 0: no difference is nan
+        or +inf, and exp leaves nothing below 0, so only the upper clip to
+        1 is needed.
         """
+        rows = _log_rows(N, n)
+        _, _, prev = next(rows)
         R = np.zeros((N + 1, n + 1))
-        rows = _log_rows(n)
-        prev = next(rows)
-        for m in range(1, N + 1):
-            row = next(rows)
-            w = min(m, n)
-            r = R[m, 1:w + 1]
-            np.subtract(prev[:w], row[1:w + 1], out=r)
+        for m, (lo, hi, row) in enumerate(rows, 1):
+            r = R[m, lo:hi + 1]
+            np.subtract(prev[lo - 1:hi], row[lo:hi + 1], out=r)
             np.exp(r, out=r)
             np.minimum(r, 1.0, out=r)
             prev = row

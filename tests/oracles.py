@@ -99,6 +99,25 @@ def logdp_ratio_table_reference(L, N, n):
     return R
 
 
+def reachable_states(N, n):
+    """Boolean (N+1, n+1) mask of the states (m, l), m >= 1, of the chain from (N, n).
+
+    Propagates the support of the reversed chain one column at a time
+    from (N, n), using only that {a b} > 0 exactly when 1 <= b <= a or
+    a = b = 0: from (m, l) it moves to (m-1, l-1) when {m-1 l-1} > 0 and
+    stays at l when l {m-1 l} > 0.  No band formula is involved.
+    """
+    import numpy as np
+    mask = np.zeros((N + 1, n + 1), dtype=bool)
+    mask[N, n] = True
+    for m in range(N, 1, -1):
+        here, below = mask[m], mask[m - 1]
+        below[1:n] |= here[2:]  # down from l >= 2; {m-1 0} = 0 for m >= 2
+        w = min(m - 1, n)
+        below[1:w + 1] |= here[1:w + 1]  # stay at l <= m-1
+    return mask
+
+
 def reversed_chain_reference(rtab, N, n, seed, index):
     """Row `index` of the conditioned sampler, one step at a time.
 

@@ -23,7 +23,8 @@ from coupons.automata import _dyck_flags
 from coupons.errors import NumericsError
 from coupons.sampler import _rng, _substreams, sup_distances_of
 
-from oracles import enumerate_surjective_paths, reversed_chain_reference
+from oracles import (enumerate_surjective_paths, reachable_states,
+                     reversed_chain_reference)
 
 
 def _path_ids(Z, s=None):
@@ -138,6 +139,46 @@ def test_worker_exception_reaches_parent(big_batch, cpus8):
                           seed=BIG["seed"], jobs=2, reduce=fail)
     assert int(str(exc.value).split()[-1]) != os.getpid()  # raised in a worker
     assert multiprocessing.active_children() == []
+
+
+def _off_band_poisoned(N, n):
+    """The default table for (N, n), with every entry off the chain's reach
+    set to -1.0 or 2.0 in turn: read by any step, it would force the step."""
+    R = auto_backend(N, n).ratio_table(N, n)
+    m, l = np.nonzero(~reachable_states(N, n))
+    R[m, l] = np.where((m + l) % 2 == 0, -1.0, 2.0)
+    return R
+
+
+class _FixedTable:
+    kind = "fixed"
+
+    def __init__(self, R):
+        self.R = R
+
+    def ratio_table(self, N, n):
+        return self.R
+
+
+def test_sampler_reads_only_the_band(cpus8, monkeypatch):
+    # N = 2001 gives chunks of 1998 rows, so 2100 trials fork two workers at jobs=2
+    for N, n in ((2001, 2001), (2001, 1), (2001, 1000), (2001, 1819)):
+        poison = _off_band_poisoned(N, n)
+        assert (poison < 0.0).any() and (poison > 1.0).any()
+        Z = conditioned_paths(N, n, 2100, seed=3)
+        for jobs in (1, 2):
+            got = conditioned_paths(N, n, 2100, backend=_FixedTable(poison), seed=3,
+                                    jobs=jobs)
+            assert got.dtype == np.int32 and np.array_equal(got, Z), (N, n, jobs)
+    # prefix_law walks every decrement pattern, possible or not
+    for N, n, s in ((12, 11, 12), (12, 1, 12), (40, 20, 14), (30, 27, 14)):
+        want = prefix_law(N, n, s)
+        with monkeypatch.context() as mp:
+            mp.setattr(sampler, "auto_backend",
+                       lambda N, n: _FixedTable(_off_band_poisoned(N, n)))
+            got = prefix_law(N, n, s)
+        assert [a.tobytes() for a in want[:2]] == [a.tobytes() for a in got[:2]]
+        assert want[2] == got[2]
 
 
 def test_spans_run_serially_without_fork(big_batch, cpus8, monkeypatch):

@@ -15,7 +15,7 @@ from coupons import (ExactBackend, LogDPBackend, ResourceCapError, chi,
 from coupons.stirling import _log_big, _rows
 
 from oracles import (logdp_log_table_reference, logdp_ratio_table_reference,
-                     set_partition_count)
+                     reachable_states, set_partition_count)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -101,25 +101,34 @@ def test_ratio_nearest_double():
     assert ratio_r(54, 2) == float(Fraction(1, 2 ** 53 - 1))
 
 
+def _assert_band(R, R_full, N, n):
+    # R holds R_full's bits on the states the chain from (N, n) reaches, 0 elsewhere
+    band = reachable_states(N, n)
+    assert R.shape == (N + 1, n + 1)
+    assert np.array_equal(R[band], R_full[:N + 1][band])
+    assert not R[~band].any()
+
+
 def test_exact_routes_agree():
-    # table, single ratio and the ratio of two exact values: one nearest double
-    R = ExactBackend().ratio_table(60, 30)
+    # table, single ratio and the ratio of two exact values: one nearest double;
+    # rows 0..60 of a (90, 30) table hold every l <= min(m, 30)
+    R = ExactBackend().ratio_table(90, 30)
     be = ExactBackend()
     for m in range(1, 61):
         for l in range(1, min(m, 30) + 1):
             want = float(Fraction(stirling_exact(m - 1, l - 1), stirling_exact(m, l)))
             assert R[m, l] == be.ratio(m, l) == want, (m, l)
+    _assert_band(ExactBackend().ratio_table(60, 30), R, 60, 30)
 
 
 def test_explicit_sum_matches_recurrence():
     # single values and ratios come from the explicit sum, tables from the DP
-    # rows; a ratio must be the int/int quotient of two DP values
+    # rows; a ratio must be the int/int quotient of two DP values.  Rows
+    # 0..150 of the (300, 150) band are whole
     be = ExactBackend()
-    rows = _rows(150)
     prev = None
-    for m in range(151):
-        row = next(rows)
-        assert [stirling_exact(m, l) for l in range(m + 1)] == row, m
+    for m, (_, _, row) in zip(range(151), _rows(300, 150)):
+        assert [stirling_exact(m, l) for l in range(151)] == row, m
         for l in range(1, m + 1):  # m = 1 is the only pass with an i = 0 term
             assert be.ratio(m, l) == prev[l - 1] / row[l], (m, l)
         prev = row
@@ -128,12 +137,12 @@ def test_explicit_sum_matches_recurrence():
                for l in (50, 100, 200, 400)}
     ms_of_l.update({799: [800], 2: [3000, 5000]})
     for l, ms in ms_of_l.items():
-        for m, row in zip(range(max(ms) + 1), _rows(l)):
+        for m, (_, _, row) in enumerate(_rows(max(ms), l)):  # (m, l) is on the band
             if m in ms:
                 assert stirling_exact(m, l) == row[l], (m, l)
                 assert be.ratio(m, l) == prev[l - 1] / row[l], (m, l)
             prev = row
-    R = ExactBackend().ratio_table(400, 200)
+    R = ExactBackend().ratio_table(600, 200)  # rows 0..400 are whole
     pairs = [(m, l) for m in range(1, 401, 8) for l in range(1, min(m, 200) + 1, 4)]
     assert len(pairs) >= 1800
     for m, l in pairs:
@@ -152,33 +161,47 @@ def test_logdp_matches_exact_in_log_space():
 
 
 def test_logdp_ratio_table_matches_exact():
+    for be in (ExactBackend(), LogDPBackend()):
+        with pytest.raises(ValueError):
+            be.ratio_table(3, 4)  # n > N: no surjection, so no chain
     R1 = ExactBackend().ratio_table(40, 20)
     R2 = LogDPBackend().ratio_table(40, 20)
     assert R1.shape == R2.shape == (41, 21)
     assert np.max(np.abs(R1 - R2)) <= 1e-9
-    # the error bound stated in the LogDPBackend docstring, over a full table
-    R1 = ExactBackend().ratio_table(1500, 300)
-    R2 = LogDPBackend().ratio_table(1500, 300)
+    # rows 0..40 of (60, 20) tables hold every l <= min(m, 20), band or not
+    R1 = ExactBackend().ratio_table(60, 20)[:41]
+    R2 = LogDPBackend().ratio_table(60, 20)[:41]
+    assert np.max(np.abs(R1 - R2)) <= 1e-9
+    # the error bound stated in the LogDPBackend docstring, over every
+    # l <= min(m, 300) with m <= 1500: rows 0..1500 of (1800, 300) tables
+    R1 = ExactBackend().ratio_table(1800, 300)[:1501]
+    R2 = LogDPBackend().ratio_table(1800, 300)[:1501]
     err = np.abs(R1 - R2)
     assert np.max(err) <= 2e-12
     live = R1 > 1e-300
     assert np.max(err[live] / R1[live]) <= 1e-9
 
 
-@pytest.mark.parametrize("N, n", [(41, 20), (600, 300), (2001, 1000), (4001, 2001)])
+# N = 2n + 1, N = 2n, N = n, N = n + 1, n = 1 and nu = (N - n)/n = 0.1
+@pytest.mark.parametrize("N, n", [(41, 20), (600, 300), (2001, 1000), (4001, 2001),
+                                  (300, 300), (301, 300), (300, 1), (2200, 2000)])
 def test_logdp_bytes_match_resident_table(N, n):
-    # the rolling rows reproduce the whole-table build bit for bit
+    # the rolling band rows reproduce the whole-table build bit for bit
     L = logdp_log_table_reference(N, n)
     lb = LogDPBackend()
-    for m, l in [(N, n), (N // 2, n // 3), (n, n), (n + 1, n)]:
-        assert lb.log_value(m, l) == float(L[m, l]), (m, l)
+    for m, l in [(N, n), (N // 2, n // 3), (n, n), (n + 1, n), (N, 1), (N, 0),
+                 (1, 1), (1, 0), (0, 0)]:
+        if m <= N:
+            assert lb.log_value(m, l) == float(L[m, l]), (m, l)
     if N == 4001:
         # N = 4000 is above the exact route's 3000: the LogDP route of `ldp --nu 1 --n 2000`
         want = math.lgamma(2001) + float(L[4000, 2000]) - 4000 * math.log(2000)
         assert surjection_log_probability(4000, 2000) == want
     R_ref = logdp_ratio_table_reference(L, N, n)
     del L
-    assert np.array_equal(lb.ratio_table(N, n), R_ref)
+    # rows 0..N of the (N + n, n) band hold every l <= min(m, n)
+    assert np.array_equal(lb.ratio_table(N + n, n)[:N + 1], R_ref)
+    _assert_band(lb.ratio_table(N, n), R_ref, N, n)
 
 
 def _traced_peak(fn):
