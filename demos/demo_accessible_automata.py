@@ -24,7 +24,7 @@ print("dyck test: %s   graph search: %s"
 
 # --- exact tiny cases vs the constant ---------------------------------------------
 
-print("\nexact enumeration (all n^(kn+1) words):")
+print("\nexact counts by the k-Dyck barrier recurrence:")
 for k, n in ((2, 2), (2, 3), (3, 2)):
     acc, surj = exact_accessible_count(k, n)
     print("  k=%d n=%d: %6d accessible / %6d surjective = %.4f"
@@ -33,6 +33,8 @@ for k, n in ((2, 2), (2, 3), (3, 2)):
 print("\nKorshunov's constant 1 - k*rho(k):")
 for k in (2, 3, 4, 7):
     print("  k=%d: %.10f" % (k, korshunov_constant(k)))
+acc, surj = exact_accessible_count(2, 100)
+print("  k=2, exact at n=100: %.10f" % (acc / surj))
 
 # --- Monte Carlo convergence -------------------------------------------------------
 

@@ -9,7 +9,7 @@ large arguments, and the accuracy of Good's saddle approximation psi:
 
 import math
 
-from coupons import (LogDPBackend, chi, psi_log, ratio_r, saddle_diagnostics,
+from coupons import (ExactBackend, LogDPBackend, chi, psi_log, saddle_diagnostics,
                      stirling_exact, transition_error, xi_of_lambda)
 
 print("small exact values:")
@@ -35,9 +35,10 @@ for l in (50, 100, 200, 400, 800):
 
 # the chain transition ratio r(m,l) = {m-1 l-1}/{m l} tends to rho = e^{-xi}
 print("\ntransition ratio vs its limit rho(1) = %.6f:" % math.exp(-xi_of_lambda(1.0)))
+ratio = ExactBackend().ratio
 for l in (50, 200, 800):
     m = 2 * l
-    print("  l=%4d  r=%.8f  l*|r-rho|=%.5f" % (l, ratio_r(m, l), l * transition_error(m, l)))
+    print("  l=%4d  r=%.8f  l*|r-rho|=%.5f" % (l, ratio(m, l), l * transition_error(m, l)))
 
 # --- the saddle integral itself --------------------------------------------------
 

@@ -5,7 +5,7 @@ from .errors import NumericsError, QuadratureError, ResourceCapError
 from .specialfn import (SaddleParams, f_drift, g_theta, lambert_w0, rate_j,
                         saddle_params, tail_h, xi_of_lambda, xi_via_lambertw)
 from .stirling import (ExactBackend, LogDPBackend, chi, psi_log,
-                       psi_log_forms, ratio_r, saddle_diagnostics,
+                       psi_log_forms, saddle_diagnostics,
                        stirling_exact, surjection_log_probability,
                        transition_error)
 from .curve import (Curve, curve_to_csv, envelope, lambda_along,
@@ -27,7 +27,7 @@ __all__ = [
     "SaddleParams", "f_drift", "g_theta", "lambert_w0", "rate_j",
     "saddle_params", "tail_h", "xi_of_lambda", "xi_via_lambertw",
     "ExactBackend", "LogDPBackend",
-    "chi", "psi_log", "psi_log_forms", "ratio_r",
+    "chi", "psi_log", "psi_log_forms",
     "saddle_diagnostics", "stirling_exact",
     "surjection_log_probability", "transition_error",
     "Curve", "curve_to_csv", "envelope", "lambda_along", "patient_curve",

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, ResourceCapError
-from .sampler import _rng, _word_paths, conditioned_paths
+from .errors import NumericsError
+from .sampler import _rng, conditioned_paths
 from .specialfn import f_drift
 from .stirling import stirling_exact
 
@@ -227,38 +227,33 @@ def simulate_walk_max(k, runs, horizon=500, seed=0):
 
 
 def exact_accessible_count(k, n):
-    """Enumerate all n^(kn+1) words: (accessible_count, surjective_count).
+    """(accessible_count, surjective_count) among the n^(kn+1) words, exactly.
 
-    Brute-force ground truth for tiny cases; the surjective count is
-    cross-checked against n! {N n} exactly.
+    n! g_N(n) by g(j) <- g(j-1) + j g(j) per column, with g(j) zeroed for
+    j <= l after column lk+1 (the k-Dyck barrier); without the barrier the
+    roll must give n! {N n}, whose stirling_exact cap N <= 5000 applies.
     """
     k = int(k)
     n = int(n)
     if k < 2 or n < 2:
         raise ValueError("exact_accessible_count: need k >= 2 and n >= 2")
     N = k * n + 1
-    total = n ** N
-    if total > 10 ** 8:
-        raise ResourceCapError(
-            "exact_accessible_count: %d^%d = %d words exceeds the 1e8 cap"
-            % (n, N, total))
-    powers = n ** np.arange(N, dtype=np.int64)
-    surjective = 0
-    accessible = 0
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        W = ((ids[:, None] // powers[None, :]) % n).astype(np.int32) + 1
-        Y = _word_paths(W)  # forward paths with leading 0
-        surj = Y[:, -1] == n
-        surjective += int(surj.sum())
-        ok = surj & _dyck_flags(Y[:, ::-1], k, n)
-        accessible += int(ok.sum())
     expected = math.factorial(n) * stirling_exact(N, n)
+
+    def roll(barrier):
+        g = [0, 1] + [0] * (n - 1)  # after column 1
+        for i in range(2, N + 1):
+            for j in range(min(i, n), 0, -1):
+                g[j] = g[j - 1] + j * g[j]
+            if barrier and i % k == 1 and i < N:  # column lk+1, l = i // k
+                g[:i // k + 1] = [0] * (i // k + 1)
+        return math.factorial(n) * g[n]
+
+    surjective = roll(False)
     if surjective != expected:
         raise NumericsError(
             "surjective count %d != n!*stirling = %d" % (surjective, expected))
-    return accessible, surjective
+    return roll(True), surjective
 
 
 def estimate_middle_crossing(k, n, trials, seed=0):

@@ -263,22 +263,7 @@ def sample_patient(n, seed=0):
     return np.concatenate(([0], y[:T])), T
 
 
-def _word_paths(W):
-    # forward paths y (rows, N+1) from words W (rows, N) over [1..n], n <= 30
-    rows, N = W.shape
-    Y = np.zeros((rows, N + 1), dtype=np.int32)
-    seen = np.zeros(rows, dtype=np.uint64)
-    y = np.zeros(rows, dtype=np.int32)
-    for t in range(N):
-        bit = (np.uint64(1) << (W[:, t] - 1).astype(np.uint64))
-        new = (seen & bit) == 0
-        y = y + new
-        seen |= bit
-        Y[:, t + 1] = y
-    return Y
-
-
-def rejection_paths(N, n, count, seed=0, max_attempts=None):
+def rejection_paths(N, n, count, seed=0):
     """Uniform words over [1..n]^N filtered to surjections; reversed paths.
 
     Returns an int32 array (count, N+1) in the same orientation as
@@ -289,8 +274,7 @@ def rejection_paths(N, n, count, seed=0, max_attempts=None):
         raise ValueError("rejection_paths: need 1 <= n <= N")
     if n > 30:
         raise ValueError("rejection_paths: n too large for word enumeration")
-    if max_attempts is None:
-        max_attempts = max(1000 * count, 100000)
+    max_attempts = max(1000 * count, 100000)
     rng = _rng(seed, 0)
     got, attempts = [], 0
     have = 0
@@ -308,7 +292,9 @@ def rejection_paths(N, n, count, seed=0, max_attempts=None):
         if len(acc):
             got.append(acc[:count - have])
             have += len(got[-1])
-    Y = _word_paths(np.concatenate(got))
+    W = np.concatenate(got)
+    seen = np.logical_or.accumulate(W[:, :, None] == np.arange(1, n + 1), axis=1)
+    Y = np.pad(seen.sum(axis=2), ((0, 0), (1, 0)))  # forward paths, y_0 = 0
     return Y[:, ::-1].astype(np.int32)
 
 
@@ -371,22 +357,16 @@ def prefix_law(N, n, s):
     rtab = auto_backend(N, n).ratio_table(N, n)
     rho = f_drift((N - n) / n)
 
-    size = 1 << s
-    exact = np.zeros(size)
-    iid = np.zeros(size)
-    for patt in range(size):
-        l = n
-        pr = 1.0
-        k = 0
-        for j in range(s):
-            r = rtab[N - j, l] if 1 <= l <= N - j else 0.0  # only the band
-            if (patt >> j) & 1:
-                pr *= r
-                l -= 1
-                k += 1
-            else:
-                pr *= 1.0 - r
-        exact[patt] = pr
-        iid[patt] = rho ** k * (1.0 - rho) ** (s - k)
+    patt = np.arange(1 << s)
+    l = np.full(1 << s, n)
+    exact = np.ones(1 << s)
+    for j in range(s):
+        band = (1 <= l) & (l <= N - j)  # read r only there, 0 elsewhere
+        r = np.zeros(1 << s)
+        r[band] = rtab[N - j, l[band]]
+        step = (patt >> j) & 1
+        exact *= np.where(step, r, 1.0 - r)
+        l -= step
+    iid = np.array([rho ** i * (1.0 - rho) ** (s - i) for i in range(s + 1)])[n - l]
     tv = 0.5 * float(np.abs(exact - iid).sum())
     return exact, iid, tv

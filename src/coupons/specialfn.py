@@ -318,16 +318,15 @@ def g_theta(lam, theta):
     lam = float(lam)
     if lam <= 0.0:
         raise ValueError("g_theta: lambda must be > 0, got %r" % lam)
-    xi = xi_of_lambda(lam)
-    rho = math.exp(-xi)
-    if np.ndim(theta) == 0:
-        th = float(theta)
-        if abs(th) > math.pi + 1e-12:
-            raise ValueError("g_theta: |theta| > pi")
-        phi = cmath.exp(xi * (cmath.exp(1j * th) - 1.0))
-        return cmath.exp(-1j * (1.0 + lam) * th) * (phi - rho) / (1.0 - rho)
-    th = np.asarray(theta, dtype=float)
+    th = float(theta) if np.ndim(theta) == 0 else np.asarray(theta, dtype=float)
     if np.any(np.abs(th) > math.pi + 1e-12):
         raise ValueError("g_theta: |theta| > pi")
-    phi = np.exp(xi * (np.exp(1j * th) - 1.0))
-    return np.exp(-1j * (1.0 + lam) * th) * (phi - rho) / (1.0 - rho)
+    return _g_at(lam, xi_of_lambda(lam), th)
+
+
+def _g_at(lam, xi, theta):
+    """g_theta at xi = xi(lam): by cmath for a float theta, by numpy for an array."""
+    lib = cmath if np.ndim(theta) == 0 else np
+    rho = math.exp(-xi)
+    phi = lib.exp(xi * (lib.exp(1j * theta) - 1.0))
+    return lib.exp(-1j * (1.0 + lam) * theta) * (phi - rho) / (1.0 - rho)

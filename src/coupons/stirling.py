@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError, QuadratureError, ResourceCapError
-from .specialfn import f_drift, g_theta, saddle_params, tail_h
+from .specialfn import _g_at, f_drift, saddle_params, tail_h
 
 DEFAULT_EXACT_CAP = 5000
 _SURJECTION_EXACT_CAP = 3000  # surjection_log_probability: big integers up to this N
@@ -230,11 +230,6 @@ class LogDPBackend:
         return R
 
 
-def ratio_r(m, l):
-    """Transition ratio r(m,l) = {m-1 l-1}/{m l} in [0, 1], correctly rounded."""
-    return ExactBackend().ratio(m, l)
-
-
 def psi_log_forms(m, l):
     """Both displayed forms of ln psi(m,l); they are algebraically equal.
 
@@ -292,7 +287,7 @@ def transition_error(m, l):
     if not (1 <= l < m):
         raise ValueError(
             "transition_error: need 1 <= l < m (lambda > 0), got (%r, %r)" % (m, l))
-    return abs(ratio_r(m, l) - f_drift((m - l) / l))
+    return abs(ExactBackend().ratio(m, l) - f_drift((m - l) / l))
 
 
 def _chi_and_transition_error(m, l, saddle=saddle_params):
@@ -354,9 +349,9 @@ def saddle_diagnostics(lam, l):
     sp = saddle_params(lam)
     theta0 = math.log(l) / math.sqrt(l)
 
-    central, _ = _quad(lambda th: 2.0 * (g_theta(lam, th) ** l).real, 0.0, theta0)
-    tail, _ = _quad(lambda th: 2.0 * (g_theta(lam, th) ** l).real, theta0, math.pi)
-    tail_abs, _ = _quad(lambda th: 2.0 * abs(g_theta(lam, th)) ** l, theta0, math.pi)
+    central, _ = _quad(lambda th: 2.0 * (_g_at(lam, sp.xi, th) ** l).real, 0.0, theta0)
+    tail, _ = _quad(lambda th: 2.0 * (_g_at(lam, sp.xi, th) ** l).real, theta0, math.pi)
+    tail_abs, _ = _quad(lambda th: 2.0 * abs(_g_at(lam, sp.xi, th)) ** l, theta0, math.pi)
 
     central_ref = math.sqrt(math.pi / (sp.v * l))
     rel = abs(central - central_ref) / central_ref

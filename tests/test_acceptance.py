@@ -149,6 +149,8 @@ def test_criterion_07():
 
     est, se = estimate_accessibility(2, 1000, 100000, seed=3)
     assert abs(est - korshunov_constant(2)) <= 3.0 * se + 0.01
+    acc, surj = exact_accessible_count(2, 1000)  # the exact P_1000
+    assert abs(est - acc / surj) <= 3.0 * se
 
     acc, surj = exact_accessible_count(2, 3)
     ref = acc / surj

@@ -12,7 +12,7 @@ from coupons import (BoxedDiagram, NumericsError, ResourceCapError,
                      korshunov_report, pollaczek_crossing,
                      simulate_walk_max, stirling_exact, surjection_to_diagram)
 
-from oracles import walk_max_reference, xi_bisect
+from oracles import enumerate_surjective_paths, walk_max_reference, xi_bisect
 
 PI0_K2 = 0.7449990250840247
 
@@ -139,11 +139,22 @@ def test_exact_accessible_counts():
     acc, surj = exact_accessible_count(2, 3)
     assert (acc, surj) == (1296, 1806)
     assert surj == math.factorial(3) * stirling_exact(7, 3)
+    # the recurrence against every surjective word, Dyck-filtered by its path
+    for k, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        paths, total = enumerate_surjective_paths(k * n + 1, n)
+        dyck = sum(c for y, c in paths.items()
+                   if all(y[l * k] >= l + 1 for l in range(n)))
+        assert exact_accessible_count(k, n) == (dyck, total), (k, n)
+    # counted by enumerating all 5^11 words
+    assert exact_accessible_count(2, 5) == (19281000, 29607600)
 
 
 def test_exact_count_resource_cap():
+    # the one cap is stirling_exact's N <= 5000
+    acc, surj = exact_accessible_count(2, 6)
+    assert surj == math.factorial(6) * stirling_exact(13, 6) and 0 < acc < surj
     with pytest.raises(ResourceCapError):
-        exact_accessible_count(2, 6)  # 6^13 words
+        exact_accessible_count(2, 2500)  # N = 5001
 
 
 # --- constants ----------------------------------------------------------------

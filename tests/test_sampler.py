@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 import multiprocessing
 import os
@@ -438,7 +439,7 @@ def test_rejection_agrees_with_markov_sampler():
 def test_rejection_attempt_cap():
     # bijective words are hopeless at n=20: acceptance rate 20!/20^20 ~ 2e-8
     with pytest.raises(RuntimeError):
-        rejection_paths(20, 20, 1, seed=0, max_attempts=200)
+        rejection_paths(20, 20, 1, seed=0)
 
 
 # --- martingale structure ---------------------------------------------------
@@ -502,6 +503,17 @@ def test_prefix_law_single_step_is_transition_error():
 def test_prefix_law_tv_decreasing_in_n():
     tvs = [prefix_law(2 * n, n, 10)[2] for n in (100, 200, 400)]
     assert tvs[0] > tvs[1] > tvs[2]
+
+
+def test_prefix_law_digests():
+    # sha256 of the bytes the per-pattern Python loop gave before the array passes
+    want = {(12, 11, 12): "78ff049177ba21a3c103aaf5937fae975aafdb62545cbe2b06700e46ae076d72",
+            (40, 20, 14): "530505baa620d7162496a8672f915beaf83f471b338930619f1786dae0cf4759",
+            (2000, 1000, 16): "fecaeeec2c91a8d5839a55fc35489730a4542f1accdb2b13ba316783619a3752"}
+    for shape, digest in want.items():
+        exact, iid, tv = prefix_law(*shape)
+        got = hashlib.sha256(exact.tobytes() + iid.tobytes() + repr(tv).encode())
+        assert got.hexdigest() == digest, shape
 
 
 def test_prefix_law_argument_errors():

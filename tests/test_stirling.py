@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coupons import (ExactBackend, LogDPBackend, ResourceCapError, chi,
-                     psi_log, psi_log_forms, ratio_r, saddle_diagnostics,
+                     psi_log, psi_log_forms, saddle_diagnostics,
                      stirling_exact, surjection_log_probability,
                      transition_error)
 from coupons.stirling import _log_big, _rows
@@ -69,14 +69,15 @@ def test_row_sum_identity():
             assert total == n ** m
 
 
-# --- ratio_r ------------------------------------------------------------
+# --- ExactBackend().ratio ----------------------------------------------
 
 def test_ratio_examples():
-    assert ratio_r(4, 4) == 1.0
-    assert abs(ratio_r(3, 2) - 1.0 / 3.0) <= 1e-16
-    assert ratio_r(5, 1) == 0.0
+    ratio = ExactBackend().ratio
+    assert ratio(4, 4) == 1.0
+    assert abs(ratio(3, 2) - 1.0 / 3.0) <= 1e-16
+    assert ratio(5, 1) == 0.0
     with pytest.raises(ValueError):
-        ratio_r(3, 0)
+        ratio(3, 0)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=40))
@@ -91,14 +92,15 @@ def test_complementary_ratio_exact_integers(m, l):
 
 
 def test_ratio_nearest_double():
+    ratio = ExactBackend().ratio
     # r(3,2) = 1/3 must round to the nearest double of 1/3
-    assert ratio_r(3, 2) == 1.0 / 3.0
+    assert ratio(3, 2) == 1.0 / 3.0
     # huge case: exact rational vs 80-bit-ish log route sanity
-    r = ratio_r(600, 200)
+    r = ratio(600, 200)
     assert 0.0 < r < 1.0
     # r(54,2) = {53 1}/{54 2} = 1/(2^53 - 1); rounding twice (floor to a
     # 64-bit quotient, then to a double) lands one ulp off here
-    assert ratio_r(54, 2) == float(Fraction(1, 2 ** 53 - 1))
+    assert ratio(54, 2) == float(Fraction(1, 2 ** 53 - 1))
 
 
 def _assert_band(R, R_full, N, n):
