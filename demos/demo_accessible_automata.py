@@ -18,7 +18,7 @@ from coupons import (bfs_accessible, dyck_check, estimate_accessibility,
 
 word = [2, 1, 2, 3, 1, 3, 2]  # k=2, n=3, N=7
 y, marks = surjection_to_diagram(word, 3)
-print("word %s -> path %s, marks %s" % (word, list(y), list(marks)))
+print("word %s -> path %s, marks %s" % (word, y.tolist(), marks.tolist()))
 print("dyck test: %s   graph search: %s"
       % (dyck_check(y, 2), bfs_accessible(marks, 2, 3)))
 

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from coupons import (conditioned_paths, prefix_law, rejection_paths,
-                     sample_conditioned, sample_patient, transition_error)
+                     sample_patient, transition_error)
 
 # --- tiny case: enumerate every word, compare with the chain ---------------------
 
@@ -55,8 +55,7 @@ for n_ in (100, 200, 400):
 
 # --- patient vs impatient ---------------------------------------------------------
 
-tr = sample_conditioned(2000, 1000, seed=7)
-y_imp = tr.y
+y_imp = conditioned_paths(2000, 1000, 1, seed=7)[0, ::-1]
 y_pat, T = sample_patient(1000, seed=7)
 print("\nat n=1000: impatient collector holds %d labels at t=n; "
       "patient one holds %d (and finishes only at T=%d)"

@@ -16,7 +16,6 @@ with step law (1-rho) delta_{-1} + rho delta_{k-1}.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,16 +25,6 @@ from .specialfn import f_drift
 from .stirling import stirling_exact
 
 _WINDOW_C = 1.0  # estimate_middle_crossing: the constant C of the window I2
-
-
-def _as_path(y):
-    """Normalize a completion path to 1-based values y_1..y_N."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim != 1 or len(y) == 0:
-        raise ValueError("completion path must be a 1-d sequence")
-    if y[0] == 0:
-        y = y[1:]
-    return y
 
 
 def _dyck_flags(Z, k, n):
@@ -53,49 +42,23 @@ def _frequency(hits, trials):
 
 
 def dyck_check(y, k):
-    """True iff y_{l k + 1} >= l + 1 for all l in [0, n-1]."""
+    """True iff y_{l k + 1} >= l + 1 for all l in [0, n-1].
+
+    y is y_1..y_N; a leading y_0 = 0 is dropped.
+    """
     k = int(k)
     if k < 1:
         raise ValueError("dyck_check: k must be >= 1")
-    y = _as_path(y)
+    y = np.asarray(y, dtype=np.int64)
+    if y.ndim == 1 and len(y) and y[0] == 0:
+        y = y[1:]
+    if y.ndim != 1 or len(y) == 0:
+        raise ValueError("dyck_check: need a nonempty 1-d path")
     N = len(y)
     n = int(y[-1])
     if N != k * n + 1:
         raise ValueError("dyck_check: path length %d != k*n+1 = %d" % (N, k * n + 1))
     return bool(_dyck_flags(np.concatenate(([0], y))[None, ::-1], k, n)[0])
-
-
-@dataclass
-class BoxedDiagram:
-    """Completion path plus one mark x_i <= y_i per column."""
-    k: int
-    n: int
-    y: np.ndarray = field(repr=False)      # y_1..y_N
-    marks: np.ndarray = field(repr=False)  # x_1..x_N
-
-    @property
-    def N(self):
-        return self.k * self.n + 1
-
-    @property
-    def dyck(self):
-        return dyck_check(self.y, self.k)
-
-    def validate(self):
-        y = _as_path(self.y)
-        x = np.asarray(self.marks, dtype=np.int64)
-        if len(y) != self.N or len(x) != self.N or y[-1] != self.n:
-            raise ValueError("BoxedDiagram: shape mismatch")
-        d = np.diff(np.concatenate(([0], y)))
-        if np.any((d != 0) & (d != 1)):
-            raise ValueError("BoxedDiagram: path must have unit increments")
-        if np.any(x < 1) or np.any(x > y):
-            raise ValueError("BoxedDiagram: marks must satisfy 1 <= x_i <= y_i")
-        # the mark at the column where level l is first reached must be l
-        firsts = np.nonzero(d == 1)[0]
-        if np.any(x[firsts] != y[firsts]):
-            raise ValueError("BoxedDiagram: first-reach marks must equal the level")
-        return self
 
 
 def surjection_to_diagram(word, n):
@@ -128,9 +91,12 @@ def structure_from_diagram(marks, k, n):
     out-edges in alphabet order.  Returns (initial_state, delta) with
     delta[l, c] = target of letter c+1 from state l (row 0 unused).
     """
-    marks = np.asarray(marks, dtype=np.int64)
+    raw = np.asarray(marks)
+    marks = raw.astype(np.int64)
     if len(marks) != k * n + 1:
         raise ValueError("structure_from_diagram: need k*n+1 marks")
+    if np.any(marks != raw) or np.any((marks < 1) | (marks > n)):
+        raise ValueError("structure_from_diagram: marks must be integers in [1..n]")
     initial = int(marks[0])
     delta = np.zeros((n + 1, k), dtype=np.int64)
     for l in range(1, n + 1):

@@ -21,7 +21,6 @@ run in forked worker processes.
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,29 +44,6 @@ def auto_backend(N, n):
     if n <= 5000:
         return LogDPBackend()
     raise ValueError("auto_backend: n=%d too large (max 5000 via LogDP)" % n)
-
-
-@dataclass
-class Trajectory:
-    """One realization of the reversed chain, with provenance."""
-    N: int
-    n: int
-    seed: int
-    z: np.ndarray = field(repr=False)
-
-    @property
-    def y(self):
-        """Forward completion path: y_l = z[N - l]."""
-        return self.z[::-1]
-
-    def validate(self):
-        z = self.z
-        if len(z) != self.N + 1 or z[0] != self.n or z[-1] != 0:
-            raise ValueError("Trajectory: endpoint invariants violated")
-        d = np.diff(z)
-        if np.any((d != 0) & (d != -1)) or int((d == -1).sum()) != self.n:
-            raise ValueError("Trajectory: increments must be 0/-1 with n decrements")
-        return self
 
 
 def _substreams(seed):
@@ -230,12 +206,6 @@ def _gather(parts, starts, counts, N, reduce):
     return Z
 
 
-def sample_conditioned(N, n, seed=0):
-    """One conditioned trajectory, drawn from sub-stream (seed, 0)."""
-    Z = conditioned_paths(N, n, 1, seed=seed)
-    return Trajectory(N=N, n=n, seed=int(seed), z=Z[0].copy()).validate()
-
-
 def sample_patient(n, seed=0):
     """Unconditioned collector run: returns (y_0..y_T, T_n).
 
@@ -298,23 +268,14 @@ def rejection_paths(N, n, count, seed=0):
     return Y[:, ::-1].astype(np.int32)
 
 
-def _check_curve_matches(curve, N, n):
+def sup_distances_of(Z, curve, N, n):
+    """sup over the curve grid of |y_{floor(n x)}/n - zeta(nu, x)| for each
+    row of a batch Z from conditioned_paths; the curve's nu must be (N-n)/n."""
     if N <= n:
         raise ValueError("sup_distance: need N > n (Lambda > 0)")
     nu = (N - n) / n
     if abs(curve.nu - nu) > 1e-9:
         raise ValueError("sup_distance: curve nu=%r but (N-n)/n=%r" % (curve.nu, nu))
-    return nu
-
-
-def sup_distance(traj, curve):
-    """sup over the curve grid of |y_{floor(n x)}/n - zeta(nu, x)|."""
-    return float(sup_distances_of(traj.z[None, :], curve, traj.N, traj.n)[0])
-
-
-def sup_distances_of(Z, curve, N, n):
-    """Vectorized sup_distance for a batch array from conditioned_paths."""
-    _check_curve_matches(curve, N, n)
     idx = np.clip(np.floor(n * curve.xs + 1e-9).astype(np.int64), 0, N)
     vals = Z[:, N - idx] / n
     return np.max(np.abs(vals - curve.ys[None, :]), axis=1)

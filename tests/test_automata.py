@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from coupons import (BoxedDiagram, NumericsError, ResourceCapError,
+from coupons import (NumericsError, ResourceCapError,
                      bfs_accessible, dyck_check,
                      estimate_accessibility, estimate_middle_crossing,
                      exact_accessible_count, korshunov_constant,
@@ -35,6 +35,8 @@ def test_dyck_shape_errors():
         dyck_check([1, 2, 2], 0)
     with pytest.raises(ValueError):
         dyck_check([[1, 2], [2, 3]], 2)
+    with pytest.raises(ValueError):
+        dyck_check([0], 2)  # empty once y_0 is dropped
 
 
 def test_dyck_fastest_and_slowest_paths():
@@ -107,14 +109,28 @@ def test_diagram_classes_have_size_n_factorial():
 
 
 def test_boxed_diagram_validate():
+    # every surjective word on [3]^7 gives a boxed diagram: a unit-step path
+    # ending at n, marks 1 <= x_i <= y_i, and mark = level where it is first reached
+    n, N = 3, 7
+    for w in product(range(1, n + 1), repeat=N):
+        if len(set(w)) != n:
+            continue
+        y, marks = surjection_to_diagram(list(w), n)
+        assert len(y) == len(marks) == N and y[-1] == n
+        d = np.diff(y, prepend=0)
+        assert np.all((d == 0) | (d == 1))
+        assert np.all((1 <= marks) & (marks <= y))
+        firsts = d == 1
+        assert np.array_equal(marks[firsts], y[firsts])
     y, marks = surjection_to_diagram([1, 2, 1, 2, 3, 1, 3], 3)
-    d = BoxedDiagram(k=2, n=3, y=y, marks=marks).validate()
-    assert d.N == 7 and d.dyck
-    bad = BoxedDiagram(k=2, n=3, y=y, marks=np.where(marks == 3, 9, marks))
-    with pytest.raises(ValueError):
-        bad.validate()
-    with pytest.raises(ValueError):
-        BoxedDiagram(k=2, n=3, y=y[:5], marks=marks[:5]).validate()
+    assert dyck_check(y, 2) and bfs_accessible(marks, 2, 3)
+
+
+def test_bfs_rejects_marks_outside_the_states():
+    for marks in ([1, 0, 1], [1, 5, 1], [1, 1.7, 2]):  # k = 1, n = 2
+        with pytest.raises(ValueError, match=r"integers in \[1\.\.n\]"):
+            bfs_accessible(marks, 1, 2)
+    assert bfs_accessible([1, 2, 1], 1, 2) and not bfs_accessible([1, 1, 2], 1, 2)
 
 
 def test_dyck_iff_bfs_accessible():

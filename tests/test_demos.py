@@ -17,3 +17,12 @@ def test_demo_runs(path):
     r = subprocess.run([sys.executable, path], capture_output=True, text=True,
                        env=env, cwd=ROOT)
     assert r.returncode == 0, r.stderr
+    # numpy 2 reprs scalars as np.int64(1): a demo must print plain numbers
+    assert "np.int64(" not in r.stdout and "np.float64(" not in r.stdout
+
+
+def test_readme_quick_start_runs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    start = readme.index("```python\n", readme.index("## Quick start")) + len("```python\n")
+    exec(compile(readme[start:readme.index("```", start)], "README Quick start", "exec"), {})

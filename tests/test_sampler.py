@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from coupons import (ExactBackend, LogDPBackend, Trajectory, auto_backend,
+from coupons import (ExactBackend, LogDPBackend, auto_backend,
                      conditioned_paths, prefix_law, rejection_paths,
-                     sample_conditioned, sample_patient,
-                     solve_completion_curve, sup_distance, sup_distance_batch,
+                     sample_patient, solve_completion_curve, sup_distance_batch,
                      transition_error)
 
 from coupons import sampler
@@ -39,18 +38,18 @@ def _path_ids(Z, s=None):
 # --- degenerate cases -----------------------------------------------------
 
 def test_staircase_when_N_equals_n():
-    tr = sample_conditioned(6, 6, seed=4)
-    assert np.array_equal(tr.z, np.arange(6, -1, -1))
+    z = conditioned_paths(6, 6, 1, seed=4)[0]
+    assert np.array_equal(z, np.arange(6, -1, -1))
 
 
 def test_n_one_waits_until_the_end():
-    tr = sample_conditioned(9, 1, seed=4)
-    assert np.array_equal(tr.z, np.array([1] * 9 + [0]))
+    z = conditioned_paths(9, 1, 1, seed=4)[0]
+    assert np.array_equal(z, np.array([1] * 9 + [0]))
 
 
 def test_argument_errors():
     with pytest.raises(ValueError):
-        sample_conditioned(3, 4)
+        conditioned_paths(3, 4, 1, seed=0)
     with pytest.raises(ValueError):
         conditioned_paths(5, 2, 0)
 
@@ -72,9 +71,8 @@ def test_seed_determinism_and_substreams():
     # jobs must not change anything
     d = conditioned_paths(40, 17, 50, seed=123, jobs=4)
     assert np.array_equal(a, d)
-    # single-trajectory API equals row 0 of the batch
-    tr = sample_conditioned(40, 17, seed=123)
-    assert np.array_equal(tr.z, a[0])
+    # a batch of one equals row 0 of the batch
+    assert np.array_equal(conditioned_paths(40, 17, 1, seed=123)[0], a[0])
 
 
 # N = 2001 gives chunks of 1998 rows: 4100 trials cross two chunk boundaries
@@ -466,18 +464,17 @@ def test_sup_distance_of_rounded_curve():
         y[l] = int(round(n * c.y_at(min(l / n, 2.0))))
     y[:200] = np.minimum(np.arange(200), y[200])
     y = np.maximum.accumulate(y)
-    tr = Trajectory(N=N, n=n, seed=0, z=y[::-1].copy())
-    assert sup_distance(tr, c) <= 1.0 / n + c.step
+    assert sup_distances_of(y[None, ::-1], c, N, n)[0] <= 1.0 / n + c.step
 
 
 def test_sup_distance_domain_checks():
     c = solve_completion_curve(1.0, 0.2, richardson_check=False)
-    tr = sample_conditioned(15, 5, seed=0)
-    with pytest.raises(ValueError):
-        sup_distance(tr, c)  # nu mismatch
-    stair = Trajectory(N=5, n=5, seed=0, z=np.arange(5, -1, -1))
-    with pytest.raises(ValueError):
-        sup_distance(stair, c)  # Lambda = 0
+    Z = conditioned_paths(15, 5, 1, seed=0)
+    with pytest.raises(ValueError, match="curve nu"):
+        sup_distances_of(Z, c, 15, 5)  # nu mismatch
+    stair = np.arange(5, -1, -1)[None, :]
+    with pytest.raises(ValueError, match="Lambda > 0"):
+        sup_distances_of(stair, c, 5, 5)  # Lambda = 0
 
 
 def test_sup_distance_batch_record():
