@@ -10,9 +10,8 @@ Pollaczek-Khinchine identity for a negative-drift walk.
 """
 
 from coupons import (bfs_accessible, dyck_check, estimate_accessibility,
-                     exact_accessible_count, korshunov_constant,
-                     pollaczek_crossing, simulate_walk_max,
-                     surjection_to_diagram)
+                     exact_accessible_count, f_drift, korshunov_constant,
+                     simulate_walk_max, surjection_to_diagram)
 
 # --- one word, two tests ---------------------------------------------------------
 
@@ -46,7 +45,10 @@ for n in (10, 100, 1000):
 
 # --- the queueing route -------------------------------------------------------------
 
-pi0, nc = pollaczek_crossing(2)
+# steps -1 (prob 1-rho) and +1 (prob rho): pi0 = -drift/(1-rho), and the
+# walk never crosses 0 with probability (1-rho) pi0 = 1 - 2 rho
+rho = f_drift(1.0)
+pi0, nc = (1.0 - 2.0 * rho) / (1.0 - rho), 1.0 - 2.0 * rho
 est, se = simulate_walk_max(2, 200000, horizon=500, seed=4)
 print("\nPollaczek-Khinchine: pi0 = %.6f, non-crossing = %.6f" % (pi0, nc))
 print("walk-maximum simulation: %.6f +- %.6f" % (est, 2 * se))

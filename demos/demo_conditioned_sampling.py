@@ -14,8 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from coupons import (conditioned_paths, prefix_law, rejection_paths,
-                     sample_patient, transition_error)
+from coupons import (conditioned_paths, prefix_law, sample_patient,
+                     transition_error)
 
 # --- tiny case: enumerate every word, compare with the chain ---------------------
 
@@ -38,11 +38,6 @@ print("%6s %22s %10s %10s" % ("rank", "path", "exact", "sampled"))
 for i, (path, c) in enumerate(sorted(law.items(), key=lambda kv: -kv[1])[:5]):
     print("%6d %22s %10.5f %10.5f"
           % (i + 1, "".join(map(str, path)), c / total, emp[path] / len(Z)))
-
-# rejection sampling from raw words gives the same law, at exponential cost
-Zr = rejection_paths(N, n, 50000, seed=2)
-print("rejection route, same top path frequency: %.5f"
-      % (Counter(tuple(z[::-1][1:]) for z in Zr).most_common(1)[0][1] / len(Zr)))
 
 # --- the conditioned chain is locally almost i.i.d. ------------------------------
 

@@ -11,14 +11,12 @@ from .stirling import (ExactBackend, LogDPBackend, chi, psi_log,
 from .curve import (Curve, curve_to_csv, envelope, lambda_along,
                     patient_curve, solve_completion_curve, strip_clearance)
 from .sampler import (auto_backend, conditioned_paths, prefix_law,
-                      rejection_paths, sample_patient, sup_distance_batch,
-                      sup_distances_of)
+                      sample_patient, sup_distance_batch, sup_distances_of)
 from .automata import (bfs_accessible, dyck_check,
                        estimate_accessibility, estimate_middle_crossing,
                        exact_accessible_count, korshunov_constant,
-                       korshunov_report, pollaczek_crossing,
-                       simulate_walk_max, structure_from_diagram,
-                       surjection_to_diagram)
+                       korshunov_report, simulate_walk_max,
+                       structure_from_diagram, surjection_to_diagram)
 
 __version__ = "0.1.0"
 
@@ -32,12 +30,11 @@ __all__ = [
     "surjection_log_probability", "transition_error",
     "Curve", "curve_to_csv", "envelope", "lambda_along", "patient_curve",
     "solve_completion_curve", "strip_clearance",
-    "auto_backend", "conditioned_paths", "prefix_law", "rejection_paths",
-    "sample_patient", "sup_distance_batch", "sup_distances_of",
+    "auto_backend", "conditioned_paths", "prefix_law", "sample_patient",
+    "sup_distance_batch", "sup_distances_of",
     "bfs_accessible", "dyck_check",
     "estimate_accessibility", "estimate_middle_crossing",
     "exact_accessible_count", "korshunov_constant", "korshunov_report",
-    "pollaczek_crossing", "simulate_walk_max", "structure_from_diagram",
-    "surjection_to_diagram",
+    "simulate_walk_max", "structure_from_diagram", "surjection_to_diagram",
     "__version__",
 ]

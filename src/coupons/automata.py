@@ -148,25 +148,6 @@ def korshunov_constant(k):
     return 1.0 - k * f_drift(k - 1.0)
 
 
-def pollaczek_crossing(k):
-    """Stationary-queue route to the same constant.
-
-    For the walk with steps -1 (prob 1-rho) and k-1 (prob rho),
-    rho = rho(k), the no-crossing probability is (1-rho) pi0 with
-    pi0 = -drift/(1-rho).  Returns (pi0, non_crossing).
-    """
-    k = int(k)
-    if k < 2:
-        raise ValueError("pollaczek_crossing: need k >= 2")
-    rho = f_drift(k - 1.0)
-    d = k * rho - 1.0
-    pi0 = -d / (1.0 - rho)
-    non_crossing = (1.0 - rho) * pi0
-    if abs(non_crossing - korshunov_constant(k)) > 1e-12:
-        raise NumericsError("pollaczek route disagrees with the direct constant")
-    return pi0, non_crossing
-
-
 def simulate_walk_max(k, runs, horizon=500, seed=0):
     """Empirical P(max of the mu_k walk over `horizon` steps is <= 0).
 
@@ -252,10 +233,12 @@ def estimate_middle_crossing(k, n, trials, seed=0):
 def korshunov_report(k, n, trials, seed=0, jobs=1):
     """JSON-ready experiment record comparing Monte Carlo to the constants."""
     est, se = estimate_accessibility(k, n, trials, seed=seed, jobs=jobs)
-    pi0, _ = pollaczek_crossing(k)
+    k = int(k)
+    rho = f_drift(k - 1.0)
     return {
-        "k": int(k), "n": int(n), "trials": int(trials), "seed": int(seed),
+        "k": k, "n": int(n), "trials": int(trials), "seed": int(seed),
         "estimate": est, "stderr": se,
         "korshunov": korshunov_constant(k),
-        "pollaczek_pi0": pi0,
+        # pi0 = -drift/(1-rho) of the walk with steps -1 and k-1
+        "pollaczek_pi0": (1.0 - k * rho) / (1.0 - rho),
     }

@@ -12,7 +12,7 @@ class NumericsError(RuntimeError):
 
 
 class QuadratureError(NumericsError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
+    """Quadrature rounds did not agree to tolerance before the panel cap."""
 
 
 class ResourceCapError(RuntimeError):

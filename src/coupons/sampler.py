@@ -233,41 +233,6 @@ def sample_patient(n, seed=0):
     return np.concatenate(([0], y[:T])), T
 
 
-def rejection_paths(N, n, count, seed=0):
-    """Uniform words over [1..n]^N filtered to surjections; reversed paths.
-
-    Returns an int32 array (count, N+1) in the same orientation as
-    conditioned_paths.  Independent of the Markov-chain route — this is
-    the direct-conditioning oracle.
-    """
-    if not (1 <= n <= N):
-        raise ValueError("rejection_paths: need 1 <= n <= N")
-    if n > 30:
-        raise ValueError("rejection_paths: n too large for word enumeration")
-    max_attempts = max(1000 * count, 100000)
-    rng = _rng(seed, 0)
-    got, attempts = [], 0
-    have = 0
-    while have < count:
-        if attempts >= max_attempts:
-            raise RuntimeError(
-                "rejection_paths: %d attempts exhausted with %d/%d accepted"
-                % (attempts, have, count))
-        m = min(8192, max_attempts - attempts)
-        W = rng.integers(1, n + 1, size=(m, N))
-        attempts += m
-        srt = np.sort(W, axis=1)
-        surj = (np.count_nonzero(np.diff(srt, axis=1), axis=1) + 1) == n
-        acc = W[surj]
-        if len(acc):
-            got.append(acc[:count - have])
-            have += len(got[-1])
-    W = np.concatenate(got)
-    seen = np.logical_or.accumulate(W[:, :, None] == np.arange(1, n + 1), axis=1)
-    Y = np.pad(seen.sum(axis=2), ((0, 0), (1, 0)))  # forward paths, y_0 = 0
-    return Y[:, ::-1].astype(np.int32)
-
-
 def sup_distances_of(Z, curve, N, n):
     """sup over the curve grid of |y_{floor(n x)}/n - zeta(nu, x)| for each
     row of a batch Z from conditioned_paths; the curve's nu must be (N-n)/n."""

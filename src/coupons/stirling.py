@@ -38,6 +38,7 @@ can reach, max(1, m - (N - n)) <= l <= min(m, n) in row m, and is 0 off
 it: each step lowers l by at most one, so after t steps l >= n - t.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -47,6 +48,7 @@ from .specialfn import _g_at, f_drift, saddle_params, tail_h
 
 DEFAULT_EXACT_CAP = 5000
 _SURJECTION_EXACT_CAP = 3000  # surjection_log_probability: big integers up to this N
+_PANELS = [16 << i for i in range(9)]  # _quad: panel counts 16, 32, ..., 4096
 _LN2 = math.log(2.0)
 
 
@@ -321,16 +323,33 @@ def surjection_log_probability(N, n):
     return math.lgamma(n + 1) + lns - N * math.log(n)
 
 
+@functools.cache
+def _gauss_legendre():
+    # built on first use: numpy.polynomial is not imported with the package
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(64)
+
+
 def _quad(f, a, b):
-    import scipy.integrate  # deferred: costs ~1 s of import, used only here
-    out = scipy.integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-11,
-                               limit=300, full_output=1)
-    if len(out) > 3:
-        val, err = out[0], out[1]
-        # quad flagged trouble; accept only if the error estimate is still tiny
-        if not (err <= 1e-9 * max(1.0, abs(val))):
-            raise QuadratureError("quadrature failed on [%g, %g]: %s" % (a, b, out[-1]))
-    return out[0], out[1]
+    """Int_a^b f by composite 64-node Gauss-Legendre on equal panels.
+
+    f maps an array of nodes to values.  The panel count doubles from 16
+    until two rounds differ by at most 1e-10 Int|f| (taken on the finer
+    nodes, so a cancelling integrand is judged by its magnitude), and
+    QuadratureError is raised if that has not happened by 4096 panels.
+    """
+    x, w = _gauss_legendre()
+    prev = None
+    for panels in _PANELS:
+        half = 0.5 * (b - a) / panels
+        mids = a + half * np.arange(1, 2 * panels, 2)
+        terms = f(mids[:, None] + half * x) * (half * w)
+        val = float(terms.sum())
+        if prev is not None and abs(val - prev) <= 1e-10 * float(np.abs(terms).sum()):
+            return val
+        prev = val
+    raise QuadratureError("quadrature failed on [%g, %g]: no agreement by %d panels"
+                          % (a, b, _PANELS[-1]))
 
 
 def saddle_diagnostics(lam, l):
@@ -344,14 +363,14 @@ def saddle_diagnostics(lam, l):
     lam = float(lam)
     if lam <= 0.0:
         raise ValueError("saddle_diagnostics: lambda must be > 0")
-    if l < 10:
-        raise ValueError("saddle_diagnostics: need l >= 10")
+    if not (math.isfinite(l) and l >= 10):
+        raise ValueError("saddle_diagnostics: need finite l >= 10")
     sp = saddle_params(lam)
     theta0 = math.log(l) / math.sqrt(l)
 
-    central, _ = _quad(lambda th: 2.0 * (_g_at(lam, sp.xi, th) ** l).real, 0.0, theta0)
-    tail, _ = _quad(lambda th: 2.0 * (_g_at(lam, sp.xi, th) ** l).real, theta0, math.pi)
-    tail_abs, _ = _quad(lambda th: 2.0 * abs(_g_at(lam, sp.xi, th)) ** l, theta0, math.pi)
+    central = _quad(lambda th: 2.0 * (_g_at(lam, sp.xi, th) ** l).real, 0.0, theta0)
+    tail = _quad(lambda th: 2.0 * (_g_at(lam, sp.xi, th) ** l).real, theta0, math.pi)
+    tail_abs = _quad(lambda th: 2.0 * abs(_g_at(lam, sp.xi, th)) ** l, theta0, math.pi)
 
     central_ref = math.sqrt(math.pi / (sp.v * l))
     rel = abs(central - central_ref) / central_ref

@@ -5,10 +5,14 @@ xi comes from plain interval bisection (not Newton, not Lambert W),
 partition counts from explicit enumeration (not the DP recurrence),
 path laws from exhaustive word enumeration, derivatives from finite
 differences, the rate function from 50-digit arithmetic on the raw
-displayed formula, and sampler rows from a freshly built Philox
-generator and a scalar chain walk (not the chunked, re-keyed vector
-loop), and the walk's no-crossing probability from a killed-walk DP
-(not sampled walks).  The exceptions are frozen copies of earlier
+displayed formula, sampler rows from a freshly built Philox generator
+and a scalar chain walk (not the chunked, re-keyed vector loop),
+conditioned paths also from raw words by rejection (`rejection_paths`,
+not the chain), the walk's no-crossing probability from a killed-walk
+DP (not sampled walks) and from the Pollaczek-Khinchine identity on the
+bisection xi (`pollaczek_crossing`), and the saddle integral's tail mass
+from mpmath quadrature on graded panels (`tail_abs_reference`, not
+Gauss-Legendre).  The exceptions are frozen copies of earlier
 library code that pin the bits a faster route must reproduce: `xi_newton_reference`, the
 plain 100-iteration Newton loop its cycle exit must match, and
 `logdp_log_table_reference` with `logdp_ratio_table_reference`, the
@@ -132,6 +136,43 @@ def reversed_chain_reference(rtab, N, n, seed, index):
     return z
 
 
+def rejection_paths(N, n, count, seed=0):
+    """Uniform words over [1..n]^N filtered to surjections; reversed paths.
+
+    Returns an int32 array (count, N+1) in the same orientation as
+    conditioned_paths.  Independent of the Markov-chain route: this is
+    the direct-conditioning oracle.  The words come from the Philox
+    stream keyed seed * 2^64, sub-stream 0 of the sampler's keying.
+    """
+    import numpy as np
+    if not (1 <= n <= N):
+        raise ValueError("rejection_paths: need 1 <= n <= N")
+    if n > 30:
+        raise ValueError("rejection_paths: n too large for word enumeration")
+    max_attempts = max(1000 * count, 100000)
+    rng = np.random.Generator(np.random.Philox(key=seed << 64))
+    got, attempts = [], 0
+    have = 0
+    while have < count:
+        if attempts >= max_attempts:
+            raise RuntimeError(
+                "rejection_paths: %d attempts exhausted with %d/%d accepted"
+                % (attempts, have, count))
+        m = min(8192, max_attempts - attempts)
+        W = rng.integers(1, n + 1, size=(m, N))
+        attempts += m
+        srt = np.sort(W, axis=1)
+        surj = (np.count_nonzero(np.diff(srt, axis=1), axis=1) + 1) == n
+        acc = W[surj]
+        if len(acc):
+            got.append(acc[:count - have])
+            have += len(got[-1])
+    W = np.concatenate(got)
+    seen = np.logical_or.accumulate(W[:, :, None] == np.arange(1, n + 1), axis=1)
+    Y = np.pad(seen.sum(axis=2), ((0, 0), (1, 0)))  # forward paths, y_0 = 0
+    return Y[:, ::-1].astype(np.int32)
+
+
 def walk_max_reference(k, rho, horizon):
     """P(S_t <= 0 for t = 1..horizon) for the walk with steps -1 (prob 1-rho), k-1 (rho).
 
@@ -150,6 +191,40 @@ def walk_max_reference(k, rho, horizon):
         q[:len(p) - up] += rho * p[up:]
         p = q
     return float(p.sum())
+
+
+def pollaczek_crossing(k):
+    """(pi0, non_crossing) of the walk with steps -1 (prob 1-rho), k-1 (rho).
+
+    Stationary-queue route to Korshunov's constant, with rho = e^-xi(k-1)
+    from `xi_bisect`: pi0 = -drift/(1-rho) and the no-crossing
+    probability is (1-rho) pi0.
+    """
+    rho = math.exp(-xi_bisect(k - 1.0))
+    pi0 = -(k * rho - 1.0) / (1.0 - rho)
+    return pi0, (1.0 - rho) * pi0
+
+
+def tail_abs_reference(lam, l, panels=80, dps=20):
+    """Int_{theta0}^{pi} 2 |g(theta)|^l dtheta, theta0 = ln(l)/sqrt(l), in mpmath.
+
+    The tail mass of `saddle_diagnostics`, with xi from `xi_bisect` and
+    mpmath's own quadrature on panels graded cubically towards theta0,
+    where the integrand is largest.
+    """
+    import mpmath
+    with mpmath.workdps(dps):
+        xi = mpmath.mpf(xi_bisect(float(lam)))
+        rho = mpmath.exp(-xi)
+        th0 = mpmath.log(l) / mpmath.sqrt(l)
+
+        def f(th):
+            g = (mpmath.exp(xi * (mpmath.expj(th) - 1)) - rho) / (1 - rho)
+            return 2 * mpmath.exp(l * mpmath.log(abs(g)))
+
+        pts = [th0 + (mpmath.pi - th0) * (mpmath.mpf(i) / panels) ** 3
+               for i in range(panels + 1)]
+        return float(mpmath.quad(f, pts))
 
 
 def set_partition_count(m, l):

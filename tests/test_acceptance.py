@@ -16,7 +16,7 @@ import scipy.stats
 
 from coupons import (ExactBackend, chi, conditioned_paths, envelope,
                      estimate_accessibility, exact_accessible_count, g_theta,
-                     korshunov_constant, pollaczek_crossing, psi_log_forms,
+                     korshunov_constant, psi_log_forms,
                      rate_j, saddle_params, simulate_walk_max,
                      solve_completion_curve, stirling_exact,
                      sup_distance_batch, surjection_log_probability, tail_h,
@@ -24,7 +24,7 @@ from coupons import (ExactBackend, chi, conditioned_paths, envelope,
 from coupons.cli import main as cli_main
 
 from oracles import (enumerate_surjective_paths, fd_derivatives_123_4,
-                     set_partition_count, xi_bisect)
+                     pollaczek_crossing, set_partition_count, xi_bisect)
 
 CRITERIA = {
     1: "stirling_exact matches set-partition enumeration for all m <= 10",

@@ -9,10 +9,11 @@ from coupons import (NumericsError, ResourceCapError,
                      bfs_accessible, dyck_check,
                      estimate_accessibility, estimate_middle_crossing,
                      exact_accessible_count, korshunov_constant,
-                     korshunov_report, pollaczek_crossing,
-                     simulate_walk_max, stirling_exact, surjection_to_diagram)
+                     korshunov_report, simulate_walk_max, stirling_exact,
+                     surjection_to_diagram)
 
-from oracles import enumerate_surjective_paths, walk_max_reference, xi_bisect
+from oracles import (enumerate_surjective_paths, pollaczek_crossing,
+                     walk_max_reference, xi_bisect)
 
 PI0_K2 = 0.7449990250840247
 
@@ -232,9 +233,12 @@ def test_estimate_accessibility_against_enumeration():
 
 
 def test_estimate_accessibility_approaches_constant():
-    # finite-n estimate should already be near the k=2 limit at n=300
+    # finite-n estimate should already be near the k=2 limit at n=300,
+    # and within sampling error of the exact P_300
     est, se = estimate_accessibility(2, 300, 20000, seed=6)
     assert abs(est - korshunov_constant(2)) <= 0.05
+    acc, surj = exact_accessible_count(2, 300)
+    assert abs(est - acc / surj) <= 4.0 * se
 
 
 def test_estimate_accessibility_memory_flat_in_trials():

@@ -14,8 +14,7 @@ import pytest
 import scipy.stats
 
 from coupons import (ExactBackend, LogDPBackend, auto_backend,
-                     conditioned_paths, prefix_law, rejection_paths,
-                     sample_patient, solve_completion_curve, sup_distance_batch,
+                     conditioned_paths, prefix_law, sample_patient, solve_completion_curve, sup_distance_batch,
                      transition_error)
 
 from coupons import sampler
@@ -24,7 +23,7 @@ from coupons.errors import NumericsError
 from coupons.sampler import _rng, _substreams, sup_distances_of
 
 from oracles import (enumerate_surjective_paths, reachable_states,
-                     reversed_chain_reference)
+                     rejection_paths, reversed_chain_reference)
 
 
 def _path_ids(Z, s=None):

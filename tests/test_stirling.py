@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coupons import (ExactBackend, LogDPBackend, ResourceCapError, chi,
-                     psi_log, psi_log_forms, saddle_diagnostics,
-                     stirling_exact, surjection_log_probability,
-                     transition_error)
-from coupons.stirling import _log_big, _rows
+from coupons import (ExactBackend, LogDPBackend, QuadratureError,
+                     ResourceCapError, chi, psi_log, psi_log_forms,
+                     saddle_diagnostics, stirling_exact,
+                     surjection_log_probability, transition_error)
+from coupons.stirling import _log_big, _quad, _rows
 
 from oracles import (logdp_log_table_reference, logdp_ratio_table_reference,
-                     reachable_states, set_partition_count)
+                     reachable_states, set_partition_count,
+                     tail_abs_reference)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -294,6 +295,26 @@ def test_saddle_diagnostics_lambda_one():
         saddle_diagnostics(1.0, 5)
     with pytest.raises(ValueError):
         saddle_diagnostics(0.0, 100)
+    for l in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            saddle_diagnostics(1.0, l)
+
+
+def test_saddle_tail_mass_matches_mpmath():
+    # the tail mass sits in a narrow peak at theta0; at these points an
+    # adaptive quadrature that misses the peak is off by 1e2-1e5
+    for lam, l in ((5.0, 2000), (1.0, 100000)):
+        got = saddle_diagnostics(lam, l)["tail_abs"]
+        ref = tail_abs_reference(lam, l)
+        assert abs(got - ref) <= 1e-8 * ref, (lam, l, got, ref)
+
+
+def test_quadrature_fails_loudly_on_a_step():
+    # a jump inside a panel limits every round to O(panel width) error, so
+    # the rounds never agree to 1e-10
+    assert abs(_quad(lambda x: x * x, 0.0, 3.0) - 9.0) <= 1e-12
+    with pytest.raises(QuadratureError):
+        _quad(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0)
 
 
 def test_saddle_diagnostics_reconstructs_stirling():
