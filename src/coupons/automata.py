@@ -19,10 +19,9 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError
 from .sampler import _rng, conditioned_paths
 from .specialfn import f_drift
-from .stirling import stirling_exact
+from .stirling import _rows, stirling_exact
 
 _WINDOW_C = 1.0  # estimate_middle_crossing: the constant C of the window I2
 
@@ -176,31 +175,20 @@ def simulate_walk_max(k, runs, horizon=500, seed=0):
 def exact_accessible_count(k, n):
     """(accessible_count, surjective_count) among the n^(kn+1) words, exactly.
 
-    n! g_N(n) by g(j) <- g(j-1) + j g(j) per column, with g(j) zeroed for
-    j <= l after column lk+1 (the k-Dyck barrier); without the barrier the
-    roll must give n! {N n}, whose stirling_exact cap N <= 5000 applies.
+    n! g_N(n), g the band rows of {m j} from `stirling._rows` with g(j) zeroed
+    for j <= l after column lk+1 (the k-Dyck barrier), and n! {N n}, whose
+    stirling_exact cap N <= 5000 applies before the roll.
     """
     k = int(k)
     n = int(n)
     if k < 2 or n < 2:
         raise ValueError("exact_accessible_count: need k >= 2 and n >= 2")
     N = k * n + 1
-    expected = math.factorial(n) * stirling_exact(N, n)
-
-    def roll(barrier):
-        g = [0, 1] + [0] * (n - 1)  # after column 1
-        for i in range(2, N + 1):
-            for j in range(min(i, n), 0, -1):
-                g[j] = g[j - 1] + j * g[j]
-            if barrier and i % k == 1 and i < N:  # column lk+1, l = i // k
-                g[:i // k + 1] = [0] * (i // k + 1)
-        return math.factorial(n) * g[n]
-
-    surjective = roll(False)
-    if surjective != expected:
-        raise NumericsError(
-            "surjective count %d != n!*stirling = %d" % (surjective, expected))
-    return roll(True), surjective
+    surjective = math.factorial(n) * stirling_exact(N, n)
+    for m, (_, _, row) in enumerate(_rows(N, n)):
+        if m % k == 1 and m < N:  # column lk+1 with l = m // k: zero levels j <= l
+            row[:m // k + 1] = [0] * (m // k + 1)
+    return math.factorial(n) * row[n], surjective
 
 
 def estimate_middle_crossing(k, n, trials, seed=0):

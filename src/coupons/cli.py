@@ -113,11 +113,17 @@ def _stirling_verify(lams, ells, out):
 
 def cmd_stirling(args):
     if args.verify:
-        return _stirling_verify(args.lams, args.ells, args.out)
+        if (args.m, args.l, args.cap) != (None, None, None):
+            raise ValueError("stirling --verify: takes no m, l or --cap")
+        return _stirling_verify(args.lams or [0.5, 1.0, 2.0],
+                                args.ells or [50, 100, 200, 400, 800], args.out)
     if args.m is None or args.l is None:
         raise ValueError("stirling: need m and l (or --verify)")
+    if args.lams or args.ells:
+        raise ValueError("stirling: --lams and --ells need --verify")
     m, l = args.m, args.l
-    val = stirling.stirling_exact(m, l, cap=args.cap)
+    cap = stirling.DEFAULT_EXACT_CAP if args.cap is None else args.cap
+    val = stirling.stirling_exact(m, l, cap=cap)
     lines = [str(val)]
     if 1 <= l < m:
         pl = stirling.psi_log(m, l)
@@ -131,7 +137,7 @@ def cmd_stirling(args):
 
 def cmd_simulate(args):
     rec = sampler.sup_distance_batch(args.N, args.n, args.trials, args.a,
-                                     seed=args.seed, jobs=args.jobs, step=args.step)
+                                     seed=args.seed, jobs=args.jobs)
     _emit(_jsonify(rec), args.out)
     return 0
 
@@ -177,11 +183,11 @@ def build_parser():
     ps = sub.add_parser("stirling", help="exact Stirling numbers and diagnostics")
     ps.add_argument("m", type=int, nargs="?", default=None)
     ps.add_argument("l", type=int, nargs="?", default=None)
-    ps.add_argument("--cap", type=_at_least(0), default=stirling.DEFAULT_EXACT_CAP)
+    ps.add_argument("--cap", type=_at_least(0), default=None)
     ps.add_argument("--verify", action="store_true",
                     help="emit the l|chi| and l|r-rho| bound table")
-    ps.add_argument("--lams", type=_list_of(finite), default=[0.5, 1.0, 2.0])
-    ps.add_argument("--ells", type=_list_of(int), default=[50, 100, 200, 400, 800])
+    ps.add_argument("--lams", type=_list_of(finite), default=None)
+    ps.add_argument("--ells", type=_list_of(int), default=None)
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_stirling)
 
@@ -192,7 +198,6 @@ def build_parser():
     pm.add_argument("--a", type=finite, required=True)
     pm.add_argument("--seed", type=_u64, default=0)
     pm.add_argument("--jobs", type=_at_least(1), default=1)
-    pm.add_argument("--step", type=finite, default=1e-3)
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_simulate)
 

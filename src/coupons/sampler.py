@@ -246,8 +246,8 @@ def sup_distances_of(Z, curve, N, n):
     return np.max(np.abs(vals - curve.ys[None, :]), axis=1)
 
 
-def sup_distance_batch(N, n, trials, a, seed=0, jobs=1, step=1e-3):
-    """Monte-Carlo batch of sup-distances against the solved limit curve.
+def sup_distance_batch(N, n, trials, a, seed=0, jobs=1):
+    """Monte-Carlo batch of sup-distances against the limit curve (RK4 step 1e-3).
 
     Returns the batch-statistics dict (JSON-ready): parameters, the
     per-trajectory distances, and quantiles.
@@ -255,7 +255,7 @@ def sup_distance_batch(N, n, trials, a, seed=0, jobs=1, step=1e-3):
     nu = (N - n) / n
     if nu <= 0.0:
         raise ValueError("sup_distance_batch: need N > n")
-    curve = solve_completion_curve(nu, a, step=step, richardson_check=False)
+    curve = solve_completion_curve(nu, a, step=1e-3, richardson_check=False)
     d = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
                           reduce=lambda Z: sup_distances_of(Z, curve, N, n))
     qs = np.quantile(d, [0.05, 0.25, 0.5, 0.75, 0.95])

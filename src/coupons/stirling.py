@@ -70,7 +70,9 @@ def _band(N, n):
 def _rows(N, n):
     """Rolling DP: yield (lo, hi, row) for rows m = 0..N of {m l} on the band.
 
-    Each row is a new list of length n+1, 0 off the band.
+    Each row is a new list of length n+1, 0 off the band, and row m+1 is
+    rolled from the list yielded as row m: zeros a caller writes into a
+    yielded row (an absorbing barrier) reach every later row.
     """
     band = _band(N, n)
     row = [1] + [0] * n  # {0 0} = 1
@@ -359,6 +361,10 @@ def saddle_diagnostics(lam, l):
     central part must reproduce the Gaussian value sqrt(pi/(v l)) to
     relative error 10/l, and the absolute tail mass must obey the
     2 pi l^{-h(xi) ln l} majorant; both are enforced here.
+    Use lambda >= 0.15: the window misses about erfc(sqrt(v) ln l) of the
+    Gaussian mass, over 10/l while v is small; for l = 100..10^5, l times
+    the central error measured at most 7.2 at lambda = 0.15, but 13.8 to
+    31.6 at lambda = 0.1, where every such l raises NumericsError.
     """
     lam = float(lam)
     if lam <= 0.0:

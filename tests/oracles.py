@@ -18,7 +18,9 @@ plain 100-iteration Newton loop its cycle exit must match, and
 `logdp_log_table_reference` with `logdp_ratio_table_reference`, the
 resident log table and vectorized ratio step that the rolling LogDP
 backend must match, and `rk4_path_reference`, the per-slope RK4 path
-whose bytes the batched-check curve solver must match.
+whose bytes the batched-check curve solver must match, and
+`accessible_count_reference`, the full-width in-place column roll whose
+integers the band-recurrence accessible count must match.
 
 Run `python tests/oracles.py` to regenerate the fine-step curve
 goldens (slow; the frozen values live in the tests).
@@ -244,6 +246,27 @@ def set_partition_count(m, l):
         return total
 
     return walk(1, 1)  # element 0 always opens block 1
+
+
+def accessible_count_reference(k, n):
+    """(accessible, surjective) word counts at N = kn+1 by the column roll.
+
+    n! g_N(n) by g(j) <- g(j-1) + j g(j) per column over every level, in
+    place, with g(j) zeroed for j <= l after column lk+1 (the k-Dyck
+    barrier) for the accessible count and no barrier for the surjective one.
+    """
+    N = k * n + 1
+
+    def roll(barrier):
+        g = [0, 1] + [0] * (n - 1)  # after column 1
+        for i in range(2, N + 1):
+            for j in range(min(i, n), 0, -1):
+                g[j] = g[j - 1] + j * g[j]
+            if barrier and i % k == 1 and i < N:  # column lk+1, l = i // k
+                g[:i // k + 1] = [0] * (i // k + 1)
+        return math.factorial(n) * g[n]
+
+    return roll(True), roll(False)
 
 
 def completion_path(word):

@@ -12,8 +12,8 @@ from coupons import (NumericsError, ResourceCapError,
                      korshunov_report, simulate_walk_max, stirling_exact,
                      surjection_to_diagram)
 
-from oracles import (enumerate_surjective_paths, pollaczek_crossing,
-                     walk_max_reference, xi_bisect)
+from oracles import (accessible_count_reference, enumerate_surjective_paths,
+                     pollaczek_crossing, walk_max_reference, xi_bisect)
 
 PI0_K2 = 0.7449990250840247
 
@@ -164,6 +164,14 @@ def test_exact_accessible_counts():
         assert exact_accessible_count(k, n) == (dyck, total), (k, n)
     # counted by enumerating all 5^11 words
     assert exact_accessible_count(2, 5) == (19281000, 29607600)
+
+
+def test_exact_count_matches_column_roll():
+    # the band recurrence with its barrier against the full-width in-place roll
+    for k in range(2, 7):
+        for n in range(2, 21):
+            assert exact_accessible_count(k, n) == accessible_count_reference(k, n), (k, n)
+    assert exact_accessible_count(2, 300) == accessible_count_reference(2, 300)
 
 
 def test_exact_count_resource_cap():

@@ -66,9 +66,7 @@ def test_nonfinite_floats_are_usage_errors():
                  ["stirling", "--verify", "--lams", "inf", "--ells", "10"],
                  ["stirling", "--verify", "--lams", "1,nan", "--ells", "10"],
                  ["ldp", "--nu", "inf"],
-                 ["simulate", "--N", "40", "--n", "20", "--trials", "2", "--a", "nan"],
-                 ["simulate", "--N", "40", "--n", "20", "--trials", "2", "--a", "0.2",
-                  "--step", "-inf"]):
+                 ["simulate", "--N", "40", "--n", "20", "--trials", "2", "--a", "nan"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -162,9 +160,10 @@ def test_stirling_stdout_digest(argv, capsys):
 
 
 def test_verify_route_equals_chi_and_transition_error():
-    # one pass per grid point gives the bits of the two separate routes
-    args = build_parser().parse_args(["stirling", "--verify"])
-    grid = [(int(round((1.0 + lam) * l)), l) for lam in args.lams for l in args.ells]
+    # one pass per grid point gives the bits of the two separate routes, on
+    # the default grid of `stirling --verify`
+    grid = [(int(round((1.0 + lam) * l)), l)
+            for lam in (0.5, 1.0, 2.0) for l in (50, 100, 200, 400, 800)]
     assert len(grid) == 15
     for m, l in grid:
         want = (chi(m, l), transition_error(m, l))
@@ -202,6 +201,19 @@ def test_stirling_solves_xi_once_per_lambda(monkeypatch, capsys):
 def test_stirling_missing_args():
     assert main(["stirling"]) == 2
     assert main(["stirling", "7"]) == 2
+
+
+def test_stirling_mixed_modes_are_usage_errors(capsys):
+    # a value and the verify table take disjoint inputs: none is dropped silently
+    for argv in (["stirling", "--verify", "5", "3"],
+                 ["stirling", "--verify", "7"],
+                 ["stirling", "5", "3", "--verify", "--cap", "1"],
+                 ["stirling", "--verify", "--cap", "6000"],
+                 ["stirling", "5", "3", "--lams", "1", "--ells", "10"],
+                 ["stirling", "5", "3", "--ells", "10"]):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("error: stirling"), argv
 
 
 def test_stirling_verify_table(tmp_path):
@@ -389,7 +401,7 @@ SUBCOMMAND_OPTIONS = {
     "curve": ["-h", "--help", "--nu", "--a", "--step", "--out"],
     "stirling": ["-h", "--help", "--cap", "--verify", "--lams", "--ells", "--out"],
     "simulate": ["-h", "--help", "--N", "--n", "--trials", "--a", "--seed", "--jobs",
-                 "--step", "--out"],
+                 "--out"],
     "korshunov": ["-h", "--help", "--k", "--n", "--trials", "--seed", "--jobs", "--out"],
     "ldp": ["-h", "--help", "--nu", "--n", "--out"],
 }

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coupons import (ExactBackend, LogDPBackend, QuadratureError,
+from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
                      ResourceCapError, chi, psi_log, psi_log_forms,
                      saddle_diagnostics, stirling_exact,
                      surjection_log_probability, transition_error)
@@ -122,6 +122,19 @@ def test_exact_routes_agree():
             want = float(Fraction(stirling_exact(m - 1, l - 1), stirling_exact(m, l)))
             assert R[m, l] == be.ratio(m, l) == want, (m, l)
     _assert_band(ExactBackend().ratio_table(60, 30), R, 60, 30)
+
+
+def test_rows_feed_a_zeroed_row_forward():
+    # row m+1 is rolled from the list yielded as row m: zeros written there
+    # (an absorbing barrier) reach every later row
+    for m, (_, _, row) in enumerate(_rows(8, 4)):
+        if m == 2:
+            row[:] = [0] * len(row)
+        elif m > 2:
+            assert not any(row), m
+    for m, (lo, hi, row) in enumerate(_rows(8, 4)):  # untouched: row 8 on its band
+        pass
+    assert (m, lo, hi) == (8, 4, 4) and row[4] == stirling_exact(8, 4)
 
 
 def test_explicit_sum_matches_recurrence():
@@ -315,6 +328,15 @@ def test_quadrature_fails_loudly_on_a_step():
     assert abs(_quad(lambda x: x * x, 0.0, 3.0) - 9.0) <= 1e-12
     with pytest.raises(QuadratureError):
         _quad(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0)
+
+
+def test_saddle_diagnostics_lambda_range():
+    # the central window misses about erfc(sqrt(v) ln l) of the Gaussian
+    # mass, above the 10/l budget at lambda = 0.1 (l * error 13.8 to 31.6)
+    for l in (100, 2000, 100000):
+        with pytest.raises(NumericsError, match="central saddle term"):
+            saddle_diagnostics(0.1, l)
+        assert saddle_diagnostics(0.15, l)["central_rel_err"] <= 10.0 / l
 
 
 def test_saddle_diagnostics_reconstructs_stirling():
