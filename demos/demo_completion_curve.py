@@ -32,7 +32,7 @@ for x in (0.25, 0.5, 1.0, 1.5, 2.0):
 # --- finite-n trajectories hug the curve ---------------------------------------
 
 print("\nsup-distance of sampled conditioned paths to the nu=1 curve:")
-curve = solve_completion_curve(1.0, a=0.2, richardson_check=False)
+curve = solve_completion_curve(1.0, a=0.2)
 for n in (250, 1000, 4000):
     N = 2 * n
     Z = conditioned_paths(N, n, 60, seed=42)

@@ -10,15 +10,15 @@ us watch the convergence digit by digit.
 
 import math
 
-from coupons import (f_drift, rate_j, saddle_params,
-                     surjection_log_probability, xi_of_lambda, xi_via_lambertw)
+from coupons import (f_drift, lambert_w0, rate_j, saddle_params,
+                     surjection_log_probability, xi_of_lambda)
 
 # --- the saddle point, two ways ---------------------------------------------------
 
 print("xi(lambda): Newton on xi = (1+lam)(1-e^-xi) vs the Lambert-W closed form")
 for lam in (0.1, 0.5, 1.0, 2.0, 5.0):
     a = xi_of_lambda(lam)
-    b = xi_via_lambertw(lam)
+    b = 1 + lam + lambert_w0(-(1 + lam) * math.exp(-1 - lam))
     print("  lam=%.1f  xi=%.15f  |route gap|=%.1e  drift F=%.6f"
           % (lam, a, abs(a - b), f_drift(lam)))
 

@@ -3,7 +3,7 @@ limiting completion curves, and random accessible automata."""
 
 from .errors import NumericsError, QuadratureError, ResourceCapError
 from .specialfn import (SaddleParams, f_drift, g_theta, lambert_w0, rate_j,
-                        saddle_params, tail_h, xi_of_lambda, xi_via_lambertw)
+                        saddle_params, tail_h, xi_of_lambda)
 from .stirling import (ExactBackend, LogDPBackend, chi, psi_log,
                        psi_log_forms, saddle_diagnostics,
                        stirling_exact, surjection_log_probability,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NumericsError", "QuadratureError", "ResourceCapError",
     "SaddleParams", "f_drift", "g_theta", "lambert_w0", "rate_j",
-    "saddle_params", "tail_h", "xi_of_lambda", "xi_via_lambertw",
+    "saddle_params", "tail_h", "xi_of_lambda",
     "ExactBackend", "LogDPBackend",
     "chi", "psi_log", "psi_log_forms",
     "saddle_diagnostics", "stirling_exact",

@@ -13,7 +13,6 @@ relative --out paths.
 """
 
 import argparse
-import functools
 import io
 import json
 import math
@@ -22,7 +21,7 @@ import sys
 
 from . import automata, curve, sampler, stirling
 from .errors import NumericsError
-from .specialfn import rate_j, saddle_params, xi_of_lambda
+from .specialfn import rate_j, xi_of_lambda
 
 
 def _u64(text):
@@ -96,11 +95,10 @@ def cmd_curve(args):
 def _stirling_verify(lams, ells, out):
     lines = ["lam,ell,m,l_abs_chi,l_trans_err"]
     worst_chi = worst_r = 0.0
-    saddle = functools.lru_cache(maxsize=None)(saddle_params)  # one xi solve per lambda
     for lam in lams:
         for l in ells:
             m = int(round((1.0 + lam) * l))
-            ch, err = stirling._chi_and_transition_error(m, l, saddle)
+            ch, err = stirling._chi_and_transition_error(m, l)
             lc = l * abs(ch)
             lr = l * err
             worst_chi = max(worst_chi, lc)

@@ -14,9 +14,11 @@ xi(lambda(x)) = theta x with theta = xi(nu)/(1+nu), which gives
     lambda(x) = theta x / (1 - e^{-theta x}) - 1.
 
 That closed form (`_zeta`) is the library's reference for zeta and
-lambda.  `solve_completion_curve` still integrates the ODE by RK4, whose
-grid bytes are the published curve CSV, and checks every grid point
-against the closed form.  The solution is also trapped in the envelope
+lambda.  `solve_completion_curve` still integrates the ODE by RK4, with
+each slope's xi from the same Newton route as `xi_of_lambda`; the grid
+bytes are the published curve CSV, and every grid point is checked
+against the closed form (for `coupons curve` and the curve of
+`simulate` alike).  The solution is also trapped in the envelope
 
     x / (1 + x (1/y0 - 1/x0))  <=  y(x)  <=  x (1 - (x/x0)(1 - y0/x0))
 
@@ -30,12 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .specialfn import _xi_crosscheck, _xi_newton, xi_of_lambda
+from .specialfn import _xi_newton, xi_of_lambda
 
 # largest accepted |RK4 grid - closed form|
 _CLOSED_FORM_TOL = 1e-8
-# slopes per Lambert-W cross-check pass; bounds the temporaries of the pass
-_XI_CHECK_BLOCK = 4096
 
 
 def patient_curve(t):
@@ -83,9 +83,8 @@ def _zeta(nu, x):
     return -np.expm1(-theta * np.asarray(x, dtype=float)) / theta
 
 
-def _slope(x, y, lams, xis, j):
-    # F((x-y)/y) with the Newton root alone; its lambda and xi go to slot
-    # j of lams/xis for the path's batched Lambert-W cross-check
+def _slope(x, y):
+    # F((x-y)/y) = exp(-xi) with the Newton root
     lam = (x - y) / y
     if lam < 0.0:
         # roundoff can push x slightly below y right at the anchor
@@ -94,10 +93,7 @@ def _slope(x, y, lams, xis, j):
         lam = 0.0
     if lam == 0.0:
         return 1.0
-    xi = _xi_newton(lam)
-    lams[j] = lam
-    xis[j] = xi
-    return math.exp(-xi)
+    return math.exp(-_xi_newton(lam))
 
 
 def _rk4_path(nu, a, step):
@@ -105,25 +101,19 @@ def _rk4_path(nu, a, step):
     nsteps = max(1, int(math.ceil((x0 - a) / step - 1e-12)))
     xs = np.empty(nsteps + 1)
     ys = np.empty(nsteps + 1)
-    # the four slopes of step i use slots 4i..4i+3; lambda = 0 leaves 0
-    lams = np.zeros(4 * nsteps)
-    xis = np.zeros(4 * nsteps)
     xs[0], ys[0] = x0, 1.0
     y = 1.0
     for i in range(nsteps):
         x = x0 - i * step
         h = min(step, x - a)  # last step lands exactly on a
-        j = 4 * i
-        k1 = _slope(x, y, lams, xis, j)
-        k2 = _slope(x - 0.5 * h, y - 0.5 * h * k1, lams, xis, j + 1)
-        k3 = _slope(x - 0.5 * h, y - 0.5 * h * k2, lams, xis, j + 2)
-        k4 = _slope(x - h, y - h * k3, lams, xis, j + 3)
+        k1 = _slope(x, y)
+        k2 = _slope(x - 0.5 * h, y - 0.5 * h * k1)
+        k3 = _slope(x - 0.5 * h, y - 0.5 * h * k2)
+        k4 = _slope(x - h, y - h * k3)
         y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs[i + 1] = x - h
         ys[i + 1] = y
     xs[-1] = a
-    for j in range(0, lams.size, _XI_CHECK_BLOCK):
-        _xi_crosscheck(lams[j:j + _XI_CHECK_BLOCK], xis[j:j + _XI_CHECK_BLOCK])
     return xs, ys
 
 
@@ -131,11 +121,11 @@ def solve_completion_curve(nu, a, step=1e-3, richardson_check=True):
     """Integrate the Cauchy problem backwards from (1+nu, 1) down to a.
 
     Classic fixed-step RK4 (bit-reproducible across runs).  Each slope
-    uses the Newton root of xi; all of a path's xi values are then
-    cross-checked against the Lambert-W route in one array pass.  When
-    richardson_check is set, every grid point must lie within 1e-8 of the
-    closed form `_zeta`.  The flag once enabled a re-solve at step/2 and
-    keeps its name so that callers binding it by keyword still work.
+    uses the Newton root of xi.  When richardson_check is set (the
+    default), every grid point must lie within 1e-8 of the closed form
+    `_zeta`; that check also catches a wrong xi on the path.  The flag
+    once enabled a re-solve at step/2 and keeps its name so that callers
+    binding it by keyword still work.
     NumericsError on any failed check.
     """
     nu = float(nu)

@@ -249,13 +249,15 @@ def sup_distances_of(Z, curve, N, n):
 def sup_distance_batch(N, n, trials, a, seed=0, jobs=1):
     """Monte-Carlo batch of sup-distances against the limit curve (RK4 step 1e-3).
 
-    Returns the batch-statistics dict (JSON-ready): parameters, the
-    per-trajectory distances, and quantiles.
+    The curve must pass the closed-form check of solve_completion_curve
+    (NumericsError otherwise) before any path is drawn.  Returns the
+    batch-statistics dict (JSON-ready): parameters, the per-trajectory
+    distances, and quantiles.
     """
     nu = (N - n) / n
     if nu <= 0.0:
         raise ValueError("sup_distance_batch: need N > n")
-    curve = solve_completion_curve(nu, a, step=1e-3, richardson_check=False)
+    curve = solve_completion_curve(nu, a, step=1e-3)
     d = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
                           reduce=lambda Z: sup_distances_of(Z, curve, N, n))
     qs = np.quantile(d, [0.05, 0.25, 0.5, 0.75, 0.95])

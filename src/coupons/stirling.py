@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError, QuadratureError, ResourceCapError
-from .specialfn import _g_at, f_drift, saddle_params, tail_h
+from .specialfn import f_drift, g_theta, saddle_params, tail_h
 
 DEFAULT_EXACT_CAP = 5000
 _SURJECTION_EXACT_CAP = 3000  # surjection_log_probability: big integers up to this N
@@ -242,15 +242,10 @@ def psi_log_forms(m, l):
 
     Their equality reduces to m(xi - lam) = 2 l v via (1+lam)e^{-xi} = 1+lam-xi.
     """
-    return _psi_log_forms(m, l, saddle_params)
-
-
-def _psi_log_forms(m, l, saddle):
-    # psi_log_forms with saddle(lam) giving saddle_params(lam), e.g. from a cache
     if not (1 <= l < m):
         raise ValueError("psi_log: need 1 <= l < m, got (%r, %r)" % (m, l))
     lam = (m - l) / l
-    sp = saddle(lam)
+    sp = saddle_params(lam)
     xi, v = sp.xi, sp.v
     lnb = xi + math.log1p(-math.exp(-xi))  # ln(e^xi - 1), overflow-free
     base = math.lgamma(m + 1) - math.lgamma(l + 1)
@@ -264,11 +259,7 @@ def _psi_log_forms(m, l, saddle):
 
 def psi_log(m, l):
     """ln psi(m,l), with the two displayed forms cross-checked to 1e-9."""
-    return _psi_log(m, l, saddle_params)
-
-
-def _psi_log(m, l, saddle):
-    form_a, form_b = _psi_log_forms(m, l, saddle)
+    form_a, form_b = psi_log_forms(m, l)
     if abs(form_a - form_b) > 1e-9 * max(1.0, abs(form_a)):
         raise NumericsError(
             "psi_log forms disagree at (%d, %d): %.17g vs %.17g"
@@ -294,19 +285,17 @@ def transition_error(m, l):
     return abs(ExactBackend().ratio(m, l) - f_drift((m - l) / l))
 
 
-def _chi_and_transition_error(m, l, saddle=saddle_params):
+def _chi_and_transition_error(m, l):
     """(chi(m, l), transition_error(m, l)) from one explicit-sum pass.
 
-    Equal to the two calls bit for bit, also when `saddle` is a cache of
-    saddle_params (rho is e^-xi there too); outside
+    Equal to the two calls bit for bit; outside
     1 <= l < m <= DEFAULT_EXACT_CAP it makes them, so the error raised is
-    chi's own and `saddle` is not called.
+    chi's own and no xi is solved.
     """
     if not (1 <= l < m <= DEFAULT_EXACT_CAP):
         return chi(m, l), transition_error(m, l)
     s, r = _explicit_sum(m, l)
-    sp = saddle((m - l) / l)
-    return _chi_of(s, _psi_log(m, l, lambda lam: sp)), abs(r - sp.rho)
+    return _chi_of(s, psi_log(m, l)), abs(r - f_drift((m - l) / l))
 
 
 def surjection_log_probability(N, n):
@@ -374,9 +363,9 @@ def saddle_diagnostics(lam, l):
     sp = saddle_params(lam)
     theta0 = math.log(l) / math.sqrt(l)
 
-    central = _quad(lambda th: 2.0 * (_g_at(lam, sp.xi, th) ** l).real, 0.0, theta0)
-    tail = _quad(lambda th: 2.0 * (_g_at(lam, sp.xi, th) ** l).real, theta0, math.pi)
-    tail_abs = _quad(lambda th: 2.0 * abs(_g_at(lam, sp.xi, th)) ** l, theta0, math.pi)
+    central = _quad(lambda th: 2.0 * (g_theta(lam, th) ** l).real, 0.0, theta0)
+    tail = _quad(lambda th: 2.0 * (g_theta(lam, th) ** l).real, theta0, math.pi)
+    tail_abs = _quad(lambda th: 2.0 * abs(g_theta(lam, th)) ** l, theta0, math.pi)
 
     central_ref = math.sqrt(math.pi / (sp.v * l))
     rel = abs(central - central_ref) / central_ref

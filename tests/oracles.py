@@ -12,13 +12,16 @@ not the chain), the walk's no-crossing probability from a killed-walk
 DP (not sampled walks) and from the Pollaczek-Khinchine identity on the
 bisection xi (`pollaczek_crossing`), and the saddle integral's tail mass
 from mpmath quadrature on graded panels (`tail_abs_reference`, not
-Gauss-Legendre).  The exceptions are frozen copies of earlier
+Gauss-Legendre), and reference roots xi from 50-digit Newton in mpmath
+(`xi_mpmath`).  The exceptions are `xi_via_lambertw`, the Lambert-W
+closed form built on the library's own `lambert_w0` (a second route to
+xi, not a second implementation of W0), and frozen copies of earlier
 library code that pin the bits a faster route must reproduce: `xi_newton_reference`, the
 plain 100-iteration Newton loop its cycle exit must match, and
 `logdp_log_table_reference` with `logdp_ratio_table_reference`, the
 resident log table and vectorized ratio step that the rolling LogDP
 backend must match, and `rk4_path_reference`, the per-slope RK4 path
-whose bytes the batched-check curve solver must match, and
+whose bytes the curve solver must match, and
 `accessible_count_reference`, the full-width in-place column roll whose
 integers the band-recurrence accessible count must match.
 
@@ -77,6 +80,45 @@ def xi_newton_reference(lam):
             return xn, k + 1
         x = xn
     return x, 100
+
+
+def xi_via_lambertw(lam):
+    """Closed form xi = 1 + lam + W0(-(1+lam) e^(-1-lam)), on `coupons.specialfn.lambert_w0`.
+
+    Independent of the library's Newton route.  Loses precision as
+    lam -> 0, where the argument nears the W0 branch point -1/e (a
+    square-root singularity).  Accepts a scalar (returns a float) or an
+    ndarray (returns an array of its shape).
+    """
+    import numpy as np
+    from coupons.specialfn import lambert_w0
+    scalar = np.ndim(lam) == 0
+    lam = np.asarray(lam, dtype=float)
+    negative = lam[lam < 0.0]
+    if negative.size:
+        raise ValueError("xi_via_lambertw: negative lambda %r" % float(negative[0]))
+    c = 1.0 + lam
+    xi = np.where(lam == 0.0, 0.0, c + lambert_w0(-c * np.exp(-c)))
+    return float(xi) if scalar else xi
+
+
+def xi_mpmath(lam, dps=50):
+    """Positive root of x = (1+lam)(1 - e^-x) by Newton in `dps`-digit mpmath, as a float.
+
+    phi(x) = x + (1+lam) expm1(-x) is convex with phi(0) = 0 and
+    phi'(0) = -lam < 0, so Newton started at min(2 lam, 1+lam), right of
+    the root, descends onto it without overshooting.
+    """
+    import mpmath
+    with mpmath.workdps(dps):
+        c = 1 + mpmath.mpf(lam)
+        x = min(2 * mpmath.mpf(lam), c)
+        for _ in range(500):
+            step = (x + c * mpmath.expm1(-x)) / (1 - c * mpmath.exp(-x))
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** (5 - dps) * x:
+                return float(x)
+    raise RuntimeError("xi_mpmath: no convergence at lambda=%r" % lam)
 
 
 def logdp_log_table_reference(M, W):

@@ -14,8 +14,8 @@ import pytest
 
 import coupons
 from coupons.cli import build_parser, main
-from coupons import (chi, korshunov_constant, saddle_params, specialfn, stirling,
-                     stirling_exact, transition_error)
+from coupons import (chi, korshunov_constant, stirling, stirling_exact,
+                     transition_error)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -168,8 +168,6 @@ def test_verify_route_equals_chi_and_transition_error():
     for m, l in grid:
         want = (chi(m, l), transition_error(m, l))
         assert stirling._chi_and_transition_error(m, l) == want, (m, l)
-        sp = saddle_params((m - l) / l)
-        assert stirling._chi_and_transition_error(m, l, lambda lam: sp) == want, (m, l)
 
 
 def test_verify_above_cap_raises_the_cap_error(capsys):
@@ -178,24 +176,6 @@ def test_verify_above_cap_raises_the_cap_error(capsys):
     for lam in ("1e17", "1e110"):
         assert main(["stirling", "--verify", "--lams", lam, "--ells", "1"]) == 4
         assert "exceeds cap 5000" in capsys.readouterr().err, lam
-
-
-def test_stirling_solves_xi_once_per_lambda(monkeypatch, capsys):
-    calls = []
-    original = specialfn.xi_of_lambda
-
-    def counting(lam):
-        calls.append(lam)
-        return original(lam)
-
-    # stirling reaches xi only through specialfn (saddle_params, f_drift)
-    monkeypatch.setattr(specialfn, "xi_of_lambda", counting)
-    for argv, lams in ((["stirling", "--verify"], [0.5, 1.0, 2.0]),
-                       (["stirling", "3000", "1000"], [2.0])):
-        calls.clear()
-        assert main(argv) == 0
-        assert sorted(calls) == lams, argv
-    capsys.readouterr()
 
 
 def test_stirling_missing_args():

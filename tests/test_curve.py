@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coupons import (NumericsError, curve, curve_to_csv, envelope, f_drift,
                      lambda_along, patient_curve, solve_completion_curve,
-                     strip_clearance)
+                     strip_clearance, sup_distance_batch)
 from coupons.cli import main
 
 from oracles import rk4_path_reference
@@ -170,7 +170,7 @@ def test_csv_emission_deterministic():
     assert len(lines) == len(c.xs) + 1
 
 
-# --- batched xi cross-check ---------------------------------------------------
+# --- RK4 path ------------------------------------------------------------------
 
 @pytest.mark.parametrize("nu,a", [(1.0, 0.2), (0.5, 0.1), (3.0, 0.5),
                                   (0.05, 0.01), (10.0, 0.3)])
@@ -185,20 +185,23 @@ def test_rk4_path_bytes_match_per_slope_reference(nu, a):
 
 
 def test_perturbed_newton_root_is_caught(monkeypatch):
+    # a relative error of 1e-6 in xi on lambda in (0.5, 0.6) moves the grid
+    # 6.3e-8 off the closed form; smaller xi errors are for the mpmath grid
+    # test of xi_of_lambda to catch
     newton = curve._xi_newton
 
     def faulty(lam):
         xi = newton(lam)
-        return xi * (1.0 + 1e-9) if 0.5 < lam < 0.6 else xi
+        return xi * (1.0 + 1e-6) if 0.5 < lam < 0.6 else xi
 
     monkeypatch.setattr(curve, "_xi_newton", faulty)
-    with pytest.raises(NumericsError, match=r"lambda=0\.5"):
+    with pytest.raises(NumericsError, match="closed form"):
         solve_completion_curve(1.0, 0.2)
     assert main(["curve", "--nu", "1", "--a", "0.2"]) == 4
 
 
 def test_solver_memory_is_bounded():
-    # the path's lambda and xi live in two preallocated arrays of 4 * nsteps
+    # the path is two arrays of nsteps + 1 floats
     tracemalloc.start()
     try:
         solve_completion_curve(3.0, 0.5)
@@ -234,6 +237,23 @@ def test_closed_form_check_catches_one_bad_point(monkeypatch):
     with pytest.raises(NumericsError, match="closed form"):
         solve_completion_curve(1.0, 0.2)
     assert main(["curve", "--nu", "1", "--a", "0.2"]) == 4
+
+
+def test_sup_distance_curve_is_checked(monkeypatch, capsys):
+    # the curve that simulate compares paths against gets the closed-form check
+    rk4_path = curve._rk4_path
+
+    def faulty(nu, a, step):
+        xs, ys = rk4_path(nu, a, step)
+        ys[len(ys) // 2] += 2e-8
+        return xs, ys
+
+    monkeypatch.setattr(curve, "_rk4_path", faulty)
+    with pytest.raises(NumericsError, match="closed form"):
+        sup_distance_batch(60, 30, 5, 0.2)
+    argv = ["simulate", "--N", "60", "--n", "30", "--trials", "5", "--a", "0.2"]
+    assert main(argv) == 4
+    assert "closed form" in capsys.readouterr().err
 
 
 def test_solver_runs_one_rk4_path(monkeypatch):
