@@ -43,16 +43,23 @@ def _frequency(hits, trials):
 def dyck_check(y, k):
     """True iff y_{l k + 1} >= l + 1 for all l in [0, n-1].
 
-    y is y_1..y_N; a leading y_0 = 0 is dropped.
+    y is y_1..y_N, a completion path: integers with y_1 = 1 and every step
+    0 or 1 (ValueError otherwise); a leading y_0 = 0 is dropped.
     """
     k = int(k)
     if k < 1:
         raise ValueError("dyck_check: k must be >= 1")
-    y = np.asarray(y, dtype=np.int64)
+    raw = np.asarray(y)
+    y = raw.astype(np.int64)
+    if np.any(y != raw):
+        raise ValueError("dyck_check: path entries must be integers")
     if y.ndim == 1 and len(y) and y[0] == 0:
         y = y[1:]
     if y.ndim != 1 or len(y) == 0:
         raise ValueError("dyck_check: need a nonempty 1-d path")
+    steps = np.diff(y)
+    if y[0] != 1 or np.any((steps < 0) | (steps > 1)):
+        raise ValueError("dyck_check: not a completion path (y_1 = 1, steps 0 or 1)")
     N = len(y)
     n = int(y[-1])
     if N != k * n + 1:
@@ -65,9 +72,10 @@ def surjection_to_diagram(word, n):
 
     Returns (y, marks), both 1-based arrays of length N = len(word).
     """
-    word = np.asarray(word, dtype=np.int64)
-    if word.ndim != 1 or np.any(word < 1) or np.any(word > n):
-        raise ValueError("surjection_to_diagram: word must take values in [1..n]")
+    raw = np.asarray(word)
+    word = raw.astype(np.int64)
+    if word.ndim != 1 or np.any(word != raw) or np.any((word < 1) | (word > n)):
+        raise ValueError("surjection_to_diagram: word must take integer values in [1..n]")
     if len(np.unique(word)) != n:
         raise ValueError("surjection_to_diagram: word is not surjective onto [1..n]")
     relabel = np.zeros(n + 1, dtype=np.int64)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curve import solve_completion_curve
 from .specialfn import f_drift
-from .stirling import ExactBackend, LogDPBackend
+from .stirling import ExactBackend, LogDPBackend, _band_bases
 
 _U64 = (1 << 64) - 1
 
@@ -110,12 +110,17 @@ def _span_runner(rtab, N, n, seed, size, reduce):
     in once.  Rows are drawn per trajectory into U, then one transpose
     copy UT lets the time loop read and write contiguous rows without
     temporaries; the int32 ZT is written over U's memory once the
-    transpose has consumed it, so the peak is U + UT.  z stays in [0, n],
-    so take(mode="clip") skips the checked copy.  Returns reduce(Z) or,
-    without reduce, the (count, N+1) view Z of the runner's buffer, which
-    the next span overwrites.
+    transpose has consumed it, so the peak is U + UT.  rtab is a packed
+    band table, and rows[m][l] = r(m, l): the view of rtab from base[m],
+    or, where base[m] = -1, the one entry of a row whose band is l = m
+    alone.  z stays on the band, so take(mode="clip") skips the checked
+    copy, and clips every index onto that one entry.  Returns reduce(Z)
+    or, without reduce, the (count, N+1) view Z of the runner's buffer,
+    which the next span overwrites.
     """
     draw = _substreams(seed)
+    rows = [rtab[b:] if b >= 0 else rtab[m - 1:m]
+            for m, b in enumerate(_band_bases(N, n)[0].tolist())]
     bufs = []
 
     def run(start, count):
@@ -131,7 +136,7 @@ def _span_runner(rtab, N, n, seed, size, reduce):
         ZT = bufs[0].view(np.int32)[:(N + 1) * count].reshape(N + 1, count)
         ZT[0] = n
         for t in range(N):
-            np.take(rtab[N - t], ZT[t], out=thr, mode="clip")
+            np.take(rows[N - t], ZT[t], out=thr, mode="clip")
             np.less(UT[t], thr, out=step)
             np.subtract(ZT[t], step, out=ZT[t + 1])
         return ZT.T if reduce is None else reduce(ZT.T)
@@ -145,6 +150,12 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     Row i is drawn from sub-stream (seed, i), so any contiguous batch of
     rows is reproducible in isolation and the result is independent of
     jobs and of internal chunk sizes.
+
+    `backend` defaults to `auto_backend(N, n)`.  Any object whose
+    `ratio_table(N, n)` returns a table in the packed band layout of
+    `ExactBackend.ratio_table` serves: a 1-D float64 array holding, for
+    m = 1..N in turn, r(m, l) for max(1, m - (N - n)) <= l <= min(m, n),
+    and nothing else.  The chain reads only those entries.
 
     The rows run in spans of at most one chunk, about 4e6/(N+1) rows.
     With `reduce`, each span of paths, a (count, N+1) int32 view of the
@@ -283,15 +294,17 @@ def prefix_law(N, n, s):
     if not (1 <= s <= min(20, N)):
         raise ValueError("prefix_law: need 1 <= s <= min(20, N)")
     rtab = auto_backend(N, n).ratio_table(N, n)
+    base = _band_bases(N, n)[0]
     rho = f_drift((N - n) / n)
 
     patt = np.arange(1 << s)
     l = np.full(1 << s, n)
     exact = np.ones(1 << s)
     for j in range(s):
-        band = (1 <= l) & (l <= N - j)  # read r only there, 0 elsewhere
+        m = N - j  # read r only on the band of row m, 0 elsewhere
+        band = (max(1, m - (N - n)) <= l) & (l <= min(m, n))
         r = np.zeros(1 << s)
-        r[band] = rtab[N - j, l[band]]
+        r[band] = rtab[base[m] + l[band]]
         step = (patt >> j) & 1
         exact *= np.where(step, r, 1.0 - r)
         l -= step

@@ -33,9 +33,13 @@ Ratio tables come from two interchangeable, stateless backends: Exact
 (big integers) and LogDP (float64 log-space recurrence).  Both roll their
 recurrence row by row in one pass and cache nothing between calls, so a
 table costs its own size in memory and LogDP holds only two log rows.
-A table for the chain from (N, n) is filled only on the band the chain
-can reach, max(1, m - (N - n)) <= l <= min(m, n) in row m, and is 0 off
-it: each step lowers l by at most one, so after t steps l >= n - t.
+A table for the chain from (N, n) holds only the band the chain can
+reach, lo(m) = max(1, m - (N - n)) <= l <= hi(m) = min(m, n) in row m
+(each step lowers l by at most one, so after t steps l >= n - t).  It is
+packed: one 1-D float64 array with rows m = 1..N one after another and
+nothing off the band, so r(m, l) = R[base[m] + l] with base from
+`_band_bases`; at N = 2n + 1 that is about half the dense (N+1, n+1)
+grid.
 """
 
 import functools
@@ -65,6 +69,22 @@ def _band(N, n):
     yield 0, 0
     for m in range(1, N + 1):
         yield max(1, m - (N - n)), min(m, n)
+
+
+def _band_bases(N, n):
+    """(base, size) of the packed band table of the chain from (N, n).
+
+    Row m = 1..N of the band, lo(m) <= l <= hi(m), sits at
+    R[base[m] + lo(m)] .. R[base[m] + hi(m)] of a table of `size`
+    entries, right after row m - 1, so r(m, l) = R[base[m] + l].  Row 0
+    is empty, and so is every row when n = 0.  For n >= 1, base[m] >= -1
+    for m >= 1, with -1 only where row m is l = m alone (at m = 1, and at
+    every m when n = N).  Needs 0 <= n <= N.
+    """
+    m = np.arange(N + 1)
+    hi = np.minimum(m, n)
+    ends = np.cumsum(hi - np.maximum(m - (N - n), 1) + 1)
+    return ends - hi - 1, int(ends[-1])
 
 
 def _rows(N, n):
@@ -168,17 +188,20 @@ class ExactBackend:
         return _explicit_sum(m, l)[1]
 
     def ratio_table(self, N, n):
-        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) on the band, 0 off it.
+        """Packed band table R: 1-D float64 with r(m, l) = R[base[m] + l] on the band.
 
         The band is the set of states the reversed chain from (N, n) can
         visit: it lowers l by at most one per step, so row m holds
-        max(1, m - (N - n)) <= l <= min(m, n).  Needs 0 <= n <= N.
+        max(1, m - (N - n)) <= l <= min(m, n).  Rows m = 1..N follow one
+        another and nothing off the band is stored; base comes from
+        `_band_bases(N, n)`.  Needs 0 <= n <= N.
         """
         rows = _rows(N, n)
         _, _, prev = next(rows)
-        R = np.zeros((N + 1, n + 1))
-        for m, (lo, hi, row) in enumerate(rows, 1):
-            R[m, lo:hi + 1] = [a / b for a, b in zip(prev[lo - 1:hi], row[lo:hi + 1])]
+        base, size = _band_bases(N, n)
+        R = np.empty(size)
+        for (lo, hi, row), b in zip(rows, base[1:].tolist()):
+            R[b + lo:b + hi + 1] = [a / c for a, c in zip(prev[lo - 1:hi], row[lo:hi + 1])]
             prev = row
         return R
 
@@ -212,21 +235,20 @@ class LogDPBackend:
         return float(row[l])
 
     def ratio_table(self, N, n):
-        """Array R of shape (N+1, n+1) with R[m, l] = r(m, l) on the band, 0 off it.
+        """Packed band table R: 1-D float64 with r(m, l) = R[base[m] + l] on the band.
 
-        The band is the set of states the reversed chain from (N, n) can
-        visit: it lowers l by at most one per step, so row m holds
-        max(1, m - (N - n)) <= l <= min(m, n).  Needs 0 <= n <= N.  On the
-        band ln {m l} is finite, and so is ln {m-1 l-1} except
+        The layout is ExactBackend.ratio_table's.  Needs 0 <= n <= N.  On
+        the band ln {m l} is finite, and so is ln {m-1 l-1} except
         ln {m-1 0} = -inf for m >= 2, whose exp is 0: no difference is nan
         or +inf, and exp leaves nothing below 0, so only the upper clip to
         1 is needed.
         """
         rows = _log_rows(N, n)
         _, _, prev = next(rows)
-        R = np.zeros((N + 1, n + 1))
-        for m, (lo, hi, row) in enumerate(rows, 1):
-            r = R[m, lo:hi + 1]
+        base, size = _band_bases(N, n)
+        R = np.empty(size)
+        for (lo, hi, row), b in zip(rows, base[1:].tolist()):
+            r = R[b + lo:b + hi + 1]
             np.subtract(prev[lo - 1:hi], row[lo:hi + 1], out=r)
             np.exp(r, out=r)
             np.minimum(r, 1.0, out=r)
@@ -242,6 +264,11 @@ def psi_log_forms(m, l):
 
     Their equality reduces to m(xi - lam) = 2 l v via (1+lam)e^{-xi} = 1+lam-xi.
     """
+    return _psi_log_forms(m, l)[:2]
+
+
+def _psi_log_forms(m, l):
+    """(form A, form B, saddle_params(lambda)): psi_log_forms and its saddle bundle."""
     if not (1 <= l < m):
         raise ValueError("psi_log: need 1 <= l < m, got (%r, %r)" % (m, l))
     lam = (m - l) / l
@@ -254,17 +281,22 @@ def psi_log_forms(m, l):
               + 0.5 * math.log(math.pi / (v * l)))
     form_b = (base + l * lnb - m * math.log(xi)
               - 0.5 * math.log(2.0 * math.pi * m * (1.0 - (m / l) * math.exp(-xi))))
-    return form_a, form_b
+    return form_a, form_b, sp
 
 
 def psi_log(m, l):
     """ln psi(m,l), with the two displayed forms cross-checked to 1e-9."""
-    form_a, form_b = psi_log_forms(m, l)
+    return _psi_log(m, l)[0]
+
+
+def _psi_log(m, l):
+    """(psi_log(m, l), saddle_params(lambda)): one xi solve serves both."""
+    form_a, form_b, sp = _psi_log_forms(m, l)
     if abs(form_a - form_b) > 1e-9 * max(1.0, abs(form_a)):
         raise NumericsError(
             "psi_log forms disagree at (%d, %d): %.17g vs %.17g"
             % (m, l, form_a, form_b))
-    return form_a
+    return form_a, sp
 
 
 def _chi_of(s, psi):
@@ -286,16 +318,18 @@ def transition_error(m, l):
 
 
 def _chi_and_transition_error(m, l):
-    """(chi(m, l), transition_error(m, l)) from one explicit-sum pass.
+    """(chi(m, l), transition_error(m, l)) from one explicit-sum pass and one xi solve.
 
-    Equal to the two calls bit for bit; outside
-    1 <= l < m <= DEFAULT_EXACT_CAP it makes them, so the error raised is
-    chi's own and no xi is solved.
+    Equal to the two calls bit for bit: rho(lambda) is the saddle
+    bundle's exp(-xi), the value f_drift computes from the same xi.
+    Outside 1 <= l < m <= DEFAULT_EXACT_CAP it makes the two calls, so
+    the error raised is chi's own and no xi is solved.
     """
     if not (1 <= l < m <= DEFAULT_EXACT_CAP):
         return chi(m, l), transition_error(m, l)
     s, r = _explicit_sum(m, l)
-    return _chi_of(s, psi_log(m, l)), abs(r - f_drift((m - l) / l))
+    psi, sp = _psi_log(m, l)
+    return _chi_of(s, psi), abs(r - sp.rho)
 
 
 def surjection_log_probability(N, n):

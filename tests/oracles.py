@@ -12,8 +12,9 @@ not the chain), the walk's no-crossing probability from a killed-walk
 DP (not sampled walks) and from the Pollaczek-Khinchine identity on the
 bisection xi (`pollaczek_crossing`), and the saddle integral's tail mass
 from mpmath quadrature on graded panels (`tail_abs_reference`, not
-Gauss-Legendre), and reference roots xi from 50-digit Newton in mpmath
-(`xi_mpmath`).  The exceptions are `xi_via_lambertw`, the Lambert-W
+Gauss-Legendre), reference roots xi from 50-digit Newton in mpmath
+(`xi_mpmath`), and dense views of packed ratio tables placed by the
+reach mask (`dense_table`, not the library's row bases).  The exceptions are `xi_via_lambertw`, the Lambert-W
 closed form built on the library's own `lambert_w0` (a second route to
 xi, not a second implementation of W0), and frozen copies of earlier
 library code that pin the bits a faster route must reproduce: `xi_newton_reference`, the
@@ -153,11 +154,13 @@ def reachable_states(N, n):
     Propagates the support of the reversed chain one column at a time
     from (N, n), using only that {a b} > 0 exactly when 1 <= b <= a or
     a = b = 0: from (m, l) it moves to (m-1, l-1) when {m-1 l-1} > 0 and
-    stays at l when l {m-1 l} > 0.  No band formula is involved.
+    stays at l when l {m-1 l} > 0.  No band formula is involved.  The
+    start (N, n) is a state only when {N n} > 0, so n = 0 leaves the mask
+    empty.
     """
     import numpy as np
     mask = np.zeros((N + 1, n + 1), dtype=bool)
-    mask[N, n] = True
+    mask[N, n] = 1 <= n <= N
     for m in range(N, 1, -1):
         here, below = mask[m], mask[m - 1]
         below[1:n] |= here[2:]  # down from l >= 2; {m-1 0} = 0 for m >= 2
@@ -166,11 +169,26 @@ def reachable_states(N, n):
     return mask
 
 
+def dense_table(R, N, n):
+    """The (N+1, n+1) array of a packed band table R, 0 off the band.
+
+    The packed layout lists the band row by row, m = 1..N, each row in
+    increasing l: the row-major order of the `reachable_states` mask,
+    which therefore places R without any band formula.  A table whose
+    size is not the mask's count raises ValueError.
+    """
+    import numpy as np
+    D = np.zeros((N + 1, n + 1))
+    D[reachable_states(N, n)] = R
+    return D
+
+
 def reversed_chain_reference(rtab, N, n, seed, index):
     """Row `index` of the conditioned sampler, one step at a time.
 
     Draws the N uniforms of a freshly built Philox(key = seed * 2^64 + index)
-    and walks the reversed chain with a scalar loop over the ratio table.
+    and walks the reversed chain with a scalar loop over the dense ratio
+    table `rtab` (see `dense_table`).
     """
     import numpy as np
     u = np.random.Generator(np.random.Philox(key=(seed << 64) | index)).random(N)

@@ -40,6 +40,17 @@ def test_dyck_shape_errors():
         dyck_check([0], 2)  # empty once y_0 is dropped
 
 
+@pytest.mark.parametrize("y", [[0, 1, 1.9, 2, 2, 2],  # not integers
+                               [2, 2, 2, 2, 2],       # y_1 = 2
+                               [1, 1, 3, 3, 2],       # steps of 2 and -1
+                               [0, 0, 1, 1, 2, 2]])   # y_1 = 0 after y_0
+def test_dyck_rejects_non_completion_paths(y):
+    # each has length k n + 1 for its last value n, so only the path
+    # conditions reject it
+    with pytest.raises(ValueError, match="integers|completion path"):
+        dyck_check(y, 2)
+
+
 def test_dyck_fastest_and_slowest_paths():
     for k in (2, 3):
         for n in (2, 3, 5):
@@ -93,6 +104,8 @@ def test_surjection_to_diagram_errors():
         surjection_to_diagram([1, 1, 1], 2)  # not surjective
     with pytest.raises(ValueError):
         surjection_to_diagram([0, 1, 2], 2)  # out of alphabet
+    with pytest.raises(ValueError, match="integer"):
+        surjection_to_diagram([1.5, 2.7, 1], 2)  # would truncate to [1, 2, 1]
 
 
 def test_diagram_classes_have_size_n_factorial():

@@ -14,7 +14,7 @@ import pytest
 
 import coupons
 from coupons.cli import build_parser, main
-from coupons import (chi, korshunov_constant, stirling, stirling_exact,
+from coupons import (chi, korshunov_constant, specialfn, stirling, stirling_exact,
                      transition_error)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
@@ -159,15 +159,21 @@ def test_stirling_stdout_digest(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
 
 
-def test_verify_route_equals_chi_and_transition_error():
-    # one pass per grid point gives the bits of the two separate routes, on
-    # the default grid of `stirling --verify`
+def test_verify_route_equals_chi_and_transition_error(monkeypatch):
+    # one pass and one xi solve per grid point give the bits of the two
+    # separate routes, on the default grid of `stirling --verify`
     grid = [(int(round((1.0 + lam) * l)), l)
             for lam in (0.5, 1.0, 2.0) for l in (50, 100, 200, 400, 800)]
     assert len(grid) == 15
+    solves = []
+    xi = specialfn.xi_of_lambda
     for m, l in grid:
         want = (chi(m, l), transition_error(m, l))
-        assert stirling._chi_and_transition_error(m, l) == want, (m, l)
+        with monkeypatch.context() as mp:
+            mp.setattr(specialfn, "xi_of_lambda", lambda lam: solves.append(lam) or xi(lam))
+            got = stirling._chi_and_transition_error(m, l)
+        assert got == want, (m, l)
+    assert solves == [(m - l) / l for m, l in grid]
 
 
 def test_verify_above_cap_raises_the_cap_error(capsys):

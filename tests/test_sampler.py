@@ -22,7 +22,7 @@ from coupons.automata import _dyck_flags
 from coupons.errors import NumericsError
 from coupons.sampler import _rng, _substreams, sup_distances_of
 
-from oracles import (enumerate_surjective_paths, reachable_states,
+from oracles import (dense_table, enumerate_surjective_paths, reachable_states,
                      rejection_paths, reversed_chain_reference)
 
 
@@ -121,7 +121,7 @@ def test_multi_span_forked_batch(big_batch, cpus8):
     Z3 = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=3)
     assert multiprocessing.active_children() == []
     assert np.array_equal(Z3, Z)
-    rtab = backend.ratio_table(N, n)
+    rtab = dense_table(backend.ratio_table(N, n), N, n)
     for i in (0, 1366, 1367, 1997, 1998, 2733, 2734, 3995, 3996, 4099):
         assert Z[i].tolist() == reversed_chain_reference(rtab, N, n, seed, i)
 
@@ -139,44 +139,46 @@ def test_worker_exception_reaches_parent(big_batch, cpus8):
     assert multiprocessing.active_children() == []
 
 
-def _off_band_poisoned(N, n):
-    """The default table for (N, n), with every entry off the chain's reach
-    set to -1.0 or 2.0 in turn: read by any step, it would force the step."""
-    R = auto_backend(N, n).ratio_table(N, n)
-    m, l = np.nonzero(~reachable_states(N, n))
-    R[m, l] = np.where((m + l) % 2 == 0, -1.0, 2.0)
-    return R
-
-
-class _FixedTable:
-    kind = "fixed"
-
-    def __init__(self, R):
-        self.R = R
-
-    def ratio_table(self, N, n):
-        return self.R
-
-
-def test_sampler_reads_only_the_band(cpus8, monkeypatch):
-    # N = 2001 gives chunks of 1998 rows, so 2100 trials fork two workers at jobs=2
+def test_sampler_reads_only_the_band(cpus8):
+    # a packed table stores nothing off the band, so what must hold is that
+    # every state a path visits, at jobs 1 and 2, is one the chain from
+    # (N, n) can reach, and that each step reads that state's entry (the
+    # scalar walk over the unpacked table).  N = 2001 gives chunks of 1998
+    # rows, so 2100 trials fork two workers at jobs=2
     for N, n in ((2001, 2001), (2001, 1), (2001, 1000), (2001, 1819)):
-        poison = _off_band_poisoned(N, n)
-        assert (poison < 0.0).any() and (poison > 1.0).any()
+        reach = reachable_states(N, n)
+        m = np.arange(N, 0, -1)  # the row each step reads
         Z = conditioned_paths(N, n, 2100, seed=3)
         for jobs in (1, 2):
-            got = conditioned_paths(N, n, 2100, backend=_FixedTable(poison), seed=3,
-                                    jobs=jobs)
+            got = conditioned_paths(N, n, 2100, seed=3, jobs=jobs)
             assert got.dtype == np.int32 and np.array_equal(got, Z), (N, n, jobs)
+            assert reach[m, got[:, :-1]].all(), (N, n, jobs)
+        rtab = dense_table(auto_backend(N, n).ratio_table(N, n), N, n)
+        for i in (0, 1997, 1998, 2099):
+            assert Z[i].tolist() == reversed_chain_reference(rtab, N, n, 3, i)
+
+
+def _prefix_law_dense(N, n, s):
+    """The exact prefix law by the walk over the unpacked table, which
+    reads r = R[N - j, l] wherever 1 <= l <= N - j (0 off the band)."""
+    R = dense_table(auto_backend(N, n).ratio_table(N, n), N, n)
+    patt = np.arange(1 << s)
+    l = np.full(1 << s, n)
+    exact = np.ones(1 << s)
+    for j in range(s):
+        inside = (1 <= l) & (l <= N - j)
+        r = np.zeros(1 << s)
+        r[inside] = R[N - j, l[inside]]
+        step = (patt >> j) & 1
+        exact *= np.where(step, r, 1.0 - r)
+        l -= step
+    return exact
+
+
+def test_prefix_law_matches_the_dense_walk():
     # prefix_law walks every decrement pattern, possible or not
     for N, n, s in ((12, 11, 12), (12, 1, 12), (40, 20, 14), (30, 27, 14)):
-        want = prefix_law(N, n, s)
-        with monkeypatch.context() as mp:
-            mp.setattr(sampler, "auto_backend",
-                       lambda N, n: _FixedTable(_off_band_poisoned(N, n)))
-            got = prefix_law(N, n, s)
-        assert [a.tobytes() for a in want[:2]] == [a.tobytes() for a in got[:2]]
-        assert want[2] == got[2]
+        assert prefix_law(N, n, s)[0].tobytes() == _prefix_law_dense(N, n, s).tobytes()
 
 
 def test_spans_run_serially_without_fork(big_batch, cpus8, monkeypatch):
@@ -311,7 +313,7 @@ def test_auto_backend_selection():
 
 def exact_law_from_table(N, n):
     """Path law as products of r/(1-r) along all feasible decrement patterns."""
-    rtab = ExactBackend().ratio_table(N, n)
+    rtab = dense_table(ExactBackend().ratio_table(N, n), N, n)
     out = {}
 
     def rec(t, l, patt, pr):
@@ -444,7 +446,7 @@ def test_rejection_attempt_cap():
 def test_increment_bias_is_martingale_difference():
     N, n, trials = 200, 100, 10000
     be = ExactBackend()
-    rtab = be.ratio_table(N, n)
+    rtab = dense_table(be.ratio_table(N, n), N, n)
     Z = conditioned_paths(N, n, trials, backend=be, seed=17)
     m_idx = N - np.arange(N)
     r = rtab[m_idx[None, :], Z[:, :-1]]

@@ -14,7 +14,7 @@ from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
                      surjection_log_probability, transition_error)
 from coupons.stirling import _log_big, _quad, _rows
 
-from oracles import (logdp_log_table_reference, logdp_ratio_table_reference,
+from oracles import (dense_table, logdp_log_table_reference, logdp_ratio_table_reference,
                      reachable_states, set_partition_count,
                      tail_abs_reference)
 
@@ -105,17 +105,17 @@ def test_ratio_nearest_double():
 
 
 def _assert_band(R, R_full, N, n):
-    # R holds R_full's bits on the states the chain from (N, n) reaches, 0 elsewhere
+    # packed R holds R_full's bits on the states the chain from (N, n)
+    # reaches, in row-major order, and nothing else
     band = reachable_states(N, n)
-    assert R.shape == (N + 1, n + 1)
-    assert np.array_equal(R[band], R_full[:N + 1][band])
-    assert not R[~band].any()
+    assert R.dtype == np.float64 and R.shape == (np.count_nonzero(band),)
+    assert np.array_equal(R, R_full[:N + 1][band])
 
 
 def test_exact_routes_agree():
     # table, single ratio and the ratio of two exact values: one nearest double;
     # rows 0..60 of a (90, 30) table hold every l <= min(m, 30)
-    R = ExactBackend().ratio_table(90, 30)
+    R = dense_table(ExactBackend().ratio_table(90, 30), 90, 30)
     be = ExactBackend()
     for m in range(1, 61):
         for l in range(1, min(m, 30) + 1):
@@ -158,7 +158,7 @@ def test_explicit_sum_matches_recurrence():
                 assert stirling_exact(m, l) == row[l], (m, l)
                 assert be.ratio(m, l) == prev[l - 1] / row[l], (m, l)
             prev = row
-    R = ExactBackend().ratio_table(600, 200)  # rows 0..400 are whole
+    R = dense_table(ExactBackend().ratio_table(600, 200), 600, 200)  # rows 0..400 are whole
     pairs = [(m, l) for m in range(1, 401, 8) for l in range(1, min(m, 200) + 1, 4)]
     assert len(pairs) >= 1800
     for m, l in pairs:
@@ -182,16 +182,16 @@ def test_logdp_ratio_table_matches_exact():
             be.ratio_table(3, 4)  # n > N: no surjection, so no chain
     R1 = ExactBackend().ratio_table(40, 20)
     R2 = LogDPBackend().ratio_table(40, 20)
-    assert R1.shape == R2.shape == (41, 21)
+    assert R1.shape == R2.shape == (np.count_nonzero(reachable_states(40, 20)),)
     assert np.max(np.abs(R1 - R2)) <= 1e-9
     # rows 0..40 of (60, 20) tables hold every l <= min(m, 20), band or not
-    R1 = ExactBackend().ratio_table(60, 20)[:41]
-    R2 = LogDPBackend().ratio_table(60, 20)[:41]
+    R1 = dense_table(ExactBackend().ratio_table(60, 20), 60, 20)[:41]
+    R2 = dense_table(LogDPBackend().ratio_table(60, 20), 60, 20)[:41]
     assert np.max(np.abs(R1 - R2)) <= 1e-9
     # the error bound stated in the LogDPBackend docstring, over every
     # l <= min(m, 300) with m <= 1500: rows 0..1500 of (1800, 300) tables
-    R1 = ExactBackend().ratio_table(1800, 300)[:1501]
-    R2 = LogDPBackend().ratio_table(1800, 300)[:1501]
+    R1 = dense_table(ExactBackend().ratio_table(1800, 300), 1800, 300)[:1501]
+    R2 = dense_table(LogDPBackend().ratio_table(1800, 300), 1800, 300)[:1501]
     err = np.abs(R1 - R2)
     assert np.max(err) <= 2e-12
     live = R1 > 1e-300
@@ -216,7 +216,7 @@ def test_logdp_bytes_match_resident_table(N, n):
     R_ref = logdp_ratio_table_reference(L, N, n)
     del L
     # rows 0..N of the (N + n, n) band hold every l <= min(m, n)
-    assert np.array_equal(lb.ratio_table(N + n, n)[:N + 1], R_ref)
+    assert np.array_equal(dense_table(lb.ratio_table(N + n, n), N + n, n)[:N + 1], R_ref)
     _assert_band(lb.ratio_table(N, n), R_ref, N, n)
 
 
@@ -229,9 +229,24 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("N, n", [(300, 300), (300, 1), (2001, 1000), (2200, 2000),
+                                  (300, 0), (0, 0)])
+def test_table_size_is_the_reach_count(N, n):
+    # the packed tables store one entry per state the chain from (N, n) can
+    # visit: none off the band, and none at all when n = 0
+    want = np.count_nonzero(reachable_states(N, n))
+    for be in (LogDPBackend(), ExactBackend()):
+        if be.kind == "Exact" and N > 300:
+            continue  # the big-int roll of (2001, 1000) takes seconds
+        R = be.ratio_table(N, n)
+        assert R.dtype == np.float64 and R.shape == (want,), (be.kind, N, n)
+
+
 def test_logdp_memory_is_the_returned_table():
     R, peak = _traced_peak(lambda: LogDPBackend().ratio_table(2001, 1000))
     assert peak <= R.nbytes + 2 ** 20
+    # about half the dense (2002, 1001) grid: a dense table fails here
+    assert R.nbytes == 8 * np.count_nonzero(reachable_states(2001, 1000))
     _, peak = _traced_peak(lambda: LogDPBackend().log_value(4000, 2000))
     assert peak < 2 ** 20
 
