@@ -18,6 +18,7 @@ reduced outputs, whatever the number of trials.  With jobs > 1 the spans
 run in forked worker processes.
 """
 
+import mmap
 import os
 import threading
 import time
@@ -102,6 +103,25 @@ def _forked_span(start, count):
     return _span(start, count)
 
 
+def _mapped(count):
+    """An empty float64 array of `count` entries on a private mapping of its own.
+
+    malloc serves a request below its mmap threshold from the heap, and
+    freeing a mapped block of up to 32 MiB (a ratio table, say) raises
+    that threshold to the block's size.  A forked worker shares the heap
+    with its parent copy-on-write, so a span buffer placed there faults
+    each 4 KiB page it writes.  A mapping of its own, advised for huge
+    pages as numpy advises its large arrays, faults the same way
+    whatever the process freed before.  Where the platform has no
+    huge-page advice, this is np.empty.
+    """
+    if not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(count)
+    buf = mmap.mmap(-1, 8 * max(count, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, count=count)
+
+
 def _span_runner(rtab, N, n, seed, size, reduce):
     """run(start, count): the reversed chain for rows start..start+count-1.
 
@@ -125,7 +145,7 @@ def _span_runner(rtab, N, n, seed, size, reduce):
 
     def run(start, count):
         if not bufs:
-            bufs.extend((np.empty(size * N), np.empty(size * N),
+            bufs.extend((_mapped(size * N), _mapped(size * N),
                          np.empty(size), np.empty(size, dtype=bool)))
         U = bufs[0][:count * N].reshape(count, N)
         for i in range(count):

@@ -11,6 +11,7 @@ from coupons import (NumericsError, ResourceCapError,
                      exact_accessible_count, korshunov_constant,
                      korshunov_report, simulate_walk_max, stirling_exact,
                      surjection_to_diagram)
+from coupons import sampler
 
 from oracles import (accessible_count_reference, enumerate_surjective_paths,
                      pollaczek_crossing, walk_max_reference, xi_bisect)
@@ -262,9 +263,14 @@ def test_estimate_accessibility_approaches_constant():
     assert abs(est - acc / surj) <= 4.0 * se
 
 
-def test_estimate_accessibility_memory_flat_in_trials():
-    # chunks are reduced to Dyck flags and dropped: no (trials, N+1) matrix
-    peaks = []
+def test_estimate_accessibility_memory_flat_in_trials(monkeypatch):
+    # chunks are reduced to Dyck flags and dropped: no (trials, N+1) matrix.
+    # The span buffers sit on mappings that tracemalloc does not see, so
+    # their sizes are recorded as they are made
+    peaks, mapped = [], []
+    mapped_of = sampler._mapped
+    monkeypatch.setattr(sampler, "_mapped",
+                        lambda count: mapped.append(count) or mapped_of(count))
     for trials in (2000, 8000):
         tracemalloc.start()
         try:
@@ -273,6 +279,7 @@ def test_estimate_accessibility_memory_flat_in_trials():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 1e6
+    assert mapped == [1998 * 2001] * 4  # two buffers of one chunk, at both sizes
 
 
 def test_korshunov_report_record():
