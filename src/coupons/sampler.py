@@ -18,7 +18,6 @@ reduced outputs, whatever the number of trials.  With jobs > 1 the spans
 run in forked worker processes.
 """
 
-import mmap
 import os
 import threading
 import time
@@ -115,6 +114,7 @@ def _mapped(count):
     whatever the process freed before.  Where the platform has no
     huge-page advice, this is np.empty.
     """
+    import mmap  # deferred: used only once a span runs
     if not hasattr(mmap, "MADV_HUGEPAGE"):
         return np.empty(count)
     buf = mmap.mmap(-1, 8 * max(count, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
