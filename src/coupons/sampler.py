@@ -11,11 +11,13 @@ trajectory index (key = base_seed * 2^64 + index).  Batches are
 therefore reproducible and independent of chunking or worker count.
 
 Batches are drawn in spans of rows; each span re-keys one Philox bit
-generator per trajectory instead of building a generator per row.  With
+generator per trajectory instead of building a generator per row, and
+draws the rows a cache-sized block at a time.  A span lives in one
+(N+1) x span float64 buffer, its uniforms and then its int32 paths.  With
 `conditioned_paths(..., reduce=f)` every span is mapped to one value per
-path and dropped, so memory is one span's buffers per process plus the
-reduced outputs, whatever the number of trials.  With jobs > 1 the spans
-run in forked worker processes.
+path and dropped, so memory is one span buffer and one draw block per
+process plus the reduced outputs, whatever the number of trials.  With
+jobs > 1 the spans run in forked worker processes.
 """
 
 import os
@@ -122,44 +124,62 @@ def _mapped(count):
     return np.frombuffer(buf, count=count)
 
 
+_BLOCK_BYTES = 2 << 20  # a draw block: small enough to stay in L2 while it is transposed
+
+
 def _span_runner(rtab, N, n, seed, size, reduce):
     """run(start, count): the reversed chain for rows start..start+count-1.
 
     count <= size.  The buffers are allocated on the first call and kept
     for every later span of the same runner, so a worker faults its pages
-    in once.  Rows are drawn per trajectory into U, then one transpose
-    copy UT lets the time loop read and write contiguous rows without
-    temporaries; the int32 ZT is written over U's memory once the
-    transpose has consumed it, so the peak is U + UT.  rtab is a packed
-    band table, and rows[m][l] = r(m, l): the view of rtab from base[m],
-    or, where base[m] = -1, the one entry of a row whose band is l = m
-    alone.  z stays on the band, so take(mode="clip") skips the checked
-    copy, and clips every index onto that one entry.  Returns reduce(Z)
-    or, without reduce, the (count, N+1) view Z of the runner's buffer,
-    which the next span overwrites.
+    in once.  One mapping of (N+1) * size float64 entries holds the span:
+    UT, the (N, count) transposed uniforms, starts one row of count
+    entries in, and the int32 ZT (N+1, count) starts at its beginning.
+    Rows are drawn per trajectory into a draw block of about
+    _BLOCK_BYTES, a mapping of its own, and each block's transpose is
+    copied into UT while the block is still in cache; the time loop then
+    reads and writes contiguous rows without temporaries.  Step t reads
+    UT[t] and writes ZT[t + 1], which ends at byte 4 * count * (t + 2),
+    no later than UT[t + 1] begins (8 * count * (t + 2)), so ZT only
+    overwrites uniforms already read.  rtab is a packed band table, and
+    rows[m][l] = r(m, l): the view of rtab from base[m], or, where
+    base[m] = -1, the one entry of a row whose band is l = m alone.  z
+    stays on the band, so take(mode="clip") skips the checked copy, and
+    clips every index onto that one entry.  Returns a copy of reduce(Z),
+    which must have count entries, or, without reduce, the (count, N+1)
+    view Z of the runner's buffer, which the next span overwrites.
     """
     draw = _substreams(seed)
     rows = [rtab[b:] if b >= 0 else rtab[m - 1:m]
             for m, b in enumerate(_band_bases(N, n)[0].tolist())]
+    block = min(size, max(1, _BLOCK_BYTES // (8 * N)))
     bufs = []
 
     def run(start, count):
         if not bufs:
-            bufs.extend((_mapped(size * N), _mapped(size * N),
+            bufs.extend((_mapped((N + 1) * size), _mapped(block * N),
                          np.empty(size), np.empty(size, dtype=bool)))
-        U = bufs[0][:count * N].reshape(count, N)
-        for i in range(count):
-            draw(start + i, U[i])
-        UT = bufs[1][:count * N].reshape(N, count)
-        np.copyto(UT, U.T)
+        span, B = bufs[0], bufs[1].reshape(block, N)
+        UT = span[count:(N + 1) * count].reshape(N, count)
+        for i0 in range(0, count, block):
+            c = min(block, count - i0)
+            for j in range(c):
+                draw(start + i0 + j, B[j])
+            np.copyto(UT[:, i0:i0 + c], B[:c].T)
         thr, step = bufs[2][:count], bufs[3][:count]
-        ZT = bufs[0].view(np.int32)[:(N + 1) * count].reshape(N + 1, count)
+        ZT = span.view(np.int32)[:(N + 1) * count].reshape(N + 1, count)
         ZT[0] = n
         for t in range(N):
-            np.take(rows[N - t], ZT[t], out=thr, mode="clip")
+            rows[N - t].take(ZT[t], out=thr, mode="clip")
             np.less(UT[t], thr, out=step)
             np.subtract(ZT[t], step, out=ZT[t + 1])
-        return ZT.T if reduce is None else reduce(ZT.T)
+        if reduce is None:
+            return ZT.T
+        out = np.array(reduce(ZT.T))  # a copy: a view of ZT would not outlive the span
+        if out.shape[:1] != (count,):
+            raise ValueError("conditioned_paths: reduce returned shape %r for %d paths"
+                             % (out.shape, count))
+        return out
 
     return run
 
@@ -179,10 +199,12 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
 
     The rows run in spans of at most one chunk, about 4e6/(N+1) rows.
     With `reduce`, each span of paths, a (count, N+1) int32 view of the
-    span's buffer, is passed to `reduce`, which must return a new
-    length-count array.  The result is those arrays concatenated in
-    trajectory order, and no path matrix is kept: memory is one span's
-    buffers (at most about 64 MB while N < 15625) plus the reduced outputs.
+    span's buffer, is passed to `reduce`, which must return an array of
+    count entries (ValueError otherwise); a copy of it is kept, so it may
+    be a view of the span.  The result is those arrays concatenated in
+    trajectory order, and no path matrix is kept: memory is one span
+    buffer of (N+1) x span float64 (at most 32 MB while N < 15625), a
+    draw block of at most 2 MiB and the reduced outputs.
 
     `jobs` is first capped at the number of CPUs this process may use.
     With jobs > 1 and more than one chunk, the trials are split into
@@ -190,9 +212,9 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     worker processes forked from this one: the ratio table and `reduce`
     reach them copy-on-write as the pool initializer's arguments, which
     fork does not pickle, and each sends back only its reduced arrays
-    (its int32 rows without `reduce`).  Each worker holds one span's
-    buffers, and the workers have exited when this returns; an exception
-    raised in a worker is re-raised here.  Where the platform cannot fork,
+    (its int32 rows without `reduce`).  Each worker holds one span
+    buffer and one draw block, and the workers have exited when this
+    returns; an exception raised in a worker is re-raised here.  Where the platform cannot fork,
     the spans run serially in this process, with the same output.
     Python 3.12 and later warn when forking a process that runs threads,
     as numpy's OpenBLAS pool does.

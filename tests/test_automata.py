@@ -279,7 +279,8 @@ def test_estimate_accessibility_memory_flat_in_trials(monkeypatch):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 1e6
-    assert mapped == [1998 * 2001] * 4  # two buffers of one chunk, at both sizes
+    # one span buffer of one chunk and one draw block of 2 MiB, at both sizes
+    assert mapped == [1998 * 2002, (2 << 20) // (8 * 2001) * 2001] * 2
 
 
 def test_korshunov_report_record():

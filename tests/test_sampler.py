@@ -286,6 +286,42 @@ def test_reduce_equals_reducer_of_full_matrix(big_batch):
     assert np.array_equal(d, sup_distances_of(Z, curve, N, n))
 
 
+def test_reduce_may_return_a_view_of_the_span(big_batch, cpus8):
+    # a view of the span buffer is copied before the next span overwrites it
+    backend, Z = big_batch
+    N, n, seed, trials = BIG["N"], BIG["n"], BIG["seed"], BIG["trials"]
+    for jobs in (1, 2):
+        col = conditioned_paths(N, n, trials, backend=backend, seed=seed, jobs=jobs,
+                                reduce=lambda B: B[:, n])
+        assert np.array_equal(col, Z[:, n]), jobs
+    for bad in (lambda B: B[0], lambda B: B.sum()):
+        with pytest.raises(ValueError, match="reduce returned shape"):
+            conditioned_paths(N, n, trials, backend=backend, seed=seed, reduce=bad)
+
+
+def test_blocked_draws_match_the_reference(monkeypatch):
+    # draw blocks of 4 rows: spans of 10 (blocks 4, 4, 2), 3 and 4 rows, on
+    # one runner whose buffers are mapped once, for a 10-row span
+    N, n, seed = 40, 17, 8
+    monkeypatch.setattr(sampler, "_BLOCK_BYTES", 4 * 8 * N + 7)
+    mapped, mapped_of = [], sampler._mapped
+    monkeypatch.setattr(sampler, "_mapped",
+                        lambda count: mapped.append(count) or mapped_of(count))
+    rtab = auto_backend(N, n).ratio_table(N, n)
+    dense = dense_table(rtab, N, n)
+    run = sampler._span_runner(rtab, N, n, seed, 10, None)
+    for start, count in ((0, 10), (10, 3), (13, 4)):
+        Z = run(start, count)
+        assert Z.shape == (count, N + 1)
+        for i in range(count):
+            assert Z[i].tolist() == reversed_chain_reference(dense, N, n, seed, start + i)
+    assert mapped == [(N + 1) * 10, 4 * N]  # one span buffer and one draw block
+    assert np.array_equal(conditioned_paths(N, n, 17, seed=seed)[13:], Z)
+    mapped.clear()
+    sampler._span_runner(rtab, N, n, seed, 3, None)(0, 3)
+    assert mapped == [(N + 1) * 3, 3 * N]  # no block larger than the span
+
+
 def test_rekeyed_substreams_equal_fresh_generators():
     out = np.empty(1001)
     for seed in (0, 2 ** 63, 2 ** 64 - 1):
