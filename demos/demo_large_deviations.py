@@ -10,8 +10,9 @@ us watch the convergence digit by digit.
 
 import math
 
-from coupons import (f_drift, lambert_w0, rate_j, saddle_params,
-                     surjection_log_probability, xi_of_lambda)
+from coupons import (f_drift, rate_j, saddle_params, surjection_log_probability,
+                     xi_of_lambda)
+from coupons.specialfn import lambert_w0
 
 # --- the saddle point, two ways ---------------------------------------------------
 

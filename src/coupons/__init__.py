@@ -2,16 +2,16 @@
 limiting completion curves, and random accessible automata."""
 
 from .errors import NumericsError, QuadratureError, ResourceCapError
-from .specialfn import (SaddleParams, f_drift, g_theta, lambert_w0, rate_j,
-                        saddle_params, tail_h, xi_of_lambda)
+from .specialfn import (SaddleParams, f_drift, g_theta, rate_j, saddle_params,
+                        tail_h, xi_of_lambda)
 from .stirling import (ExactBackend, LogDPBackend, chi, psi_log,
                        psi_log_forms, saddle_diagnostics,
                        stirling_exact, surjection_log_probability,
                        transition_error)
 from .curve import (Curve, curve_to_csv, envelope, lambda_along,
                     patient_curve, solve_completion_curve, strip_clearance)
-from .sampler import (auto_backend, conditioned_paths, prefix_law,
-                      sample_patient, sup_distance_batch, sup_distances_of)
+from .sampler import (conditioned_paths, prefix_law, sample_patient,
+                      sup_distance_batch, sup_distances_of)
 from .automata import (bfs_accessible, dyck_check,
                        estimate_accessibility, estimate_middle_crossing,
                        exact_accessible_count, korshunov_constant,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NumericsError", "QuadratureError", "ResourceCapError",
-    "SaddleParams", "f_drift", "g_theta", "lambert_w0", "rate_j",
+    "SaddleParams", "f_drift", "g_theta", "rate_j",
     "saddle_params", "tail_h", "xi_of_lambda",
     "ExactBackend", "LogDPBackend",
     "chi", "psi_log", "psi_log_forms",
@@ -30,7 +30,7 @@ __all__ = [
     "surjection_log_probability", "transition_error",
     "Curve", "curve_to_csv", "envelope", "lambda_along", "patient_curve",
     "solve_completion_curve", "strip_clearance",
-    "auto_backend", "conditioned_paths", "prefix_law", "sample_patient",
+    "conditioned_paths", "prefix_law", "sample_patient",
     "sup_distance_batch", "sup_distances_of",
     "bfs_accessible", "dyck_check",
     "estimate_accessibility", "estimate_middle_crossing",

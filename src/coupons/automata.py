@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from .errors import integral
 from .sampler import _rng, conditioned_paths
 from .specialfn import f_drift
 from .stirling import _rows, stirling_exact
@@ -46,7 +47,7 @@ def dyck_check(y, k):
     y is y_1..y_N, a completion path: integers with y_1 = 1 and every step
     0 or 1 (ValueError otherwise); a leading y_0 = 0 is dropped.
     """
-    k = int(k)
+    k = integral("dyck_check: k", k)
     if k < 1:
         raise ValueError("dyck_check: k must be >= 1")
     raw = np.asarray(y)
@@ -76,19 +77,13 @@ def surjection_to_diagram(word, n):
     word = raw.astype(np.int64)
     if word.ndim != 1 or np.any(word != raw) or np.any((word < 1) | (word > n)):
         raise ValueError("surjection_to_diagram: word must take integer values in [1..n]")
-    if len(np.unique(word)) != n:
+    first = np.unique(word, return_index=True)[1]  # first index of each letter
+    if len(first) != n:
         raise ValueError("surjection_to_diagram: word is not surjective onto [1..n]")
-    relabel = np.zeros(n + 1, dtype=np.int64)
-    y = np.empty(len(word), dtype=np.int64)
-    marks = np.empty(len(word), dtype=np.int64)
-    seen = 0
-    for i, w in enumerate(word):
-        if relabel[w] == 0:
-            seen += 1
-            relabel[w] = seen
-        y[i] = seen
-        marks[i] = relabel[w]
-    return y, marks
+    relabel = np.empty(n + 1, dtype=np.int64)
+    relabel[word[np.sort(first)]] = np.arange(1, n + 1)
+    marks = relabel[word]
+    return np.maximum.accumulate(marks), marks
 
 
 def structure_from_diagram(marks, k, n):
@@ -106,8 +101,7 @@ def structure_from_diagram(marks, k, n):
         raise ValueError("structure_from_diagram: marks must be integers in [1..n]")
     initial = int(marks[0])
     delta = np.zeros((n + 1, k), dtype=np.int64)
-    for l in range(1, n + 1):
-        delta[l] = marks[(l - 1) * k + 1: l * k + 1]
+    delta[1:] = marks[1:].reshape(n, k)
     return initial, delta
 
 
@@ -135,8 +129,8 @@ def estimate_accessibility(k, n, trials, seed=0, jobs=1):
     test; returns (estimate, stderr) with the normal-approximation
     binomial standard error.
     """
-    k = int(k)
-    n = int(n)
+    k = integral("estimate_accessibility: k", k)
+    n = integral("estimate_accessibility: n", n)
     if k < 2 or n < 2:
         raise ValueError("estimate_accessibility: need k >= 2 and n >= 2")
     if trials < 1:
@@ -149,7 +143,7 @@ def estimate_accessibility(k, n, trials, seed=0, jobs=1):
 
 def korshunov_constant(k):
     """Limiting accessible fraction 1 - k exp(-xi(k-1)) among surjective ones."""
-    k = int(k)
+    k = integral("korshunov_constant: k", k)
     if k < 2:
         raise ValueError("korshunov_constant: need k >= 2")
     return 1.0 - k * f_drift(k - 1.0)
@@ -161,7 +155,7 @@ def simulate_walk_max(k, runs, horizon=500, seed=0):
     Oracle for pi0: the walk has negative drift, so the finite horizon
     truncation bias is exponentially small in the horizon.
     """
-    k = int(k)
+    k = integral("simulate_walk_max: k", k)
     if k < 2:
         raise ValueError("simulate_walk_max: need k >= 2")
     if runs < 1 or horizon < 1:
@@ -187,8 +181,8 @@ def exact_accessible_count(k, n):
     for j <= l after column lk+1 (the k-Dyck barrier), and n! {N n}, whose
     stirling_exact cap N <= 5000 applies before the roll.
     """
-    k = int(k)
-    n = int(n)
+    k = integral("exact_accessible_count: k", k)
+    n = integral("exact_accessible_count: n", n)
     if k < 2 or n < 2:
         raise ValueError("exact_accessible_count: need k >= 2 and n >= 2")
     N = k * n + 1
@@ -206,8 +200,8 @@ def estimate_middle_crossing(k, n, trials, seed=0):
     a = e^{-k}/8 and C = _WINDOW_C; a crossing at column x means k y_x <= x - 1.  The
     frequency must vanish as n grows (the limit curve clears the strip).
     """
-    k = int(k)
-    n = int(n)
+    k = integral("estimate_middle_crossing: k", k)
+    n = integral("estimate_middle_crossing: n", n)
     if k < 2 or n < 2:
         raise ValueError("estimate_middle_crossing: need k >= 2 and n >= 2")
     a = math.exp(-k) / 8.0

@@ -92,12 +92,20 @@ def cmd_curve(args):
     return 0
 
 
+def _chain_length(lam, l):
+    """round((1 + lam) l); ValueError where (1 + lam) l overflows."""
+    m = (1.0 + lam) * l
+    if not math.isfinite(m):
+        raise ValueError("(1 + lambda) * l overflows at lambda=%r, l=%r" % (lam, l))
+    return int(round(m))
+
+
 def _stirling_verify(lams, ells, out):
     lines = ["lam,ell,m,l_abs_chi,l_trans_err"]
     worst_chi = worst_r = 0.0
     for lam in lams:
         for l in ells:
-            m = int(round((1.0 + lam) * l))
+            m = _chain_length(lam, l)
             ch, err = stirling._chi_and_transition_error(m, l)
             lc = l * abs(ch)
             lr = l * err
@@ -156,7 +164,7 @@ def cmd_ldp(args):
     for n in args.n:
         if n < 1:
             raise ValueError("ldp: n must be >= 1")
-        N = int(round((1.0 + args.nu) * n))
+        N = _chain_length(args.nu, n)
         lnp = stirling.surjection_log_probability(N, n)
         rate = lnp / n
         lines.append("%d,%.17g,%.17g,%.17g" % (n, rate, -j, abs(rate + j)))

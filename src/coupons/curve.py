@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, integral
 from .specialfn import _xi_newton, xi_of_lambda
 
 # largest accepted |RK4 grid - closed form|
@@ -98,7 +98,10 @@ def _slope(x, y):
 
 def _rk4_path(nu, a, step):
     x0 = 1.0 + nu
-    nsteps = max(1, int(math.ceil((x0 - a) / step - 1e-12)))
+    steps = (x0 - a) / step
+    if steps == math.inf:
+        raise ValueError("solve_completion_curve: (1 + nu - a)/step overflows")
+    nsteps = max(1, int(math.ceil(steps - 1e-12)))
     xs = np.empty(nsteps + 1)
     ys = np.empty(nsteps + 1)
     xs[0], ys[0] = x0, 1.0
@@ -174,7 +177,7 @@ def strip_clearance(k, eps):
     smallest at an end of the window; at the largest eps the window is one
     point, whose two computed ends may differ by rounding.
     """
-    k = int(k)
+    k = integral("strip_clearance: k", k)
     if k < 2:
         raise ValueError("strip_clearance: need k >= 2")
     eps = float(eps)

@@ -3,8 +3,18 @@
 Argument and domain violations raise plain ValueError.  The classes here
 mark failures of a different nature: numerical self-checks and resource
 caps.  The CLI maps ValueError to exit code 2, OSError to 3, and
-everything below to 4.
+everything below to 4.  `integral` is the one check that an integer
+argument has no fractional part.
 """
+
+import numbers
+
+
+def integral(name, value):
+    """int(value) for an integer (numpy's too) or an integral float; ValueError otherwise."""
+    if isinstance(value, numbers.Integral) or float(value).is_integer():
+        return int(value)
+    raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 class NumericsError(RuntimeError):

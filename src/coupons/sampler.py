@@ -28,7 +28,7 @@ import numpy as np
 
 from .curve import solve_completion_curve
 from .specialfn import f_drift
-from .stirling import ExactBackend, LogDPBackend, _band_bases
+from .stirling import ExactBackend, LogDPBackend, _band_rows
 
 _U64 = (1 << 64) - 1
 
@@ -141,17 +141,15 @@ def _span_runner(rtab, N, n, seed, size, reduce):
     reads and writes contiguous rows without temporaries.  Step t reads
     UT[t] and writes ZT[t + 1], which ends at byte 4 * count * (t + 2),
     no later than UT[t + 1] begins (8 * count * (t + 2)), so ZT only
-    overwrites uniforms already read.  rtab is a packed band table, and
-    rows[m][l] = r(m, l): the view of rtab from base[m], or, where
-    base[m] = -1, the one entry of a row whose band is l = m alone.  z
-    stays on the band, so take(mode="clip") skips the checked copy, and
-    clips every index onto that one entry.  Returns a copy of reduce(Z),
-    which must have count entries, or, without reduce, the (count, N+1)
-    view Z of the runner's buffer, which the next span overwrites.
+    overwrites uniforms already read.  rtab is a packed band table, read
+    through its `_band_rows` views; z stays on the band, so
+    take(mode="clip") only skips the checked copy.  Returns a copy of
+    reduce(Z), which must have count entries, or, without reduce, the
+    (count, N+1) view Z of the runner's buffer, which the next span
+    overwrites.
     """
     draw = _substreams(seed)
-    rows = [rtab[b:] if b >= 0 else rtab[m - 1:m]
-            for m, b in enumerate(_band_bases(N, n)[0].tolist())]
+    rows = _band_rows(rtab, N, n)
     block = min(size, max(1, _BLOCK_BYTES // (8 * N)))
     bufs = []
 
@@ -335,18 +333,16 @@ def prefix_law(N, n, s):
         raise ValueError("prefix_law: need 1 <= n < N")
     if not (1 <= s <= min(20, N)):
         raise ValueError("prefix_law: need 1 <= s <= min(20, N)")
-    rtab = auto_backend(N, n).ratio_table(N, n)
-    base = _band_bases(N, n)[0]
+    rows = _band_rows(auto_backend(N, n).ratio_table(N, n), N, n)
     rho = f_drift((N - n) / n)
 
     patt = np.arange(1 << s)
     l = np.full(1 << s, n)
     exact = np.ones(1 << s)
     for j in range(s):
-        m = N - j  # read r only on the band of row m, 0 elsewhere
-        band = (max(1, m - (N - n)) <= l) & (l <= min(m, n))
-        r = np.zeros(1 << s)
-        r[band] = rtab[base[m] + l[band]]
+        # a pattern leaves the band only through a factor 0, r(m, m) = 1 kept
+        # or r(m, 1) = 0 taken, so exact is +0.0 wherever the clip reads off it
+        r = rows[N - j].take(l, mode="clip")
         step = (patt >> j) & 1
         exact *= np.where(step, r, 1.0 - r)
         l -= step

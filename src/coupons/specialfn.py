@@ -37,73 +37,55 @@ _BRANCH_POINT = -math.exp(-1.0)  # -1/e, domain edge of the W0 branch
 def lambert_w0(z):
     """Principal branch W0 of the Lambert W function, real arguments.
 
-    Solves w * exp(w) = z for z >= -1/e by Halley iteration.  Arguments
-    up to 1e-15 below the branch point are clamped onto it; anything
-    lower raises ValueError.  Accepts a scalar (returns a float) or an
-    ndarray (returns an array of its shape); every element runs the same
-    iteration with its own stopping tests, so an element's value does not
-    depend on the other elements.
-
-    No library code calls it: the tests build the closed form
-    xi = 1 + lam + W0(-(1+lam) e^(-1-lam)) on it as the oracle for
-    xi_of_lambda.  It stays public while the benchmark tracer binds it.
+    Solves w * exp(w) = z for z >= -1/e by at most 50 Halley steps
+    (NumericsError if they do not converge, as for nan and inf).
+    Arguments up to 1e-15 below the branch point are clamped onto it;
+    lower ones raise ValueError.  A scalar gives a float, an ndarray an
+    array of its shape, solved element by element.  No library code calls
+    it: it is the tests' Lambert-W route to xi, and stays in this module
+    while the benchmark tracer binds it.
     """
-    scalar = np.ndim(z) == 0
-    z = np.asarray(z, dtype=float)
-    zf = z.ravel()
-    below = zf < _BRANCH_POINT - 1e-15
-    if below.any():
-        raise ValueError("lambert_w0: argument %r below branch point -1/e"
-                         % float(zf[np.argmax(below)]))
-    edge = zf <= _BRANCH_POINT
-    out = np.where(edge, -1.0, 0.0)  # z == 0 gives 0.0
-    idx = np.flatnonzero(~edge & (zf != 0.0))  # nan iterates and fails below
-    zz = zf[idx]
+    if np.ndim(z):
+        return np.vectorize(lambert_w0, otypes=[float])(z)
+    z = float(z)
+    if z < _BRANCH_POINT - 1e-15:
+        raise ValueError("lambert_w0: argument %r below branch point -1/e" % z)
+    if z <= _BRANCH_POINT:
+        return -1.0
+    if z == 0.0:
+        return 0.0
 
     # initial guess: series in p = sqrt(2(e z + 1)) near the branch
     # point, log asymptote for large z, identity-ish guess in between
-    w = zz / (1.0 + zz)
-    near = math.e * zz + 1.0 < 0.36
-    p = np.sqrt(2.0 * (math.e * zz[near] + 1.0))
-    w[near] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    large = ~near & (zz >= math.e)
-    l1 = np.log(zz[large])
-    l2 = np.log(l1)
-    w[large] = l1 - l2 + l2 / l1
+    if math.e * z + 1.0 < 0.36:
+        p = math.sqrt(2.0 * (math.e * z + 1.0))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    elif z >= math.e:
+        l1 = math.log(z)
+        l2 = math.log(l1)
+        w = l1 - l2 + l2 / l1
+    else:
+        w = z / (1.0 + z)
 
-    tol = 1e-15 * np.maximum(np.abs(zz), 1e-290)
+    tol = 1e-15 * max(abs(z), 1e-290)
     for _ in range(50):
-        ew = np.exp(w)
-        f = w * ew - zz
-        done = np.abs(f) <= tol
-        if done.any():
-            out[idx[done]] = w[done]
-            keep = ~done
-            idx, zz, tol, w, ew, f = (v[keep] for v in (idx, zz, tol, w, ew, f))
-        if not idx.size:
-            break
+        ew = math.exp(w)
+        f = w * ew - z
+        if abs(f) <= tol:
+            return w
         w1 = w + 1.0
         # Halley step: f / (e^w (w+1) - (w+2) f / (2w+2))
-        denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
-        step = f / denom
-        w = w - step
-        low = w < -1.0
-        w[low] = -1.0 + 0.25 * (w[low] + step[low] + 1.0)  # keep inside the branch
+        step = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
+        w -= step
+        if w < -1.0:
+            w = -1.0 + 0.25 * (w + step + 1.0)  # keep inside the branch
         # step-size stop: a step below 1e-16 (1+|w|) ends the iteration
         # where the residual recheck passes
-        small = np.abs(step) <= 1e-16 * (1.0 + np.abs(w))
-        if small.any():
-            done = small & (np.abs(w * np.exp(w) - zz) <= tol)
-            out[idx[done]] = w[done]
-            keep = ~done
-            idx, zz, tol, w = (v[keep] for v in (idx, zz, tol, w))
-    if idx.size:
-        fine = np.abs(w * np.exp(w) - zz) <= 1e-13 * np.maximum(np.abs(zz), 1e-290)
-        if not fine.all():
-            raise NumericsError("lambert_w0 did not converge for z=%r"
-                                % float(zz[np.argmin(fine)]))
-        out[idx] = w
-    return float(out[0]) if scalar else out.reshape(z.shape)
+        if abs(step) <= 1e-16 * (1.0 + abs(w)) and abs(w * math.exp(w) - z) <= tol:
+            return w
+    if abs(w * math.exp(w) - z) <= 1e-13 * max(abs(z), 1e-290):
+        return w
+    raise NumericsError("lambert_w0 did not converge for z=%r" % z)
 
 
 def _xi_newton(lam):

@@ -38,7 +38,7 @@ reach, lo(m) = max(1, m - (N - n)) <= l <= hi(m) = min(m, n) in row m
 (each step lowers l by at most one, so after t steps l >= n - t).  It is
 packed: one 1-D float64 array with rows m = 1..N one after another and
 nothing off the band, so r(m, l) = R[base[m] + l] with base from
-`_band_bases`; at N = 2n + 1 that is about half the dense (N+1, n+1)
+`_band`; at N = 2n + 1 that is about half the dense (N+1, n+1)
 grid.
 """
 
@@ -52,39 +52,40 @@ from .specialfn import f_drift, g_theta, saddle_params, tail_h
 
 DEFAULT_EXACT_CAP = 5000
 _SURJECTION_EXACT_CAP = 3000  # surjection_log_probability: big integers up to this N
+_SURJECTION_LOGDP_CAP = 10 ** 5  # surjection_log_probability: log-space DP up to this N
 _PANELS = [16 << i for i in range(9)]  # _quad: panel counts 16, 32, ..., 4096
 _LN2 = math.log(2.0)
 
 
 def _band(N, n):
-    """Yield (lo, hi) for rows m = 0..N of the band of the chain from (N, n).
+    """(lo, hi, base, size): the band of the chain from (N, n) and its packed layout.
 
-    Row m >= 1 is max(1, m - (N - n)) <= l <= min(m, n); row 0 holds
-    {0 0} alone.  {m l} needs only {m-1 l} and {m-1 l-1}, which are on the
-    band or are the zeros beside it, so the band is closed under the
-    recurrence and its entries do not depend on the rest of the table.
+    lo, hi and base are lists over rows m = 0..N.  Row m >= 1 of the band
+    is lo(m) = max(1, m - (N - n)) <= l <= hi(m) = min(m, n), the states
+    the chain can reach, and row 0 holds {0 0}.  The band is closed under
+    {m l} = l {m-1 l} + {m-1 l-1}: the terms off it are 0.  A ratio table
+    packs rows 1..N back to back in `size` entries, r(m, l) = R[base[m] + l].
+    For n >= 1, base[m] >= -1 for m >= 1, with -1 only where row m is
+    l = m alone (at m = 1, and at every m when n = N).
     """
     if not 0 <= n <= N:
         raise ValueError("ratio_table: need 0 <= n <= N, got (%r, %r)" % (N, n))
-    yield 0, 0
-    for m in range(1, N + 1):
-        yield max(1, m - (N - n)), min(m, n)
-
-
-def _band_bases(N, n):
-    """(base, size) of the packed band table of the chain from (N, n).
-
-    Row m = 1..N of the band, lo(m) <= l <= hi(m), sits at
-    R[base[m] + lo(m)] .. R[base[m] + hi(m)] of a table of `size`
-    entries, right after row m - 1, so r(m, l) = R[base[m] + l].  Row 0
-    is empty, and so is every row when n = 0.  For n >= 1, base[m] >= -1
-    for m >= 1, with -1 only where row m is l = m alone (at m = 1, and at
-    every m when n = N).  Needs 0 <= n <= N.
-    """
     m = np.arange(N + 1)
+    lo = np.maximum(m - (N - n), 1)
+    lo[0] = 0
     hi = np.minimum(m, n)
-    ends = np.cumsum(hi - np.maximum(m - (N - n), 1) + 1)
-    return ends - hi - 1, int(ends[-1])
+    ends = np.cumsum(hi - lo + 1) - 1  # r(0, 0) is not stored
+    return lo.tolist(), hi.tolist(), (ends - hi - 1).tolist(), int(ends[-1])
+
+
+def _band_rows(R, N, n):
+    """Row views of a packed band table R of the chain from (N, n): rows[m][l] = r(m, l).
+
+    rows[m] is R from base[m] on, or, where base[m] = -1 (row m is l = m
+    alone), that one entry.  Read with take(mode="clip"), an index off the
+    band reads some finite entry of R instead of raising.
+    """
+    return [R[b:] if b >= 0 else R[m - 1:m] for m, b in enumerate(_band(N, n)[2])]
 
 
 def _rows(N, n):
@@ -94,7 +95,7 @@ def _rows(N, n):
     rolled from the list yielded as row m: zeros a caller writes into a
     yielded row (an absorbing barrier) reach every later row.
     """
-    band = _band(N, n)
+    band = zip(*_band(N, n)[:2])
     row = [1] + [0] * n  # {0 0} = 1
     yield next(band) + (row,)
     for lo, hi in band:
@@ -112,7 +113,7 @@ def _log_rows(N, n):
     entries below lo left from the row two before, which nothing reads:
     row m+1 reads row m from lo(m+1) - 1 up, which is lo(m) or l = 0.
     """
-    band = _band(N, n)
+    band = zip(*_band(N, n)[:2])
     rows = np.full((2, n + 1), -np.inf)
     rows[0, 0] = 0.0  # ln {0 0}
     yield next(band) + (rows[0],)
@@ -190,17 +191,14 @@ class ExactBackend:
     def ratio_table(self, N, n):
         """Packed band table R: 1-D float64 with r(m, l) = R[base[m] + l] on the band.
 
-        The band is the set of states the reversed chain from (N, n) can
-        visit: it lowers l by at most one per step, so row m holds
-        max(1, m - (N - n)) <= l <= min(m, n).  Rows m = 1..N follow one
-        another and nothing off the band is stored; base comes from
-        `_band_bases(N, n)`.  Needs 0 <= n <= N.
+        Band, base and layout are `_band(N, n)`'s: the states the reversed
+        chain from (N, n) can visit, nothing else.  Needs 0 <= n <= N.
         """
         rows = _rows(N, n)
         _, _, prev = next(rows)
-        base, size = _band_bases(N, n)
+        base, size = _band(N, n)[2:]
         R = np.empty(size)
-        for (lo, hi, row), b in zip(rows, base[1:].tolist()):
+        for (lo, hi, row), b in zip(rows, base[1:]):
             R[b + lo:b + hi + 1] = [a / c for a, c in zip(prev[lo - 1:hi], row[lo:hi + 1])]
             prev = row
         return R
@@ -245,9 +243,9 @@ class LogDPBackend:
         """
         rows = _log_rows(N, n)
         _, _, prev = next(rows)
-        base, size = _band_bases(N, n)
+        base, size = _band(N, n)[2:]
         R = np.empty(size)
-        for (lo, hi, row), b in zip(rows, base[1:].tolist()):
+        for (lo, hi, row), b in zip(rows, base[1:]):
             r = R[b + lo:b + hi + 1]
             np.subtract(prev[lo - 1:hi], row[lo:hi + 1], out=r)
             np.exp(r, out=r)
@@ -335,12 +333,21 @@ def _chi_and_transition_error(m, l):
 def surjection_log_probability(N, n):
     """ln P(T_n <= N) = ln(n! {N n} n^{-N}) for the patient collector.
 
-    Exact big-integer route up to N = 3000, log-space DP beyond.
+    Exact big-integer route up to N = 3000, log-space DP beyond, and
+    ResourceCapError above N = 10^5, where the DP rolls N rows of up to
+    n entries (at N = 10^5: 0.4 s at n = 5, 1.3 s at n = 500, 8.5 s at
+    n = 5000 on a 2-core Xeon).  The DP route's absolute error grows with
+    N ln n, the size of the two terms that cancel: against exact values
+    it is 2.4e-10 at (3001, 5), 3.6e-10 at (10^4, 1000) and 3.6e-7 at
+    (10^5, 5), and it can return a value above 0 where ln P rounds to 0.
     """
     if not (1 <= n <= N):
         raise ValueError("surjection_log_probability: need 1 <= n <= N")
     if n == 1:
         return 0.0
+    if N > _SURJECTION_LOGDP_CAP:
+        raise ResourceCapError("surjection_log_probability: N=%d exceeds cap %d"
+                               % (N, _SURJECTION_LOGDP_CAP))
     if N <= _SURJECTION_EXACT_CAP:
         lns = _log_big(stirling_exact(N, n))
     else:

@@ -10,11 +10,13 @@ from coupons import (NumericsError, ResourceCapError,
                      estimate_accessibility, estimate_middle_crossing,
                      exact_accessible_count, korshunov_constant,
                      korshunov_report, simulate_walk_max, stirling_exact,
+                     strip_clearance, structure_from_diagram,
                      surjection_to_diagram)
 from coupons import sampler
 
-from oracles import (accessible_count_reference, enumerate_surjective_paths,
-                     pollaczek_crossing, walk_max_reference, xi_bisect)
+from oracles import (accessible_count_reference, completion_path,
+                     enumerate_surjective_paths, pollaczek_crossing,
+                     walk_max_reference, xi_bisect)
 
 PI0_K2 = 0.7449990250840247
 
@@ -161,6 +163,44 @@ def test_dyck_iff_bfs_accessible():
         y, marks = surjection_to_diagram(w, n)
         assert dyck_check(y, k) == bfs_accessible(marks, k, n)
         checked += 1
+
+
+def test_diagram_codec_on_random_words():
+    # y is the completion path, marks the first-appearance relabel, and
+    # state l's out-edges are the column slice marks[(l-1)k+1 : lk+1]
+    rng = np.random.default_rng(21)
+    for k, n in [(1, 1), (1, 6), (2, 3), (3, 7), (2, 200)]:
+        N = k * n + 1
+        for _ in range(40):
+            w = rng.permutation(np.concatenate(
+                [np.arange(1, n + 1), rng.integers(1, n + 1, size=N - n)])).tolist()
+            y, marks = surjection_to_diagram(w, n)
+            assert y.dtype == marks.dtype == np.int64
+            assert tuple(y) == completion_path(w)
+            labels = {}
+            for x in w:
+                labels.setdefault(x, len(labels) + 1)
+            assert marks.tolist() == [labels[x] for x in w]
+            initial, delta = structure_from_diagram(marks, k, n)
+            assert initial == marks[0] and not delta[0].any()
+            for l in range(1, n + 1):
+                assert np.array_equal(delta[l], marks[(l - 1) * k + 1:l * k + 1])
+
+
+def test_non_integral_k_and_n_are_rejected():
+    calls = [lambda: korshunov_constant(2.7), lambda: korshunov_constant(math.nan),
+             lambda: exact_accessible_count(2.5, 3), lambda: exact_accessible_count(2, 3.9),
+             lambda: strip_clearance(2.9, 0.1), lambda: dyck_check([1, 2, 2, 3, 3, 3, 3], 2.5),
+             lambda: estimate_accessibility(2, 10.5, 10),
+             lambda: estimate_middle_crossing(2.5, 100, 10),
+             lambda: simulate_walk_max(math.inf, 10)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    # integral floats and numpy integers are the integers they equal
+    assert korshunov_constant(2.0) == korshunov_constant(np.int64(2)) == korshunov_constant(2)
+    assert exact_accessible_count(np.int32(2), 3.0) == exact_accessible_count(2, 3)
+    assert strip_clearance(np.float64(2.0), 0.1) and strip_clearance(np.int64(3), 0.1)
 
 
 # --- exact counts ------------------------------------------------------------

@@ -337,7 +337,27 @@ def test_ldp_bad_parameters():
     assert main(["ldp", "--nu", "1", "--n", "0"]) == 2
 
 
+def test_ldp_caps_the_log_space_route(capsys):
+    # N = 5000005 would roll the LogDP recurrence for minutes; 1e300 never ends
+    for nu in ("1e6", "1e300"):
+        assert main(["ldp", "--nu", nu, "--n", "5"]) == 4
+        assert "exceeds cap 100000" in capsys.readouterr().err
+
+
 # --- output plumbing ----------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--nu", "1e308", "--a", "0.5"],
+    ["curve", "--nu", "1", "--a", "0.2", "--step", "1e-308"],
+    ["stirling", "--verify", "--lams", "1e308", "--ells", "10"],
+    ["ldp", "--nu", "1e307", "--n", "50"],
+])
+def test_overflowing_finite_flags_exit_2(argv):
+    # an infinite RK4 step count or chain length is a bad parameter, not a crash
+    r = subprocess.run([sys.executable, "-m", "coupons", *argv],
+                       capture_output=True, text=True)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("COUPONS_OUTPUT_DIR", str(tmp_path))

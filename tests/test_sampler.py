@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from coupons import (ExactBackend, LogDPBackend, auto_backend,
+from coupons import (ExactBackend, LogDPBackend,
                      conditioned_paths, prefix_law, sample_patient, solve_completion_curve, sup_distance_batch,
                      transition_error)
 
 from coupons import sampler
 from coupons.automata import _dyck_flags
 from coupons.errors import NumericsError
-from coupons.sampler import _rng, _substreams, sup_distances_of
+from coupons.sampler import _rng, _substreams, auto_backend, sup_distances_of
 
 from oracles import (dense_table, enumerate_surjective_paths, reachable_states,
                      rejection_paths, reversed_chain_reference)

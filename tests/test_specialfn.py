@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coupons import (NumericsError, f_drift, g_theta, lambert_w0, rate_j,
-                     saddle_params, tail_h, xi_of_lambda)
-from coupons.specialfn import _xi_newton
+from coupons import (NumericsError, f_drift, g_theta, rate_j, saddle_params,
+                     tail_h, xi_of_lambda)
+from coupons.specialfn import _xi_newton, lambert_w0
 
 from oracles import (fd_derivatives_123_4, rate_j_reference, xi_bisect,
                      xi_mpmath, xi_newton_reference, xi_via_lambertw)
