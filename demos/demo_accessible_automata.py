@@ -11,7 +11,7 @@ Pollaczek-Khinchine identity for a negative-drift walk.
 
 from coupons import (bfs_accessible, dyck_check, estimate_accessibility,
                      exact_accessible_count, f_drift, korshunov_constant,
-                     simulate_walk_max, surjection_to_diagram)
+                     surjection_to_diagram)
 
 # --- one word, two tests ---------------------------------------------------------
 
@@ -49,6 +49,4 @@ for n in (10, 100, 1000):
 # walk never crosses 0 with probability (1-rho) pi0 = 1 - 2 rho
 rho = f_drift(1.0)
 pi0, nc = (1.0 - 2.0 * rho) / (1.0 - rho), 1.0 - 2.0 * rho
-est, se = simulate_walk_max(2, 200000, horizon=500, seed=4)
 print("\nPollaczek-Khinchine: pi0 = %.6f, non-crossing = %.6f" % (pi0, nc))
-print("walk-maximum simulation: %.6f +- %.6f" % (est, 2 * se))

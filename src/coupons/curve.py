@@ -31,11 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, integral
+from .errors import NumericsError, ResourceCapError, integral
 from .specialfn import _xi_newton, xi_of_lambda
 
 # largest accepted |RK4 grid - closed form|
 _CLOSED_FORM_TOL = 1e-8
+# most RK4 steps one solve takes: about 80 s and two 80 MB grids at ~8 us a step
+_RK4_STEP_CAP = 10 ** 7
 
 
 def patient_curve(t):
@@ -101,6 +103,9 @@ def _rk4_path(nu, a, step):
     steps = (x0 - a) / step
     if steps == math.inf:
         raise ValueError("solve_completion_curve: (1 + nu - a)/step overflows")
+    if steps > _RK4_STEP_CAP:
+        raise ResourceCapError("solve_completion_curve: RK4 step count %g exceeds cap %d"
+                               % (steps, _RK4_STEP_CAP))
     nsteps = max(1, int(math.ceil(steps - 1e-12)))
     xs = np.empty(nsteps + 1)
     ys = np.empty(nsteps + 1)
@@ -129,7 +134,8 @@ def solve_completion_curve(nu, a, step=1e-3, richardson_check=True):
     `_zeta`; that check also catches a wrong xi on the path.  The flag
     once enabled a re-solve at step/2 and keeps its name so that callers
     binding it by keyword still work.
-    NumericsError on any failed check.
+    NumericsError on any failed check; ResourceCapError when
+    (1 + nu - a)/step exceeds 10^7 steps, before anything is allocated.
     """
     nu = float(nu)
     a = float(a)

@@ -260,28 +260,20 @@ def _gather(parts, starts, counts, N, reduce):
 def sample_patient(n, seed=0):
     """Unconditioned collector run: returns (y_0..y_T, T_n).
 
-    Draws i.i.d. uniform labels until all n have appeared; y_l is the
-    number of distinct labels after l draws.
+    y_l is the number of distinct labels among l i.i.d. uniform draws,
+    and T_n the draw that completes the collection.  The run is drawn by
+    its waiting times: with j labels held, the next new one takes a
+    Geometric((n - j)/n) number of draws, independently of the past, so
+    T_n is the sum of n independent gaps and y holds the value j for
+    gap j draws.  This is the law of the label-by-label run, drawn in
+    O(n) instead of about n ln n labels.  The gaps come from Philox
+    sub-stream (seed, 0); before the waiting-time draw that stream fed
+    raw labels, so a seed's path differs from that of earlier versions.
     """
     if n < 1:
         raise ValueError("sample_patient: n must be >= 1")
-    rng = _rng(seed, 0)
-    seen = np.zeros(n, dtype=bool)
-    count = 0
-    pieces = []
-    block = max(4 * n, 64)
-    while count < n:
-        w = rng.integers(0, n, size=block)
-        uniq, first = np.unique(w, return_index=True)
-        fresh = ~seen[uniq]
-        inc = np.zeros(block, dtype=np.int64)
-        inc[first[fresh]] = 1
-        pieces.append(count + np.cumsum(inc))
-        seen[uniq[fresh]] = True
-        count += int(fresh.sum())
-    y = np.concatenate(pieces)
-    T = int(np.argmax(y == n)) + 1
-    return np.concatenate(([0], y[:T])), T
+    gaps = _rng(seed, 0).geometric((n - np.arange(n)) / n)
+    return np.append(np.repeat(np.arange(n), gaps), n), int(gaps.sum())
 
 
 def sup_distances_of(Z, curve, N, n):

@@ -53,6 +53,7 @@ from .specialfn import f_drift, g_theta, saddle_params, tail_h
 DEFAULT_EXACT_CAP = 5000
 _SURJECTION_EXACT_CAP = 3000  # surjection_log_probability: big integers up to this N
 _SURJECTION_LOGDP_CAP = 10 ** 5  # surjection_log_probability: log-space DP up to this N
+_SURJECTION_BAND_CAP = 5 * 10 ** 8  # ... and up to this many band entries rolled
 _PANELS = [16 << i for i in range(9)]  # _quad: panel counts 16, 32, ..., 4096
 _LN2 = math.log(2.0)
 
@@ -333,13 +334,17 @@ def _chi_and_transition_error(m, l):
 def surjection_log_probability(N, n):
     """ln P(T_n <= N) = ln(n! {N n} n^{-N}) for the patient collector.
 
-    Exact big-integer route up to N = 3000, log-space DP beyond, and
-    ResourceCapError above N = 10^5, where the DP rolls N rows of up to
-    n entries (at N = 10^5: 0.4 s at n = 5, 1.3 s at n = 500, 8.5 s at
-    n = 5000 on a 2-core Xeon).  The DP route's absolute error grows with
+    Exact big-integer route up to N = 3000, log-space DP beyond.  The DP
+    rolls N rows of up to min(n, N - n + 1) band entries (at N = 10^5:
+    0.4 s at n = 5, 1.3 s at n = 500, 8.5 s at n = 5000 on a 2-core
+    Xeon), so ResourceCapError is raised above N = 10^5, where the
+    per-row overhead alone is large, and where N * min(n, N - n + 1)
+    exceeds 5 * 10^8 entries.  The DP route's absolute error grows with
     N ln n, the size of the two terms that cancel: against exact values
     it is 2.4e-10 at (3001, 5), 3.6e-10 at (10^4, 1000) and 3.6e-7 at
-    (10^5, 5), and it can return a value above 0 where ln P rounds to 0.
+    (10^5, 5).  Near P = 1 that error can push the sum above 0, which no
+    probability's log can be, so a positive sum is returned as 0 (and a
+    value <= 0 keeps its bits).
     """
     if not (1 <= n <= N):
         raise ValueError("surjection_log_probability: need 1 <= n <= N")
@@ -348,11 +353,15 @@ def surjection_log_probability(N, n):
     if N > _SURJECTION_LOGDP_CAP:
         raise ResourceCapError("surjection_log_probability: N=%d exceeds cap %d"
                                % (N, _SURJECTION_LOGDP_CAP))
+    band = N * min(n, N - n + 1)
+    if band > _SURJECTION_BAND_CAP:
+        raise ResourceCapError("surjection_log_probability: N=%d, n=%d rolls %d band "
+                               "entries, which exceeds cap %d" % (N, n, band, _SURJECTION_BAND_CAP))
     if N <= _SURJECTION_EXACT_CAP:
         lns = _log_big(stirling_exact(N, n))
     else:
         lns = LogDPBackend().log_value(N, n)
-    return math.lgamma(n + 1) + lns - N * math.log(n)
+    return min(math.lgamma(n + 1) + lns - N * math.log(n), 0.0)
 
 
 @functools.cache

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -344,6 +345,20 @@ def test_ldp_caps_the_log_space_route(capsys):
         assert "exceeds cap 100000" in capsys.readouterr().err
 
 
+def test_ldp_caps_the_band_size(capsys):
+    # N = 10^5 and n = 50000 would roll 5e9 band entries; the cap answers before the roll
+    t0 = time.perf_counter()
+    assert main(["ldp", "--nu", "1", "--n", "50000"]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds cap 500000000" in capsys.readouterr().err
+
+
+def test_ldp_rate_is_never_positive(capsys):
+    # the LogDP route's rounding once printed lnP_over_n = 7.2e-08 here
+    assert main(["ldp", "--nu", "19999", "--n", "5"]) == 0
+    assert float(capsys.readouterr().out.split("\n")[1].split(",")[1]) <= 0.0
+
+
 # --- output plumbing ----------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -358,6 +373,15 @@ def test_overflowing_finite_flags_exit_2(argv):
                        capture_output=True, text=True)
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
+def test_curve_caps_the_rk4_step_count():
+    # 1e18 steps is a finite count, but np.empty for it once raised MemoryError (exit 1)
+    r = subprocess.run([sys.executable, "-m", "coupons", "curve", "--nu", "1e15", "--a", "0.5"],
+                       capture_output=True, text=True)
+    assert r.returncode == 4
+    assert "exceeds cap 10000000" in r.stderr and "Traceback" not in r.stderr
+
 
 def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("COUPONS_OUTPUT_DIR", str(tmp_path))

@@ -23,7 +23,7 @@ from coupons.errors import NumericsError
 from coupons.sampler import _rng, _substreams, auto_backend, sup_distances_of
 
 from oracles import (dense_table, enumerate_surjective_paths, reachable_states,
-                     rejection_paths, reversed_chain_reference)
+                     rejection_paths, reversed_chain_reference, set_partition_count)
 
 
 def _path_ids(Z, s=None):
@@ -436,6 +436,28 @@ def test_patient_pointwise_mean():
     want = 1.0 - (1.0 - 1.0 / n) ** n
     se = vals.std(ddof=1) / math.sqrt(trials)
     assert abs(vals.mean() - want) <= 3.0 * se
+
+
+def test_patient_completion_time_law():
+    # P(T_n <= t) = n! {t n} / n^t, with {t n} counted by enumeration; T > t_max
+    # is lumped into one cell
+    for n, t_max, trials in ((3, 9, 3000), (5, 10, 3000)):
+        cdf = [math.factorial(n) * set_partition_count(t, n) / n ** t
+               for t in range(n, t_max + 1)]
+        law = np.diff([0.0] + cdf + [1.0])
+        Ts = np.array([sample_patient(n, seed=s)[1] for s in range(trials)])
+        obs = np.bincount(np.minimum(Ts, t_max + 1) - n, minlength=len(law))
+        assert scipy.stats.chisquare(obs, law * trials).pvalue > 0.001, n
+
+
+def test_patient_path_invariants():
+    for n in (1, 2, 7, 100):
+        for seed in range(5):
+            y, T = sample_patient(n, seed=seed)
+            assert y.dtype == np.int64 and len(y) == T + 1
+            assert y[0] == 0 and y[T - 1] == n - 1 and y[T] == n
+            assert set(np.diff(y).tolist()) <= {0, 1}
+            assert np.array_equal(sample_patient(n, seed=seed)[0], y)
 
 
 # --- rejection sampler ----------------------------------------------------

@@ -313,6 +313,19 @@ def test_surjection_probability_exact_vs_logdp_route():
     assert abs(a - b) <= 1e-9 * abs(a)
 
 
+def test_surjection_probability_is_never_positive():
+    # the LogDP route's cancellation error once returned +2.4e-10, +2.0e-9 and +3.6e-7 here
+    for N, n in ((3001, 5), (10 ** 4, 10), (10 ** 5, 5)):
+        assert surjection_log_probability(N, n) <= 0.0
+
+
+def test_surjection_probability_caps_the_band():
+    # N * min(n, N - n + 1) entries to roll, 5.001e8 in both cases: over the cap
+    for n in (5001, 95000):
+        with pytest.raises(ResourceCapError, match="exceeds cap 500000000"):
+            surjection_log_probability(10 ** 5, n)
+
+
 # --- saddle diagnostics ---------------------------------------------------
 
 def test_saddle_diagnostics_lambda_one():
