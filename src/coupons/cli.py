@@ -167,7 +167,8 @@ def cmd_ldp(args):
         N = _chain_length(args.nu, n)
         lnp = stirling.surjection_log_probability(N, n)
         rate = lnp / n
-        lines.append("%d,%.17g,%.17g,%.17g" % (n, rate, -j, abs(rate + j)))
+        # 0.0 - j: +0 where -j would print -0, when J underflows to 0
+        lines.append("%d,%.17g,%.17g,%.17g" % (n, rate, 0.0 - j, abs(rate + j)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

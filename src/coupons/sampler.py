@@ -40,7 +40,13 @@ def _rng(seed, index):
 
 
 def auto_backend(N, n):
-    """Default backend choice: Exact for n <= 300, LogDP for n <= 5000."""
+    """Default backend choice: Exact for n <= 300, LogDP for n <= 5000.
+
+    Exact's ratios are the nearest doubles; LogDP's are within
+    (4m+2) 2^-53 relative of them (2^-1074 absolute in the subnormal
+    range), so above n = 300 a sampled step can differ from Exact's only
+    where a uniform falls between the two values of r.
+    """
     if n <= 300:
         return ExactBackend()
     if n <= 5000:
@@ -189,9 +195,10 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     rows is reproducible in isolation and the result is independent of
     jobs and of internal chunk sizes.
 
-    `backend` defaults to `auto_backend(N, n)`.  Any object whose
-    `ratio_table(N, n)` returns a table in the packed band layout of
-    `ExactBackend.ratio_table` serves: a 1-D float64 array holding, for
+    `backend` defaults to `auto_backend(N, n)`: the big-integer table for
+    n <= 300, the log-free float table of `LogDPBackend` above.  Any
+    object whose `ratio_table(N, n)` returns a table in the packed band
+    layout of `ExactBackend.ratio_table` serves: a 1-D float64 array holding, for
     m = 1..N in turn, r(m, l) for max(1, m - (N - n)) <= l <= min(m, n),
     and nothing else.  The chain reads only those entries.
 

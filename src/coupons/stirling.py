@@ -30,9 +30,11 @@ integral representation
     {m l} = (m!/l!) (e^xi - 1)^l xi^{-m} / (2 pi) * Int_{-pi}^{pi} g(theta)^l dtheta.
 
 Ratio tables come from two interchangeable, stateless backends: Exact
-(big integers) and LogDP (float64 log-space recurrence).  Both roll their
-recurrence row by row in one pass and cache nothing between calls, so a
-table costs its own size in memory and LogDP holds only two log rows.
+(big integers, every ratio the nearest double) and LogDP (a float64
+recurrence on s(m,l) = {m l-1}/{m l} with no log or exp, within
+(4m+2) 2^-53 relative of Exact).  Both roll their recurrence row by row
+in one pass and cache nothing between calls, so a table costs its own
+size in memory and LogDP holds only three rows of n+1 floats besides it.
 A table for the chain from (N, n) holds only the band the chain can
 reach, lo(m) = max(1, m - (N - n)) <= l <= hi(m) = min(m, n) in row m
 (each step lowers l by at most one, so after t steps l >= n - t).  It is
@@ -206,17 +208,41 @@ class ExactBackend:
 
 
 class LogDPBackend:
-    """float64 log-space recurrence L(m,l) = logaddexp(ln l + L(m-1,l), L(m-1,l-1)).
+    """float64 backend: a log-free ratio table, and ln {m l} in log space.
 
-    Measured against ExactBackend on every 1 <= l <= min(m, 300) with
-    m <= 1500 (rows 0..1500 of the (1800, 300) table, whose band holds
-    them all): ln {m l} is good to 4e-14 relative; where r > 0, r is
-    within 5.9e-13 absolute and 4.6e-10 relative error.  r is the exp of
-    a difference of two logs, so its relative error grows with ln {m l},
-    i.e. with m.  An entry's bits do not depend on the table it is in.
-    The backend holds no state: each call rolls the recurrence two rows at
-    a time over the band, so its memory is the returned table (two rows
-    for log_value).
+    The table rolls s(m,l) = {m l-1}/{m l}, with s(m,1) = 0 and
+    s(m,m) = C(m,2).  Dividing {m l} = l {m-1 l} + {m-1 l-1} and the
+    same recurrence for {m l-1} by {m l} gives
+
+        r(m,l) = s(m-1,l) / (s(m-1,l) + l),
+        s(m,l) = r(m,l) * ((l-1) + s(m-1,l-1)),       1 <= l <= m-1,
+
+    and r(m,m) = 1.  Every operand is >= 0, so r is in [0, 1], and the
+    entries use only IEEE +, * and /: no log, exp or clip, so their bits
+    do not depend on the libm numpy dispatches to.  An entry's bits do
+    not depend on the table it is in: (m, l) reads only states with
+    l' <= l and m' - l' <= m - l, which every band holding (m, l) holds.
+
+    Bound.  Let e(m,l) be the relative error of s(m,l) and u = 2^-53.
+    To first order the two lines give |e_r(m,l)| <= a |e(m-1,l)| + 2u and
+    |e(m,l)| <= a |e(m-1,l)| + b |e(m-1,l-1)| + 4u, with weights
+    a = l/(s(m-1,l) + l) and b = s(m-1,l-1)/((l-1) + s(m-1,l-1)).
+    a + b <= 1 is s(k,l-1)/(l-1) <= s(k,l)/l at k = m-1, which is
+    Newton's inequality {k l-1}^2 >= (1 + 1/(l-1)) {k l-2} {k l} for the
+    real-rooted polynomial Sum_l {k l} x^l (Harper 1967).  So
+    |e(m,l)| <= 4mu by induction on m (the rows' ends are exact), and
+    |r_table/r - 1| <= (4m+2)u.  The tests hold every entry to that bound
+    against ExactBackend.  It needs normal numbers: where s(m,l) or r
+    falls below 2^-1022 (small l, m above about 1000) the error is
+    absolute, measured at most 2^-1074, and r(1076, 2) = 5e-324 reads 0.
+
+    The name stays until this table replaces the big-integer one at every
+    n, which changes the sampler's bytes for n <= 300.  `log_value`
+    remains the log-space DP: `surjection_log_probability` needs it
+    beyond N = 3000, where {N n} overflows a float and s(N, 2)
+    underflows.  The backend holds no state: a table call's memory is the
+    returned table plus three rows of n+1 floats, and log_value's is two
+    log rows.
     """
 
     kind = "LogDP"
@@ -236,22 +262,26 @@ class LogDPBackend:
     def ratio_table(self, N, n):
         """Packed band table R: 1-D float64 with r(m, l) = R[base[m] + l] on the band.
 
-        The layout is ExactBackend.ratio_table's.  Needs 0 <= n <= N.  On
-        the band ln {m l} is finite, and so is ln {m-1 l-1} except
-        ln {m-1 0} = -inf for m >= 2, whose exp is 0: no difference is nan
-        or +inf, and exp leaves nothing below 0, so only the upper clip to
-        1 is needed.
+        The layout is ExactBackend.ratio_table's.  Needs 0 <= n <= N.
+        Row m writes r(m, l) for l <= m-1 straight into R, then turns the
+        s row into row m in place; s[0] stays 0, so r(m, 1) = 0 and
+        s(m, 1) = 0 come out of the same four calls.
         """
-        rows = _log_rows(N, n)
-        _, _, prev = next(rows)
-        base, size = _band(N, n)[2:]
+        lo, hi, base, size = _band(N, n)
         R = np.empty(size)
-        for (lo, hi, row), b in zip(rows, base[1:]):
-            r = R[b + lo:b + hi + 1]
-            np.subtract(prev[lo - 1:hi], row[lo:hi + 1], out=r)
-            np.exp(r, out=r)
-            np.minimum(r, 1.0, out=r)
-            prev = row
+        s = np.zeros(n + 1)  # s(m, l), rolled in place
+        tmp = np.empty(n + 1)
+        ls = np.arange(n + 1, dtype=float)
+        for m in range(1, N + 1):
+            a, b, h = lo[m], base[m], min(hi[m], m - 1)  # slices are empty where h = a - 1
+            r, t = R[b + a:b + h + 1], tmp[a:h + 1]
+            np.add(s[a:h + 1], ls[a:h + 1], out=t)
+            np.divide(s[a:h + 1], t, out=r)
+            np.add(ls[a - 1:h], s[a - 1:h], out=t)
+            np.multiply(r, t, out=s[a:h + 1])
+            if m <= n:
+                R[b + m] = 1.0
+                s[m] = m * (m - 1) // 2
         return R
 
 

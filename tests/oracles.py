@@ -19,9 +19,10 @@ closed form built on the library's own `lambert_w0` (a second route to
 xi, not a second implementation of W0), and frozen copies of earlier
 library code that pin the bits a faster route must reproduce: `xi_newton_reference`, the
 plain 100-iteration Newton loop its cycle exit must match, and
-`logdp_log_table_reference` with `logdp_ratio_table_reference`, the
-resident log table and vectorized ratio step that the rolling LogDP
-backend must match, and `rk4_path_reference`, the per-slope RK4 path
+`logdp_log_table_reference`, the resident log table that the rolling
+`log_value` must match, and `ratio_table_reference`, the s-recurrence
+on scalar Python floats whose bits the vectorized band roll must match,
+and `rk4_path_reference`, the per-slope RK4 path
 whose bytes the curve solver must match, and
 `accessible_count_reference`, the full-width in-place column roll whose
 integers the band-recurrence accessible count must match.
@@ -136,15 +137,27 @@ def logdp_log_table_reference(M, W):
     return L
 
 
-def logdp_ratio_table_reference(L, N, n):
-    """R[m, l] = exp(L[m-1, l-1] - L[m, l]) over the whole table at once, in [0, 1]."""
+def ratio_table_reference(N, n):
+    """Dense (N+1, n+1) r(m, l), l <= min(m, n), by the s-recurrence on Python floats.
+
+    One scalar step at a time over the whole triangle, no band, no
+    arrays: s(m, l) = {m l-1}/{m l} with s(m, 1) = 0 and s(m, m) = C(m, 2),
+    r(m, l) = s(m-1, l)/(s(m-1, l) + l) and s(m, l) = r(m, l)((l-1) + s(m-1, l-1))
+    for l < m, r(m, m) = 1; 0 elsewhere.
+    """
     import numpy as np
     R = np.zeros((N + 1, n + 1))
-    with np.errstate(invalid="ignore"):
-        np.subtract(L[0:N, 0:n], L[1:N + 1, 1:n + 1], out=R[1:, 1:])
-        np.exp(R[1:, 1:], out=R[1:, 1:])
-    np.nan_to_num(R, copy=False, nan=0.0, posinf=0.0)
-    np.clip(R, 0.0, 1.0, out=R)
+    s = [0.0] * (n + 1)
+    for m in range(1, N + 1):
+        row, new = R[m], s[:]
+        for l in range(1, min(m - 1, n) + 1):
+            r = s[l] / (s[l] + l)
+            row[l] = r
+            new[l] = r * ((l - 1) + s[l - 1])
+        if m <= n:
+            row[m] = 1.0
+            new[m] = float(m * (m - 1) // 2)
+        s = new
     return R
 
 

@@ -359,6 +359,12 @@ def test_ldp_rate_is_never_positive(capsys):
     assert float(capsys.readouterr().out.split("\n")[1].split(",")[1]) <= 0.0
 
 
+def test_ldp_prints_an_underflowed_rate_as_zero(capsys):
+    # J underflows to 0 at nu = 19999; minus_J once printed as -0
+    assert main(["ldp", "--nu", "19999", "--n", "5"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "5,0,0,0"
+
+
 # --- output plumbing ----------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

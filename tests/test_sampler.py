@@ -14,8 +14,8 @@ import pytest
 import scipy.stats
 
 from coupons import (ExactBackend, LogDPBackend,
-                     conditioned_paths, prefix_law, sample_patient, solve_completion_curve, sup_distance_batch,
-                     transition_error)
+                     conditioned_paths, prefix_law, sample_patient, solve_completion_curve, stirling_exact,
+                     sup_distance_batch, transition_error)
 
 from coupons import sampler
 from coupons.automata import _dyck_flags
@@ -158,10 +158,12 @@ def test_sampler_reads_only_the_band(cpus8):
             assert Z[i].tolist() == reversed_chain_reference(rtab, N, n, 3, i)
 
 
-def _prefix_law_dense(N, n, s):
-    """The exact prefix law by the walk over the unpacked table, which
-    reads r = R[N - j, l] wherever 1 <= l <= N - j (0 off the band)."""
-    R = dense_table(auto_backend(N, n).ratio_table(N, n), N, n)
+def _prefix_law_dense(N, n, s, R=None):
+    """The exact prefix law by the walk over the dense table R (default:
+    the unpacked auto_backend table), which reads r = R[N - j, l]
+    wherever 1 <= l <= N - j (0 off the band)."""
+    if R is None:
+        R = dense_table(auto_backend(N, n).ratio_table(N, n), N, n)
     patt = np.arange(1 << s)
     l = np.full(1 << s, n)
     exact = np.ones(1 << s)
@@ -561,11 +563,29 @@ def test_prefix_law_tv_decreasing_in_n():
     assert tvs[0] > tvs[1] > tvs[2]
 
 
+def test_prefix_law_is_within_the_table_bound_of_the_exact_walk():
+    # (2000, 1000, 16) reads the LogDP table; the same walk over correctly
+    # rounded ratios, ExactBackend.ratio's bits from big integers rolled up
+    # from row N - s, stays within s (4N+2)u relative
+    N, n, s = 2000, 1000, 16
+    big = {l: stirling_exact(N - s, l) for l in range(n - s, n + 1)}
+    R = np.zeros((N + 1, n + 1))
+    for m in range(N - s + 1, N + 1):
+        row = {l: l * big[l] + big[l - 1] for l in range(n - (N - m), n + 1)}
+        R[m, n - (N - m):] = [big[l - 1] / row[l] for l in range(n - (N - m), n + 1)]
+        big = row
+    assert R[N, n] == ExactBackend().ratio(N, n)
+    walk = _prefix_law_dense(N, n, s, R)
+    exact = prefix_law(N, n, s)[0]
+    assert np.all(np.abs(exact - walk) <= s * (4 * N + 2) * 2.0 ** -53 * walk)
+
+
 def test_prefix_law_digests():
-    # sha256 of the bytes the per-pattern Python loop gave before the array passes
+    # sha256 of the bytes the per-pattern Python loop gave before the array passes;
+    # (2000, 1000, 16) reads the n > 300 table, pinned again for the log-free roll
     want = {(12, 11, 12): "78ff049177ba21a3c103aaf5937fae975aafdb62545cbe2b06700e46ae076d72",
             (40, 20, 14): "530505baa620d7162496a8672f915beaf83f471b338930619f1786dae0cf4759",
-            (2000, 1000, 16): "fecaeeec2c91a8d5839a55fc35489730a4542f1accdb2b13ba316783619a3752"}
+            (2000, 1000, 16): "e5a1519a8e4e7afe15af59426823ad53528f45fe3032343067a956279d6a23de"}
     for shape, digest in want.items():
         exact, iid, tv = prefix_law(*shape)
         got = hashlib.sha256(exact.tobytes() + iid.tobytes() + repr(tv).encode())

@@ -14,9 +14,8 @@ from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
                      surjection_log_probability, transition_error)
 from coupons.stirling import _log_big, _quad, _rows
 
-from oracles import (dense_table, logdp_log_table_reference, logdp_ratio_table_reference,
-                     reachable_states, set_partition_count,
-                     tail_abs_reference)
+from oracles import (dense_table, logdp_log_table_reference, ratio_table_reference,
+                     reachable_states, set_partition_count, tail_abs_reference)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -176,6 +175,17 @@ def test_logdp_matches_exact_in_log_space():
         assert abs(a - b) <= 1e-9 * abs(a)
 
 
+def _assert_ratio_bound(E, D):
+    # dense tables, row index m: |D/E - 1| <= (4m+2)u on every normal entry of
+    # the exact E, and within 2^-1074 absolute below 2^-1022 (the
+    # LogDPBackend bound)
+    m = np.broadcast_to(np.arange(len(E))[:, None], E.shape)
+    err = np.abs(D - E)
+    normal = E >= 2.0 ** -1022
+    assert np.all(err[normal] <= (4 * m[normal] + 2) * 2.0 ** -53 * E[normal])
+    assert np.all(err[~normal] <= 2.0 ** -1074)
+
+
 def test_logdp_ratio_table_matches_exact():
     for be in (ExactBackend(), LogDPBackend()):
         with pytest.raises(ValueError):
@@ -183,19 +193,20 @@ def test_logdp_ratio_table_matches_exact():
     R1 = ExactBackend().ratio_table(40, 20)
     R2 = LogDPBackend().ratio_table(40, 20)
     assert R1.shape == R2.shape == (np.count_nonzero(reachable_states(40, 20)),)
-    assert np.max(np.abs(R1 - R2)) <= 1e-9
+    _assert_ratio_bound(dense_table(R1, 40, 20), dense_table(R2, 40, 20))
     # rows 0..40 of (60, 20) tables hold every l <= min(m, 20), band or not
     R1 = dense_table(ExactBackend().ratio_table(60, 20), 60, 20)[:41]
     R2 = dense_table(LogDPBackend().ratio_table(60, 20), 60, 20)[:41]
-    assert np.max(np.abs(R1 - R2)) <= 1e-9
-    # the error bound stated in the LogDPBackend docstring, over every
-    # l <= min(m, 300) with m <= 1500: rows 0..1500 of (1800, 300) tables
+    _assert_ratio_bound(R1, R2)
+    R1 = dense_table(ExactBackend().ratio_table(600, 300), 600, 300)
+    R2 = dense_table(LogDPBackend().ratio_table(600, 300), 600, 300)
+    _assert_ratio_bound(R1, R2)
+    # every l <= min(m, 300) with m <= 1500: rows 0..1500 of (1800, 300)
+    # tables, which reach the subnormal range (r(1076, 2) is 5e-324)
     R1 = dense_table(ExactBackend().ratio_table(1800, 300), 1800, 300)[:1501]
     R2 = dense_table(LogDPBackend().ratio_table(1800, 300), 1800, 300)[:1501]
-    err = np.abs(R1 - R2)
-    assert np.max(err) <= 2e-12
-    live = R1 > 1e-300
-    assert np.max(err[live] / R1[live]) <= 1e-9
+    _assert_ratio_bound(R1, R2)
+    assert np.any((0.0 < R1) & (R1 < 2.0 ** -1022))
 
 
 # N = 2n + 1, N = 2n, N = n, N = n + 1, n = 1 and nu = (N - n)/n = 0.1
@@ -213,11 +224,25 @@ def test_logdp_bytes_match_resident_table(N, n):
         # N = 4000 is above the exact route's 3000: the LogDP route of `ldp --nu 1 --n 2000`
         want = math.lgamma(2001) + float(L[4000, 2000]) - 4000 * math.log(2000)
         assert surjection_log_probability(4000, 2000) == want
-    R_ref = logdp_ratio_table_reference(L, N, n)
-    del L
+
+
+@pytest.mark.parametrize("N, n", [(41, 20), (600, 300), (2001, 1000), (4001, 2001),
+                                  (300, 300), (301, 300), (300, 1), (2200, 2000),
+                                  (5, 0), (1, 1)])
+def test_logdp_ratio_table_matches_scalar_reference(N, n):
+    # the vectorized band roll gives the scalar float recurrence's bits
+    R_ref = ratio_table_reference(N, n)
+    lb = LogDPBackend()
     # rows 0..N of the (N + n, n) band hold every l <= min(m, n)
-    assert np.array_equal(dense_table(lb.ratio_table(N + n, n), N + n, n)[:N + 1], R_ref)
-    _assert_band(lb.ratio_table(N, n), R_ref, N, n)
+    D = dense_table(lb.ratio_table(N + n, n), N + n, n)[:N + 1]
+    assert np.array_equal(D, R_ref)
+    R = lb.ratio_table(N, n)
+    _assert_band(R, R_ref, N, n)
+    assert np.all((0.0 <= R) & (R <= 1.0))
+    m = np.arange(1, min(N, n) + 1)
+    assert np.all(D[m, m] == 1.0)
+    if n >= 1:
+        assert not np.any(D[2:, 1])
 
 
 def _traced_peak(fn):
