@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import integral
-from .sampler import _rng, conditioned_paths
+from .sampler import _FOLD_COLUMNS, _rng, conditioned_paths
 from .specialfn import f_drift
 from .stirling import _rows, stirling_exact
 
@@ -28,11 +28,27 @@ _WINDOW_C = 1.0  # estimate_middle_crossing: the constant C of the window I2
 
 
 def _dyck_flags(Z, k, n):
-    # the k-Dyck test on each row of Z, a batch of reversed paths
-    Y = Z[:, ::-1]  # forward paths with leading 0: Y[:, i] = y_i
-    levels = np.arange(n)
-    cols = levels * k + 1
-    return np.all(Y[:, cols] >= levels + 1, axis=1)
+    # the k-Dyck test on each row of Z, a batch of reversed paths (y_i is
+    # Z[:, N - i]), as a running AND over blocks of _FOLD_COLUMNS levels
+    ZT = Z.T  # a span's paths are column-major: ZT[i] is contiguous
+    cols = len(ZT) - 2 - k * np.arange(n)  # N - (l k + 1)
+    levels = np.arange(1, n + 1)[:, None]  # l + 1
+    ok = np.ones(len(Z), dtype=bool)
+    for j in range(0, n, _FOLD_COLUMNS):
+        ok &= np.all(ZT[cols[j:j + _FOLD_COLUMNS]] >= levels[j:j + _FOLD_COLUMNS], axis=0)
+    return ok
+
+
+def _window_crossed(Z, k, xs):
+    # k y_x <= x - 1 at some column x of xs, on each row of Z, a batch of
+    # reversed paths, as a running OR over blocks of _FOLD_COLUMNS columns
+    ZT = Z.T
+    cols = len(ZT) - 1 - xs
+    bound = (xs - 1)[:, None]
+    hit = np.zeros(len(Z), dtype=bool)
+    for j in range(0, len(xs), _FOLD_COLUMNS):
+        hit |= np.any(k * ZT[cols[j:j + _FOLD_COLUMNS]] <= bound[j:j + _FOLD_COLUMNS], axis=0)
+    return hit
 
 
 def _frequency(hits, trials):
@@ -209,14 +225,9 @@ def estimate_middle_crossing(k, n, trials, seed=0):
     x_hi = min(k * n + 1, int(math.floor(k * n - 2.0 * _WINDOW_C * k * k * n ** (1.0 / 3.0))))
     if x_hi < x_lo:
         raise ValueError("estimate_middle_crossing: empty window at n=%d" % n)
-    N = k * n + 1
-    cols = np.arange(x_lo, x_hi + 1)
-
-    def crossed(Z):
-        Y = Z[:, ::-1]
-        return np.any(k * Y[:, cols] <= cols - 1, axis=1)
-
-    flags = conditioned_paths(N, n, trials, seed=seed, reduce=crossed)
+    xs = np.arange(x_lo, x_hi + 1)
+    flags = conditioned_paths(k * n + 1, n, trials, seed=seed,
+                              reduce=lambda Z: _window_crossed(Z, k, xs))
     return _frequency(int(flags.sum()), trials)
 
 

@@ -16,7 +16,8 @@ draws the rows a cache-sized block at a time.  A span lives in one
 (N+1) x span float64 buffer, its uniforms and then its int32 paths.  With
 `conditioned_paths(..., reduce=f)` every span is mapped to one value per
 path and dropped, so memory is one span buffer and one draw block per
-process plus the reduced outputs, whatever the number of trials.  With
+process plus the reduced outputs, whatever the number of trials; the
+built-in reductions fold over column blocks and add one such block.  With
 jobs > 1 the spans run in forked worker processes.
 """
 
@@ -27,6 +28,7 @@ import time
 import numpy as np
 
 from .curve import solve_completion_curve
+from .errors import integral
 from .specialfn import f_drift
 from .stirling import ExactBackend, LogDPBackend, _band_rows
 
@@ -131,6 +133,7 @@ def _mapped(count):
 
 
 _BLOCK_BYTES = 2 << 20  # a draw block: small enough to stay in L2 while it is transposed
+_FOLD_COLUMNS = 32  # the columns a built-in reduction reads per step of its fold
 
 
 def _span_runner(rtab, N, n, seed, size, reduce):
@@ -209,7 +212,11 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     be a view of the span.  The result is those arrays concatenated in
     trajectory order, and no path matrix is kept: memory is one span
     buffer of (N+1) x span float64 (at most 32 MB while N < 15625), a
-    draw block of at most 2 MiB and the reduced outputs.
+    draw block of at most 2 MiB and the reduced outputs.  The built-in
+    reductions (`sup_distances_of`, and the k-Dyck and window-crossing
+    tests of `automata`) are folds over blocks of _FOLD_COLUMNS columns,
+    so each adds one column block of the span, _FOLD_COLUMNS x span
+    entries, not a temporary the size of the span.
 
     `jobs` is first capped at the number of CPUs this process may use.
     With jobs > 1 and more than one chunk, the trials are split into
@@ -224,6 +231,10 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     Python 3.12 and later warn when forking a process that runs threads,
     as numpy's OpenBLAS pool does.
     """
+    N = integral("conditioned_paths: N", N)
+    n = integral("conditioned_paths: n", n)
+    trials = integral("conditioned_paths: trials", trials)
+    jobs = integral("conditioned_paths: jobs", jobs)
     if not (1 <= n <= N):
         raise ValueError("conditioned_paths: need 1 <= n <= N")
     if trials < 1:
@@ -277,6 +288,7 @@ def sample_patient(n, seed=0):
     sub-stream (seed, 0); before the waiting-time draw that stream fed
     raw labels, so a seed's path differs from that of earlier versions.
     """
+    n = integral("sample_patient: n", n)
     if n < 1:
         raise ValueError("sample_patient: n must be >= 1")
     gaps = _rng(seed, 0).geometric((n - np.arange(n)) / n)
@@ -285,15 +297,35 @@ def sample_patient(n, seed=0):
 
 def sup_distances_of(Z, curve, N, n):
     """sup over the curve grid of |y_{floor(n x)}/n - zeta(nu, x)| for each
-    row of a batch Z from conditioned_paths; the curve's nu must be (N-n)/n."""
+    row of a batch Z from conditioned_paths; the curve's nu must be (N-n)/n.
+
+    Z must be 2-D with N+1 columns (ValueError otherwise).  The max is a
+    running fold over blocks of _FOLD_COLUMNS grid points, worked in one
+    (_FOLD_COLUMNS, rows) buffer, so the temporaries do not grow with the
+    grid; max is exact, so the bits are those of one pass over the grid.
+    """
     if N <= n:
         raise ValueError("sup_distance: need N > n (Lambda > 0)")
     nu = (N - n) / n
     if abs(curve.nu - nu) > 1e-9:
         raise ValueError("sup_distance: curve nu=%r but (N-n)/n=%r" % (curve.nu, nu))
-    idx = np.clip(np.floor(n * curve.xs + 1e-9).astype(np.int64), 0, N)
-    vals = Z[:, N - idx] / n
-    return np.max(np.abs(vals - curve.ys[None, :]), axis=1)
+    Z = np.asarray(Z)
+    if Z.ndim != 2 or Z.shape[1] != N + 1:
+        raise ValueError("sup_distance: need paths of shape (rows, N+1=%d), got %r"
+                         % (N + 1, Z.shape))
+    ZT = Z.T  # a span's paths are column-major: ZT[i] is contiguous
+    cols = N - np.clip(np.floor(n * curve.xs + 1e-9).astype(np.int64), 0, N)
+    ys = curve.ys[:, None]
+    d = np.zeros(len(Z))  # every |.| is >= +0.0, so a max with it changes no bit
+    block = np.empty((_FOLD_COLUMNS, len(Z)))
+    for j in range(0, len(cols), _FOLD_COLUMNS):
+        c = cols[j:j + _FOLD_COLUMNS]
+        v = block[:len(c)]
+        np.divide(ZT[c], n, out=v)
+        np.subtract(v, ys[j:j + _FOLD_COLUMNS], out=v)
+        np.abs(v, out=v)
+        np.maximum(d, v.max(axis=0), out=d)
+    return d
 
 
 def sup_distance_batch(N, n, trials, a, seed=0, jobs=1):
@@ -304,6 +336,9 @@ def sup_distance_batch(N, n, trials, a, seed=0, jobs=1):
     batch-statistics dict (JSON-ready): parameters, the per-trajectory
     distances, and quantiles.
     """
+    N = integral("sup_distance_batch: N", N)
+    n = integral("sup_distance_batch: n", n)
+    trials = integral("sup_distance_batch: trials", trials)
     nu = (N - n) / n
     if nu <= 0.0:
         raise ValueError("sup_distance_batch: need N > n")
@@ -312,7 +347,7 @@ def sup_distance_batch(N, n, trials, a, seed=0, jobs=1):
                           reduce=lambda Z: sup_distances_of(Z, curve, N, n))
     qs = np.quantile(d, [0.05, 0.25, 0.5, 0.75, 0.95])
     return {
-        "N": int(N), "n": int(n), "nu": nu, "a": float(a),
+        "N": N, "n": n, "nu": nu, "a": float(a),
         "seed": int(seed), "seeds": list(range(trials)),
         "sup_distances": [float(x) for x in d],
         "quantiles": {"q05": float(qs[0]), "q25": float(qs[1]),
@@ -328,6 +363,9 @@ def prefix_law(N, n, s):
     index is the step-j indicator) and their total-variation distance.
     The reference law is i.i.d. Bernoulli(rho(Lambda)) per step.
     """
+    N = integral("prefix_law: N", N)
+    n = integral("prefix_law: n", n)
+    s = integral("prefix_law: s", s)
     if not (1 <= n < N):
         raise ValueError("prefix_law: need 1 <= n < N")
     if not (1 <= s <= min(20, N)):

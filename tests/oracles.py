@@ -25,7 +25,10 @@ on scalar Python floats whose bits the vectorized band roll must match,
 and `rk4_path_reference`, the per-slope RK4 path
 whose bytes the curve solver must match, and
 `accessible_count_reference`, the full-width in-place column roll whose
-integers the band-recurrence accessible count must match.
+integers the band-recurrence accessible count must match, and the
+whole-grid span reductions `sup_distances_reference`,
+`dyck_flags_reference` and `window_crossed_reference`, whose bits the
+column-block folds must match.
 
 Run `python tests/oracles.py` to regenerate the fine-step curve
 goldens (slow; the frozen values live in the tests).
@@ -463,6 +466,30 @@ def rk4_path_reference(nu, a, step):
         ys[i + 1] = y
     xs[-1] = a
     return xs, ys
+
+
+def sup_distances_reference(Z, curve, N, n):
+    """Frozen whole-grid `sup_distances_of`: one (rows, grid) pass, no fold."""
+    import numpy as np
+    idx = np.clip(np.floor(n * curve.xs + 1e-9).astype(np.int64), 0, N)
+    vals = Z[:, N - idx] / n
+    return np.max(np.abs(vals - curve.ys[None, :]), axis=1)
+
+
+def dyck_flags_reference(Z, k, n):
+    """Frozen whole-grid k-Dyck flags of a batch of reversed paths."""
+    import numpy as np
+    Y = Z[:, ::-1]  # forward paths with leading 0: Y[:, i] = y_i
+    levels = np.arange(n)
+    cols = levels * k + 1
+    return np.all(Y[:, cols] >= levels + 1, axis=1)
+
+
+def window_crossed_reference(Z, k, xs):
+    """Frozen whole-window test k y_x <= x - 1 of `estimate_middle_crossing`."""
+    import numpy as np
+    Y = Z[:, ::-1]
+    return np.any(k * Y[:, xs] <= xs - 1, axis=1)
 
 
 if __name__ == "__main__":

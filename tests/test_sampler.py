@@ -3,11 +3,14 @@ import hashlib
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,12 +21,13 @@ from coupons import (ExactBackend, LogDPBackend,
                      sup_distance_batch, transition_error)
 
 from coupons import sampler
-from coupons.automata import _dyck_flags
+from coupons.automata import _dyck_flags, _window_crossed
 from coupons.errors import NumericsError
 from coupons.sampler import _rng, _substreams, auto_backend, sup_distances_of
 
-from oracles import (dense_table, enumerate_surjective_paths, reachable_states,
-                     rejection_paths, reversed_chain_reference, set_partition_count)
+from oracles import (dense_table, dyck_flags_reference, enumerate_surjective_paths,
+                     reachable_states, rejection_paths, reversed_chain_reference,
+                     set_partition_count, sup_distances_reference, window_crossed_reference)
 
 
 def _path_ids(Z, s=None):
@@ -421,6 +425,13 @@ def test_patient_trivial():
         sample_patient(0)
 
 
+def test_patient_rejects_non_integral_n():
+    with pytest.raises(ValueError, match="must be an integer"):
+        sample_patient(2.5)
+    y, T = sample_patient(4.0, seed=1)
+    assert y.dtype == np.int64 and np.array_equal(y, sample_patient(4, seed=1)[0])
+
+
 def test_patient_mean_completion_time():
     H = sum(1.0 / i for i in range(1, 101))
     Ts = np.array([sample_patient(100, seed=s)[1] for s in range(10000)])
@@ -536,6 +547,74 @@ def test_sup_distance_domain_checks():
     stair = np.arange(5, -1, -1)[None, :]
     with pytest.raises(ValueError, match="Lambda > 0"):
         sup_distances_of(stair, c, 5, 5)  # Lambda = 0
+
+
+def test_sup_distance_needs_n_plus_one_columns():
+    c = solve_completion_curve(1.0, 0.2, richardson_check=False)
+    Z = conditioned_paths(62, 31, 2, seed=0)  # rows of a larger N
+    for bad in (Z[:, :60], Z, Z[0]):
+        with pytest.raises(ValueError, match="N\\+1=61"):
+            sup_distances_of(bad, c, 60, 30)
+    assert sup_distances_of(Z[:, :61], c, 60, 30).shape == (2,)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_folds_match_the_whole_grid_reductions():
+    # the grid (1801 points), the levels (100) and the window (197 columns) are
+    # no multiple of the block; then one grid point, level or column; each on
+    # a batch, on its column-major copy (the span layout) and on one row
+    c = solve_completion_curve(1.0, 0.2, step=1e-3, richardson_check=False)
+    assert len(c.xs) % sampler._FOLD_COLUMNS and 100 % sampler._FOLD_COLUMNS
+    one = SimpleNamespace(nu=1.0, xs=np.array([0.73]), ys=np.array([0.5]))
+    Z = conditioned_paths(200, 100, 40, seed=2)
+    for curve in (c, one):
+        for B in (Z, np.asfortranarray(Z), Z[:1]):
+            assert _same_bits(sup_distances_of(B, curve, 200, 100),
+                              sup_distances_reference(B, curve, 200, 100))
+    for k, n, xs in ((2, 100, np.arange(3, 200)), (2, 1, np.array([2])), (3, 40, np.array([118]))):
+        Z = conditioned_paths(k * n + 1, n, 40, seed=3)
+        for B in (Z, np.asfortranarray(Z), Z[:1]):
+            assert _same_bits(_dyck_flags(B, k, n), dyck_flags_reference(B, k, n)), (k, n)
+            assert _same_bits(_window_crossed(B, k, xs), window_crossed_reference(B, k, xs))
+    # both outcomes occur on the 40 rows at (2, 100), so the flags test something
+    Z = conditioned_paths(201, 100, 40, seed=3)
+    assert 0 < _dyck_flags(Z, 2, 100).sum() < 40
+    assert 0 < _window_crossed(Z, 2, np.arange(3, 200)).sum() < 40
+
+
+def test_span_reductions_stay_under_a_megabyte():
+    # a (2000, 4001) batch: the whole-grid reductions made 10-70 MB of temporaries
+    Z = np.tile(conditioned_paths(4000, 2000, 8, seed=2), (250, 1))
+    c = solve_completion_curve(1.0, 0.2, step=1e-3, richardson_check=False)
+    xs = np.arange(1, 3900)
+    for name, reduce in (("sup", lambda: sup_distances_of(Z, c, 4000, 2000)),
+                         ("dyck", lambda: _dyck_flags(Z, 2, 2000)),
+                         ("window", lambda: _window_crossed(Z, 2, xs))):
+        tracemalloc.start()
+        try:
+            reduce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (name, peak)
+
+
+@pytest.mark.parametrize("fn, args", [(conditioned_paths, (60, 30, 3)),
+                                      (sup_distance_batch, (60, 30, 3, 0.2)),
+                                      (prefix_law, (60, 30, 3))])
+def test_sizes_must_be_integral(fn, args):
+    # N, n and trials (prefix_law: s) in turn, then jobs, each given a fractional part
+    for i in range(3):
+        with pytest.raises(ValueError, match="must be an integer"):
+            fn(*args[:i], args[i] + 0.5, *args[i + 1:])
+    # integral floats are the integers they equal, down to the record's types
+    assert pickle.dumps(fn(*map(float, args))) == pickle.dumps(fn(*args))
+    if fn is not prefix_law:
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            fn(*args, jobs=1.5)
 
 
 def test_sup_distance_batch_record():
