@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import integral
-from .sampler import _FOLD_COLUMNS, _rng, conditioned_paths
+from .sampler import _above_floors, _substreams, conditioned_paths
 from .specialfn import f_drift
 from .stirling import _rows, stirling_exact
 
@@ -29,26 +29,14 @@ _WINDOW_C = 1.0  # estimate_middle_crossing: the constant C of the window I2
 
 def _dyck_flags(Z, k, n):
     # the k-Dyck test on each row of Z, a batch of reversed paths (y_i is
-    # Z[:, N - i]), as a running AND over blocks of _FOLD_COLUMNS levels
-    ZT = Z.T  # a span's paths are column-major: ZT[i] is contiguous
-    cols = len(ZT) - 2 - k * np.arange(n)  # N - (l k + 1)
-    levels = np.arange(1, n + 1)[:, None]  # l + 1
-    ok = np.ones(len(Z), dtype=bool)
-    for j in range(0, n, _FOLD_COLUMNS):
-        ok &= np.all(ZT[cols[j:j + _FOLD_COLUMNS]] >= levels[j:j + _FOLD_COLUMNS], axis=0)
-    return ok
+    # Z[:, N - i]): y_{l k + 1} >= l + 1 for every l
+    return _above_floors(Z, Z.shape[1] - 2 - k * np.arange(n), np.arange(1, n + 1))
 
 
 def _window_crossed(Z, k, xs):
     # k y_x <= x - 1 at some column x of xs, on each row of Z, a batch of
-    # reversed paths, as a running OR over blocks of _FOLD_COLUMNS columns
-    ZT = Z.T
-    cols = len(ZT) - 1 - xs
-    bound = (xs - 1)[:, None]
-    hit = np.zeros(len(Z), dtype=bool)
-    for j in range(0, len(xs), _FOLD_COLUMNS):
-        hit |= np.any(k * ZT[cols[j:j + _FOLD_COLUMNS]] <= bound[j:j + _FOLD_COLUMNS], axis=0)
-    return hit
+    # reversed paths; on integers that is y_x < (x - 1) // k + 1
+    return ~_above_floors(Z, Z.shape[1] - 1 - xs, (xs - 1) // k + 1)
 
 
 def _frequency(hits, trials):
@@ -149,8 +137,6 @@ def estimate_accessibility(k, n, trials, seed=0, jobs=1):
     n = integral("estimate_accessibility: n", n)
     if k < 2 or n < 2:
         raise ValueError("estimate_accessibility: need k >= 2 and n >= 2")
-    if trials < 1:
-        raise ValueError("estimate_accessibility: trials must be >= 1")
     N = k * n + 1
     flags = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
                               reduce=lambda Z: _dyck_flags(Z, k, n))
@@ -172,12 +158,14 @@ def simulate_walk_max(k, runs, horizon=500, seed=0):
     truncation bias is exponentially small in the horizon.
     """
     k = integral("simulate_walk_max: k", k)
+    runs = integral("simulate_walk_max: runs", runs)
+    horizon = integral("simulate_walk_max: horizon", horizon)
     if k < 2:
         raise ValueError("simulate_walk_max: need k >= 2")
     if runs < 1 or horizon < 1:
         raise ValueError("simulate_walk_max: runs and horizon must be >= 1")
     rho = f_drift(k - 1.0)
-    rng = _rng(seed, 0)
+    rng = _substreams(seed)(0)
     hits = 0
     done = 0
     while done < runs:

@@ -10,15 +10,17 @@ Randomness: counter-based Philox streams, one sub-stream per
 trajectory index (key = base_seed * 2^64 + index).  Batches are
 therefore reproducible and independent of chunking or worker count.
 
-Batches are drawn in spans of rows; each span re-keys one Philox bit
-generator per trajectory instead of building a generator per row, and
-draws the rows a cache-sized block at a time.  A span lives in one
-(N+1) x span float64 buffer, its uniforms and then its int32 paths.  With
-`conditioned_paths(..., reduce=f)` every span is mapped to one value per
-path and dropped, so memory is one span buffer and one draw block per
-process plus the reduced outputs, whatever the number of trials; the
-built-in reductions fold over column blocks and add one such block.  With
-jobs > 1 the spans run in forked worker processes.
+A batch splits into ceil(trials / chunk) spans of rows whose sizes
+differ by at most one; with jobs > 1 a count above one is rounded up to
+a multiple of jobs, and the spans run in forked worker processes.  Each
+span re-keys one Philox bit generator per trajectory instead of building
+a generator per row, and draws the rows a cache-sized block at a time.
+A span lives in one (N+1) x span float64 buffer, its uniforms and then
+its int32 paths.  With `conditioned_paths(..., reduce=f)` every span is
+mapped to one value per path and dropped, so memory is one span buffer
+and one draw block per process plus the reduced outputs, whatever the
+number of trials; the built-in reductions fold over column blocks and
+add one such block.
 """
 
 import os
@@ -31,15 +33,6 @@ from .curve import solve_completion_curve
 from .errors import integral
 from .specialfn import f_drift
 from .stirling import ExactBackend, LogDPBackend, _band_rows
-
-_U64 = (1 << 64) - 1
-
-
-def _rng(seed, index):
-    """Philox generator for one trajectory sub-stream."""
-    key = ((int(seed) & _U64) << 64) | (int(index) & _U64)
-    return np.random.Generator(np.random.Philox(key=key))
-
 
 def auto_backend(N, n):
     """Default backend choice: Exact for n <= 300, LogDP for n <= 5000.
@@ -57,25 +50,30 @@ def auto_backend(N, n):
 
 
 def _substreams(seed):
-    """draw(index, out): fill `out` with the uniforms of sub-stream (seed, index).
+    """stream(index): the Generator of sub-stream (seed, index), at its start.
 
-    One Philox bit generator is re-keyed through `.state` (key [index, seed],
-    counter 0, empty buffer) before each draw, which gives the bits of a
-    fresh `_rng(seed, index)` without building a generator per trajectory.
+    The key is seed * 2^64 + index, for an integer 0 <= seed < 2^64
+    (ValueError otherwise).  Each call re-keys one shared Philox bit
+    generator through `.state` (key [index, seed], counter 0, empty
+    buffer), so it restarts the stream the previous call returned; the
+    draws are those of a generator built fresh for that key.
     """
+    seed = integral("seed", seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must be in [0, 2^64), got %d" % seed)
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    key = np.array([0, int(seed) & _U64], dtype=np.uint64)
+    key = np.array([0, seed], dtype=np.uint64)
     zero = np.zeros(4, dtype=np.uint64)
     state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
              "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def draw(index, out):
-        key[0] = int(index) & _U64
+    def stream(index):
+        key[0] = index
         bitgen.state = state
-        gen.random(out=out)
+        return gen
 
-    return draw
+    return stream
 
 
 def _cpus():
@@ -136,7 +134,7 @@ _BLOCK_BYTES = 2 << 20  # a draw block: small enough to stay in L2 while it is t
 _FOLD_COLUMNS = 32  # the columns a built-in reduction reads per step of its fold
 
 
-def _span_runner(rtab, N, n, seed, size, reduce):
+def _span_runner(rtab, N, n, stream, size, reduce):
     """run(start, count): the reversed chain for rows start..start+count-1.
 
     count <= size.  The buffers are allocated on the first call and kept
@@ -144,8 +142,8 @@ def _span_runner(rtab, N, n, seed, size, reduce):
     in once.  One mapping of (N+1) * size float64 entries holds the span:
     UT, the (N, count) transposed uniforms, starts one row of count
     entries in, and the int32 ZT (N+1, count) starts at its beginning.
-    Rows are drawn per trajectory into a draw block of about
-    _BLOCK_BYTES, a mapping of its own, and each block's transpose is
+    Row i is drawn from stream(i) of `_substreams` into a draw block of
+    about _BLOCK_BYTES, a mapping of its own, and each block's transpose is
     copied into UT while the block is still in cache; the time loop then
     reads and writes contiguous rows without temporaries.  Step t reads
     UT[t] and writes ZT[t + 1], which ends at byte 4 * count * (t + 2),
@@ -157,7 +155,6 @@ def _span_runner(rtab, N, n, seed, size, reduce):
     (count, N+1) view Z of the runner's buffer, which the next span
     overwrites.
     """
-    draw = _substreams(seed)
     rows = _band_rows(rtab, N, n)
     block = min(size, max(1, _BLOCK_BYTES // (8 * N)))
     bufs = []
@@ -171,7 +168,7 @@ def _span_runner(rtab, N, n, seed, size, reduce):
         for i0 in range(0, count, block):
             c = min(block, count - i0)
             for j in range(c):
-                draw(start + i0 + j, B[j])
+                stream(start + i0 + j).random(out=B[j])
             np.copyto(UT[:, i0:i0 + c], B[:c].T)
         thr, step = bufs[2][:count], bufs[3][:count]
         ZT = span.view(np.int32)[:(N + 1) * count].reshape(N + 1, count)
@@ -196,7 +193,8 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
 
     Row i is drawn from sub-stream (seed, i), so any contiguous batch of
     rows is reproducible in isolation and the result is independent of
-    jobs and of internal chunk sizes.
+    jobs and of internal chunk sizes.  The seed must be an integer in
+    [0, 2^64) (ValueError otherwise).
 
     `backend` defaults to `auto_backend(N, n)`: the big-integer table for
     n <= 300, the log-free float table of `LogDPBackend` above.  Any
@@ -205,7 +203,8 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     m = 1..N in turn, r(m, l) for max(1, m - (N - n)) <= l <= min(m, n),
     and nothing else.  The chain reads only those entries.
 
-    The rows run in spans of at most one chunk, about 4e6/(N+1) rows.
+    The rows run in ceil(trials / chunk) equal spans, their sizes
+    differing by at most one row, with chunk about 4e6/(N+1) rows.
     With `reduce`, each span of paths, a (count, N+1) int32 view of the
     span's buffer, is passed to `reduce`, which must return an array of
     count entries (ValueError otherwise); a copy of it is kept, so it may
@@ -219,15 +218,16 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     entries, not a temporary the size of the span.
 
     `jobs` is first capped at the number of CPUs this process may use.
-    With jobs > 1 and more than one chunk, the trials are split into
-    equal spans, a multiple of `jobs` of them, and run by min(jobs, spans)
-    worker processes forked from this one: the ratio table and `reduce`
+    With jobs > 1 and more than one span, the span count is rounded up to
+    a multiple of `jobs` (at most one span per trial), and the spans run
+    in min(jobs, spans) worker processes forked from this one: the ratio table and `reduce`
     reach them copy-on-write as the pool initializer's arguments, which
     fork does not pickle, and each sends back only its reduced arrays
     (its int32 rows without `reduce`).  Each worker holds one span
     buffer and one draw block, and the workers have exited when this
-    returns; an exception raised in a worker is re-raised here.  Where the platform cannot fork,
-    the spans run serially in this process, with the same output.
+    returns; an exception raised in a worker is re-raised here.  Where
+    the platform cannot fork, the spans run serially in this process,
+    with the same output.
     Python 3.12 and later warn when forking a process that runs threads,
     as numpy's OpenBLAS pool does.
     """
@@ -239,30 +239,30 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
         raise ValueError("conditioned_paths: need 1 <= n <= N")
     if trials < 1:
         raise ValueError("conditioned_paths: trials must be >= 1")
+    stream = _substreams(seed)  # checks the seed before the table is built
     if backend is None:
         backend = auto_backend(N, n)
     rtab = backend.ratio_table(N, n)
 
     chunk = max(256, min(65536, int(4e6 // (N + 1))))
-    starts = list(range(0, trials, chunk))
     jobs = min(jobs, _cpus())  # the output does not depend on jobs
-    ctx = None
-    if jobs > 1 and len(starts) > 1:
-        count = min(trials, -(-len(starts) // jobs) * jobs)
-        size, extra = divmod(trials, count)
-        starts = [i * size + min(i, extra) for i in range(count)]
+    spans = -(-trials // chunk)
+    if jobs > 1 and spans > 1:
+        spans = min(trials, -(-spans // jobs) * jobs)
+    size, extra = divmod(trials, spans)
+    starts = [i * size + min(i, extra) for i in range(spans)]
+    counts = [size + (i < extra) for i in range(spans)]
+    run = _span_runner(rtab, N, n, stream, counts[0], reduce)
+    workers = min(jobs, spans)
+    if workers > 1:
         import multiprocessing  # deferred: about 15 ms of import, used only here
         if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
             ctx = multiprocessing.get_context("fork")
-    counts = np.diff(starts + [trials]).tolist()
-    run = _span_runner(rtab, N, n, seed, max(counts), reduce)
-    if ctx is None:
-        return _gather(map(run, starts, counts), starts, counts, N, reduce)
-
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(starts)), mp_context=ctx,
-                             initializer=_start_worker, initargs=(run,)) as pool:
-        return _gather(pool.map(_forked_span, starts, counts), starts, counts, N, reduce)
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                     initializer=_start_worker, initargs=(run,)) as pool:
+                return _gather(pool.map(_forked_span, starts, counts), starts, counts, N, reduce)
+    return _gather(map(run, starts, counts), starts, counts, N, reduce)
 
 
 def _gather(parts, starts, counts, N, reduce):
@@ -291,7 +291,7 @@ def sample_patient(n, seed=0):
     n = integral("sample_patient: n", n)
     if n < 1:
         raise ValueError("sample_patient: n must be >= 1")
-    gaps = _rng(seed, 0).geometric((n - np.arange(n)) / n)
+    gaps = _substreams(seed)(0).geometric((n - np.arange(n)) / n)
     return np.append(np.repeat(np.arange(n), gaps), n), int(gaps.sum())
 
 
@@ -326,6 +326,16 @@ def sup_distances_of(Z, curve, N, n):
         np.abs(v, out=v)
         np.maximum(d, v.max(axis=0), out=d)
     return d
+
+
+def _above_floors(Z, cols, floors):
+    """Z[:, cols[j]] >= floors[j] for every j, on each row of a batch Z, as a
+    running AND over blocks of _FOLD_COLUMNS columns."""
+    ZT = Z.T  # a span's paths are column-major: ZT[i] is contiguous
+    ok = np.ones(len(Z), dtype=bool)
+    for j in range(0, len(cols), _FOLD_COLUMNS):
+        ok &= np.all(ZT[cols[j:j + _FOLD_COLUMNS]] >= floors[j:j + _FOLD_COLUMNS, None], axis=0)
+    return ok
 
 
 def sup_distance_batch(N, n, trials, a, seed=0, jobs=1):

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import NumericsError
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, domain edge of the W0 branch
+_RTOL = 1e-9  # SaddleParams.validate: relative slack of the bracket checks
 
 
 def lambert_w0(z):
@@ -167,20 +168,20 @@ class SaddleParams:
     gamma: float
     gamma_tilde: float
 
-    def validate(self, rtol=1e-9):
+    def validate(self):
         b = 1.0 + self.lam
         if not (abs(self.xi - b * (1.0 - math.exp(-self.xi)))
                 <= 1e-12 * (1.0 + self.xi)):
             raise NumericsError("SaddleParams: xi residual too large")
-        if not (self.lam <= self.xi * (1 + rtol)
-                and self.xi <= min(2.0 * self.lam, b) * (1 + rtol)):
+        if not (self.lam <= self.xi * (1 + _RTOL)
+                and self.xi <= min(2.0 * self.lam, b) * (1 + _RTOL)):
             raise NumericsError("SaddleParams: xi outside [lam, min(2lam,1+lam)]")
         # rho < 1/(1+lam) checked as xi > ln(1+lam): rho = e^-xi underflows
         # to 0.0 for lam above about 745
         if not (self.rho >= 0.0 and self.xi > math.log1p(self.lam)):
             raise NumericsError("SaddleParams: rho outside [0, 1/(1+lam))")
-        if not (self.lam <= 2.0 * self.v * (1 + rtol)
-                and 2.0 * self.v <= b * (1 + rtol)):
+        if not (self.lam <= 2.0 * self.v * (1 + _RTOL)
+                and 2.0 * self.v <= b * (1 + _RTOL)):
             raise NumericsError("SaddleParams: v outside [lam/2, (1+lam)/2]")
         if abs(self.tau) > b ** 3 or abs(self.gamma) > (7.0 / 24.0) * b ** 4 \
                 or abs(self.gamma_tilde) > (13.0 / 24.0) * b ** 4:

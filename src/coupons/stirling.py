@@ -108,30 +108,6 @@ def _rows(N, n):
         yield lo, hi, row
 
 
-def _log_rows(N, n):
-    """Log-space rolling DP: yield (lo, hi, row) for rows m = 0..N of ln {m l}.
-
-    Two float64 rows of length n+1 take turns, so a yielded row is
-    overwritten two rows later.  Off the band a row holds -inf, except
-    entries below lo left from the row two before, which nothing reads:
-    row m+1 reads row m from lo(m+1) - 1 up, which is lo(m) or l = 0.
-    """
-    band = zip(*_band(N, n)[:2])
-    rows = np.full((2, n + 1), -np.inf)
-    rows[0, 0] = 0.0  # ln {0 0}
-    yield next(band) + (rows[0],)
-    lnl = np.log(np.arange(1, n + 1, dtype=float))
-    tmp = np.empty(n)
-    for m, (lo, hi) in enumerate(band, 1):
-        prev, row = rows[(m - 1) % 2], rows[m % 2]
-        if m == 2:
-            row[0] = -np.inf  # was ln {0 0}; ln {m 0} = -inf for m >= 1
-        t = tmp[:hi - lo + 1]
-        np.add(lnl[lo - 1:hi], prev[lo:hi + 1], out=t)
-        np.logaddexp(t, prev[lo - 1:hi], out=row[lo:hi + 1])
-        yield lo, hi, row
-
-
 def _explicit_sum(m, l):
     """({m l}, r(m, l)) for 1 <= l <= m, from one pass of the explicit sum."""
     a = (-1) ** l if m == 1 else 0  # i = 0 adds (-1)^l 0^(m-1) to a (0^0 = 1), 0 to b
@@ -251,13 +227,26 @@ class LogDPBackend:
         """ln {m l}; -inf where {m l} = 0.
 
         Rolls the band of (m, l), which is the set of entries ln {m l}
-        depends on.
+        depends on, in two rows of l+1 floats that take turns.  Entries
+        below lo left from row i - 2 are never read: row i reads row i - 1
+        from lo(i) - 1 up, which is lo(i - 1) or l = 0.
         """
         if m < 0 or l < 0 or l > m:
             raise ValueError("log_value: bad arguments (%r, %r)" % (m, l))
-        for _, _, row in _log_rows(m, l):
-            pass
-        return float(row[l])
+        band = zip(*_band(m, l)[:2])
+        next(band)  # row 0: ln {0 0} = 0
+        rows = np.full((2, l + 1), -np.inf)
+        rows[0, 0] = 0.0
+        lnl = np.log(np.arange(1, l + 1, dtype=float))
+        tmp = np.empty(l)
+        for i, (lo, hi) in enumerate(band, 1):
+            prev, row = rows[(i - 1) % 2], rows[i % 2]
+            if i == 2:
+                row[0] = -np.inf  # was ln {0 0}; ln {i 0} = -inf for i >= 1
+            t = tmp[:hi - lo + 1]
+            np.add(lnl[lo - 1:hi], prev[lo:hi + 1], out=t)
+            np.logaddexp(t, prev[lo - 1:hi], out=row[lo:hi + 1])
+        return float(rows[m % 2, l])
 
     def ratio_table(self, N, n):
         """Packed band table R: 1-D float64 with r(m, l) = R[base[m] + l] on the band.

@@ -6,7 +6,8 @@ partition counts from explicit enumeration (not the DP recurrence),
 path laws from exhaustive word enumeration, derivatives from finite
 differences, the rate function from 50-digit arithmetic on the raw
 displayed formula, sampler rows from a freshly built Philox generator
-and a scalar chain walk (not the chunked, re-keyed vector loop),
+(`philox_reference`, not the re-keyed sub-stream) and a scalar chain
+walk (not the span-wise vector loop),
 conditioned paths also from raw words by rejection (`rejection_paths`,
 not the chain), the walk's no-crossing probability from a killed-walk
 DP (not sampled walks) and from the Pollaczek-Khinchine identity on the
@@ -199,15 +200,20 @@ def dense_table(R, N, n):
     return D
 
 
+def philox_reference(seed, index):
+    """A freshly built Generator on Philox(key = seed * 2^64 + index), sub-stream (seed, index)."""
+    import numpy as np
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+
+
 def reversed_chain_reference(rtab, N, n, seed, index):
     """Row `index` of the conditioned sampler, one step at a time.
 
-    Draws the N uniforms of a freshly built Philox(key = seed * 2^64 + index)
-    and walks the reversed chain with a scalar loop over the dense ratio
-    table `rtab` (see `dense_table`).
+    Draws the N uniforms of `philox_reference(seed, index)` and walks the
+    reversed chain with a scalar loop over the dense ratio table `rtab`
+    (see `dense_table`).
     """
-    import numpy as np
-    u = np.random.Generator(np.random.Philox(key=(seed << 64) | index)).random(N)
+    u = philox_reference(seed, index).random(N)
     z = [n]
     for t in range(N):
         z.append(z[-1] - 1 if u[t] < rtab[N - t, z[-1]] else z[-1])
@@ -228,7 +234,7 @@ def rejection_paths(N, n, count, seed=0):
     if n > 30:
         raise ValueError("rejection_paths: n too large for word enumeration")
     max_attempts = max(1000 * count, 100000)
-    rng = np.random.Generator(np.random.Philox(key=seed << 64))
+    rng = philox_reference(seed, 0)
     got, attempts = [], 0
     have = 0
     while have < count:

@@ -193,7 +193,8 @@ def test_non_integral_k_and_n_are_rejected():
              lambda: strip_clearance(2.9, 0.1), lambda: dyck_check([1, 2, 2, 3, 3, 3, 3], 2.5),
              lambda: estimate_accessibility(2, 10.5, 10),
              lambda: estimate_middle_crossing(2.5, 100, 10),
-             lambda: simulate_walk_max(math.inf, 10)]
+             lambda: simulate_walk_max(math.inf, 10), lambda: simulate_walk_max(2, 10.5),
+             lambda: simulate_walk_max(2, 10, horizon=7.5)]
     for call in calls:
         with pytest.raises(ValueError, match="must be an integer"):
             call()
@@ -319,8 +320,10 @@ def test_estimate_accessibility_memory_flat_in_trials(monkeypatch):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 1e6
-    # one span buffer of one chunk and one draw block of 2 MiB, at both sizes
-    assert mapped == [1998 * 2002, (2 << 20) // (8 * 2001) * 2001] * 2
+    # trials split into equal spans of at most one chunk (1998 rows at N = 2001):
+    # 2 spans of 1000 rows, then 5 of 1600; each run maps one span buffer and
+    # one draw block of 2 MiB // (8 N) = 131 rows
+    assert mapped == [1000 * 2002, 131 * 2001, 1600 * 2002, 131 * 2001]
 
 
 def test_korshunov_report_record():

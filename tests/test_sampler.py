@@ -21,13 +21,14 @@ from coupons import (ExactBackend, LogDPBackend,
                      sup_distance_batch, transition_error)
 
 from coupons import sampler
-from coupons.automata import _dyck_flags, _window_crossed
+from coupons.automata import _dyck_flags, _window_crossed, simulate_walk_max
 from coupons.errors import NumericsError
-from coupons.sampler import _rng, _substreams, auto_backend, sup_distances_of
+from coupons.sampler import _substreams, auto_backend, sup_distances_of
 
 from oracles import (dense_table, dyck_flags_reference, enumerate_surjective_paths,
-                     reachable_states, rejection_paths, reversed_chain_reference,
-                     set_partition_count, sup_distances_reference, window_crossed_reference)
+                     philox_reference, reachable_states, rejection_paths,
+                     reversed_chain_reference, set_partition_count, sup_distances_reference,
+                     window_crossed_reference)
 
 
 def _path_ids(Z, s=None):
@@ -78,7 +79,7 @@ def test_seed_determinism_and_substreams():
     assert np.array_equal(conditioned_paths(40, 17, 1, seed=123)[0], a[0])
 
 
-# N = 2001 gives chunks of 1998 rows: 4100 trials cross two chunk boundaries
+# N = 2001 gives chunks of 1998 rows: 4100 trials make three spans of 1367 or 1366
 BIG = dict(N=2001, n=1000, trials=4100, seed=77)
 
 
@@ -315,7 +316,7 @@ def test_blocked_draws_match_the_reference(monkeypatch):
                         lambda count: mapped.append(count) or mapped_of(count))
     rtab = auto_backend(N, n).ratio_table(N, n)
     dense = dense_table(rtab, N, n)
-    run = sampler._span_runner(rtab, N, n, seed, 10, None)
+    run = sampler._span_runner(rtab, N, n, _substreams(seed), 10, None)
     for start, count in ((0, 10), (10, 3), (13, 4)):
         Z = run(start, count)
         assert Z.shape == (count, N + 1)
@@ -324,17 +325,33 @@ def test_blocked_draws_match_the_reference(monkeypatch):
     assert mapped == [(N + 1) * 10, 4 * N]  # one span buffer and one draw block
     assert np.array_equal(conditioned_paths(N, n, 17, seed=seed)[13:], Z)
     mapped.clear()
-    sampler._span_runner(rtab, N, n, seed, 3, None)(0, 3)
+    sampler._span_runner(rtab, N, n, _substreams(seed), 3, None)(0, 3)
     assert mapped == [(N + 1) * 3, 3 * N]  # no block larger than the span
 
 
 def test_rekeyed_substreams_equal_fresh_generators():
+    # uniforms into a row (the span draw) and geometric gaps (sample_patient's)
     out = np.empty(1001)
+    p = (50 - np.arange(50)) / 50
     for seed in (0, 2 ** 63, 2 ** 64 - 1):
-        draw = _substreams(seed)
+        stream = _substreams(seed)
         for index in (0, 1, 2 ** 40 + 3, 1):
-            draw(index, out)
-            assert np.array_equal(out, _rng(seed, index).random(1001))
+            stream(index).random(out=out)
+            assert np.array_equal(out, philox_reference(seed, index).random(1001))
+            assert np.array_equal(stream(index).geometric(p),
+                                  philox_reference(seed, index).geometric(p))
+
+
+def test_seed_is_an_integer_below_two_to_the_64():
+    # no seed is wrapped or truncated into another seed's stream
+    calls = (lambda seed: conditioned_paths(60, 30, 3, seed=seed),
+             lambda seed: sample_patient(50, seed=seed),
+             lambda seed: simulate_walk_max(2, 10, seed=seed))
+    for call in calls:
+        for bad in (1.5, -1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed"):
+                call(bad)
+        assert pickle.dumps(call(3.0)) == pickle.dumps(call(np.uint64(3))) == pickle.dumps(call(3))
 
 
 def test_backends_agree_in_distribution_exactly():
@@ -574,7 +591,10 @@ def test_folds_match_the_whole_grid_reductions():
         for B in (Z, np.asfortranarray(Z), Z[:1]):
             assert _same_bits(sup_distances_of(B, curve, 200, 100),
                               sup_distances_reference(B, curve, 200, 100))
-    for k, n, xs in ((2, 100, np.arange(3, 200)), (2, 1, np.array([2])), (3, 40, np.array([118]))):
+    # windows at the floor boundary: x = 1 + k j, where k y_x = x - 1 is reachable
+    for k, n, xs in ((2, 100, np.arange(3, 200)), (2, 1, np.array([2])), (3, 40, np.array([118])),
+                     (3, 40, np.array([1, 2, 3])), (3, 40, 1 + 3 * np.arange(41)),
+                     (2, 100, 1 + 2 * np.arange(101))):
         Z = conditioned_paths(k * n + 1, n, 40, seed=3)
         for B in (Z, np.asfortranarray(Z), Z[:1]):
             assert _same_bits(_dyck_flags(B, k, n), dyck_flags_reference(B, k, n)), (k, n)
