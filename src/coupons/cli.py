@@ -121,8 +121,14 @@ def cmd_stirling(args):
     if args.verify:
         if (args.m, args.l, args.cap) != (None, None, None):
             raise ValueError("stirling --verify: takes no m, l or --cap")
-        return _stirling_verify(args.lams or [0.5, 1.0, 2.0],
-                                args.ells or [50, 100, 200, 400, 800], args.out)
+        lams = args.lams or [0.5, 1.0, 2.0]
+        ells = args.ells or [50, 100, 200, 400, 800]
+        # checked before any solve, which would fail with a message naming neither flag
+        if min(lams) <= 0.0:
+            raise ValueError("stirling --verify: --lams must be > 0, got %r" % min(lams))
+        if min(ells) < 1:
+            raise ValueError("stirling --verify: --ells must be >= 1, got %d" % min(ells))
+        return _stirling_verify(lams, ells, args.out)
     if args.m is None or args.l is None:
         raise ValueError("stirling: need m and l (or --verify)")
     if args.lams or args.ells:

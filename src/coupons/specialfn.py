@@ -95,15 +95,35 @@ def _xi_newton(lam):
     # one ulp, which rounding often never grants: the state (x, lo, hi)
     # then falls into an exact 2-cycle a few ulp wide.  The loop is a
     # function of that state alone, so once it equals the state two
-    # iterations back the remaining iterations only alternate, and the
-    # member the 100th would return is picked by parity.  No cycle and
-    # no converged step: the last iterate is returned unflagged.
+    # iterations back the remaining iterations only alternate (the step
+    # test cannot fire inside the cycle), and the member the 100th would
+    # return is picked by parity.  Most roots converge within 8 steps, so
+    # those run without the history; a cycle that starts earlier is
+    # caught at k = 10 or 11 with the same parity.  No cycle and no
+    # converged step: the last iterate is returned unflagged.
     c = 1.0 + lam
     lo = lam
-    hi = min(2.0 * lam, c)
+    hi = 2.0 * lam if 2.0 * lam <= c else c  # min(2 lam, c) without the builtin's call cost
     x = 0.5 * (lo + hi)
+    for _ in range(8):  # the same step as below, without the history shifts
+        ex = math.exp(-x)
+        phi = x - c * (1.0 - ex)
+        if phi > 0.0:
+            hi = x
+        else:
+            lo = x
+        dphi = 1.0 - c * ex
+        if dphi > 0.0:
+            xn = x - phi / dphi
+        else:
+            xn = 0.5 * (lo + hi)
+        if not (lo <= xn <= hi):
+            xn = 0.5 * (lo + hi)
+        if abs(xn - x) <= 1e-16 * x:
+            return xn
+        x = xn
     x1 = lo1 = hi1 = x2 = lo2 = hi2 = None  # the states 1 and 2 iterations back
-    for k in range(100):
+    for k in range(8, 100):
         if x == x2 and lo == lo2 and hi == hi2:
             return x if k % 2 == 0 else x1
         x2, lo2, hi2 = x1, lo1, hi1

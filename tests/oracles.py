@@ -20,6 +20,8 @@ closed form built on the library's own `lambert_w0` (a second route to
 xi, not a second implementation of W0), and frozen copies of earlier
 library code that pin the bits a faster route must reproduce: `xi_newton_reference`, the
 plain 100-iteration Newton loop its cycle exit must match, and
+`explicit_sum_reference`, the explicit Stirling sum with one big power
+per term, whose integers the sieve-built powers must match, and
 `logdp_log_table_reference`, the resident log table that the rolling
 `log_value` must match, and `ratio_table_reference`, the s-recurrence
 on scalar Python floats whose bits the vectorized band roll must match,
@@ -309,6 +311,27 @@ def tail_abs_reference(lam, l, panels=80, dps=20):
         pts = [th0 + (mpmath.pi - th0) * (mpmath.mpf(i) / panels) ** 3
                for i in range(panels + 1)]
         return float(mpmath.quad(f, pts))
+
+
+def explicit_sum_reference(m, l):
+    """({m l}, r(m, l)) for 1 <= l <= m by the explicit sum, one power i^(m-1) per i.
+
+    With u_i = C(l,i) i^(m-1) and s_i = (-1)^(l-i), a = Sum s_i u_i and
+    b = Sum s_i i u_i give {m l} = b // l! and r(m, l) = (b - l a)/b.
+    """
+    a = (-1) ** l if m == 1 else 0  # i = 0 adds (-1)^l 0^(m-1) to a (0^0 = 1), 0 to b
+    b = 0
+    c = 1  # C(l, i)
+    for i in range(1, l + 1):
+        c = c * (l - i + 1) // i
+        u = c * i ** (m - 1)
+        if (l - i) % 2 == 0:
+            a += u
+            b += i * u
+        else:
+            a -= u
+            b -= i * u
+    return b // math.factorial(l), (b - l * a) / b
 
 
 def set_partition_count(m, l):

@@ -134,7 +134,9 @@ def test_stirling_negative_cap_is_usage_error(capsys):
 # values and ratios shared one explicit-sum pass), the sampler cases at
 # commit 1a22897 (before the simulate --backend flag went and rho, the Dyck
 # test and the binomial frequency each got one route), on the Exact table
-# (n <= 300) and the LogDP table.  A faster or simpler route must keep them.
+# (n <= 300) and the LogDP table, the curve cases at commit 1abdd76 (before
+# the fast paths of the xi Newton loop, the CSV writer and the explicit
+# sum).  A faster or simpler route must keep them.
 STDOUT_SHA256 = {
     "stirling --verify":
         "a83db2fbfd077b203c5dc99f67d8359e7ea92eeaa06f63afcabfc34be3afbdc7",
@@ -150,6 +152,13 @@ STDOUT_SHA256 = {
         "e1a153e3333efe57ae673bdc0b58e34bce6b99168e0212d1db8ac3d5629e9e9a",
     "korshunov --k 2 --n 400 --trials 300 --seed 5":
         "e6719c560addf3aed0ac0cb953efd6220277f705e60b3348d03ad5a0036b7c42",
+    # the three criterion-12 curves of the bench's asymptotics workload
+    "curve --nu 1 --a 0.2":
+        "9a0bfd1fe453aa5e043176fe2b5f21b2ad4ee7f64c553735fd9bbc612ed244c2",
+    "curve --nu 0.5 --a 0.1":
+        "e227f47c94c2229c11bf58412fdf506e640254ee16b02ff89d43f15bda37628b",
+    "curve --nu 3 --a 0.5":
+        "8e74b5a1235e29c40f46f225198bb4211fcb9f5663e714ef3c664012241d81fb",
 }
 
 
@@ -201,6 +210,18 @@ def test_stirling_mixed_modes_are_usage_errors(capsys):
         assert main(argv) == 2, argv
         cap = capsys.readouterr()
         assert cap.out == "" and cap.err.startswith("error: stirling"), argv
+
+
+def test_stirling_verify_grid_flags_are_checked_first(capsys, monkeypatch):
+    # a bad grid value is a usage error naming its flag, raised before any solve
+    monkeypatch.setattr(stirling, "_chi_and_transition_error", None)
+    for argv, flag in ((["--ells", "0"], "--ells must be >= 1, got 0"),
+                       (["--ells", "50,-5"], "--ells must be >= 1, got -5"),
+                       (["--lams", "0"], "--lams must be > 0, got 0.0"),
+                       (["--lams=1,-0.5", "--ells", "50"], "--lams must be > 0, got -0.5")):
+        assert main(["stirling", "--verify"] + argv) == 2, argv
+        cap = capsys.readouterr()
+        assert (cap.out, cap.err) == ("", "error: stirling --verify: %s\n" % flag), argv
 
 
 def test_stirling_verify_table(tmp_path):

@@ -170,6 +170,41 @@ def test_csv_emission_deterministic():
     assert len(lines) == len(c.xs) + 1
 
 
+def _synthetic_curve(rows):
+    xs = np.linspace(2.0, 0.2, rows)
+    return curve.Curve(nu=1.0, a=0.2, step=1.8 / (rows - 1), xs=xs, ys=xs / (1.0 + 0.5 * xs))
+
+
+def test_csv_blocks_write_every_row_once():
+    # rows past the first blocks, and a short last block, print as the
+    # per-row loop on numpy scalars prints them
+    c = _synthetic_curve(2 * curve._CSV_BLOCK + 3)
+    buf = io.StringIO()
+    curve_to_csv(c, buf)
+    want = "x,y,lambda\n" + "".join("%.17g,%.17g,%.17g\n" % (x, y, x / y - 1.0)
+                                     for x, y in zip(c.xs, c.ys))
+    assert buf.getvalue() == want
+
+
+def test_csv_writer_memory_is_bounded():
+    # one block of rows in flight, not the whole curve: one join of all
+    # 2e5 rows (11 MB of text) peaks at about 34 MB traced
+    class Sink:
+        def write(self, text):
+            self.size += len(text)
+        size = 0
+
+    c, sink = _synthetic_curve(200000), Sink()
+    tracemalloc.start()
+    try:
+        curve_to_csv(c, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 10 * 2 ** 20
+    assert peak < 2 * 2 ** 20
+
+
 # --- RK4 path ------------------------------------------------------------------
 
 @pytest.mark.parametrize("nu,a", [(1.0, 0.2), (0.5, 0.1), (3.0, 0.5),

@@ -12,10 +12,11 @@ from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
                      ResourceCapError, chi, psi_log, psi_log_forms,
                      saddle_diagnostics, stirling_exact,
                      surjection_log_probability, transition_error)
-from coupons.stirling import _log_big, _quad, _rows
+from coupons.stirling import _explicit_sum, _log_big, _quad, _rows
 
-from oracles import (dense_table, logdp_log_table_reference, ratio_table_reference,
-                     reachable_states, set_partition_count, tail_abs_reference)
+from oracles import (dense_table, explicit_sum_reference, logdp_log_table_reference,
+                     ratio_table_reference, reachable_states, set_partition_count,
+                     tail_abs_reference)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -162,6 +163,29 @@ def test_explicit_sum_matches_recurrence():
     assert len(pairs) >= 1800
     for m, l in pairs:
         assert be.ratio(m, l) == R[m, l], (m, l)
+
+
+def test_explicit_sum_matches_one_power_per_term():
+    # i^(m-1) from the smallest-prime-factor sieve (a product of two kept
+    # powers for composite i) gives the integers of one power per i
+    grid = [(int(round((1.0 + lam) * l)), l)
+            for lam in (0.5, 1.0, 2.0) for l in (50, 100, 200, 400)]
+    small = [(m, l) for l in (1, 2, 3, 4, 8, 9, 16, 25, 27, 32)  # prime powers, l // 2 edge
+             for m in sorted({l, l + 1, 2 * l + 3, 5 * l})]
+    ends = [(1, 1), (7, 7), (300, 300), (300, 1), (301, 2), (40, 1)]  # m = l and m = 1
+    points = grid + small + ends + [(3001, 997)]
+    for m, l in points:
+        assert _explicit_sum(m, l) == explicit_sum_reference(m, l), (m, l)
+
+
+def test_explicit_sum_memo_is_bounded():
+    # only the powers of i <= l // 2 are kept: (l/2)(m-1) log2(l/2) bits;
+    # keeping every i <= l would take about twice that
+    m, l = 2000, 1000
+    want, peak = _traced_peak(lambda: stirling_exact(m, l))
+    assert want == explicit_sum_reference(m, l)[0]
+    memo = (l // 2) * ((m - 1) * math.log2(l // 2) / 8 + 32)
+    assert peak <= 1.1 * memo, (peak, memo)
 
 
 # --- backends -----------------------------------------------------------
