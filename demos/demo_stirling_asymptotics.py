@@ -2,15 +2,16 @@
 Stirling numbers and the saddle-point approximation
 ===================================================
 
-Exact {m l} via the big-integer recurrence, the log-space route for
-large arguments, and the accuracy of Good's saddle approximation psi:
+Exact {m l} via big integers, ln{m l} from the float route to
+ln P(T_n <= N) = ln(n! {N n} n^-N), and the accuracy of Good's saddle
+approximation psi:
 {m l} = psi(m,l) (1 + chi) with l*chi converging to a constant.
 """
 
 import math
 
-from coupons import (ExactBackend, LogDPBackend, chi, psi_log, saddle_diagnostics,
-                     stirling_exact, transition_error, xi_of_lambda)
+from coupons import (ExactBackend, chi, psi_log, saddle_diagnostics, stirling_exact,
+                     surjection_log_probability, transition_error, xi_of_lambda)
 
 print("small exact values:")
 for m, l in ((5, 2), (7, 3), (10, 5)):
@@ -20,10 +21,10 @@ v = stirling_exact(200, 100)
 print("\n{200 100} has %d digits; leading digits %s..."
       % (len(str(v)), str(v)[:12]))
 
-# log-space dynamic programming agrees with the exact route
-lb = LogDPBackend()
-print("logDP ln{200 100} = %.12f  (exact %.12f)"
-      % (lb.log_value(200, 100), math.log(v)))
+# the patient collector's forward law gives ln{N n} = ln P - ln n! + N ln n in floats
+print("forward law ln{200 100} = %.12f  (exact %.12f)"
+      % (surjection_log_probability(200, 100) - math.lgamma(101) + 200 * math.log(100),
+         math.log(v)))
 
 # --- saddle accuracy: l * chi approaches a constant -----------------------------
 
@@ -49,6 +50,6 @@ print("  gaussian ref   = %.10f  (rel err %.2e)" % (d["central_ref"], d["central
 print("  |tail| mass    = %.3e  (bound %.3e)" % (d["tail_abs"], d["tail_bound"]))
 recon = d["log_prefactor"] + math.log(d["central"] + d["tail"])
 print("  reconstructed ln{800 400} = %.10f" % recon)
-print("  exact         ln{800 400} = %.10f" % lb.log_value(800, 400))
+print("  exact         ln{800 400} = %.10f" % math.log(stirling_exact(800, 400)))
 print("  saddle approx ln psi      = %.10f  (gap is chi ~ %.1e)"
       % (psi_log(800, 400), chi(800, 400)))

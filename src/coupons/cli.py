@@ -7,13 +7,14 @@ subcommands split the seed into one sub-stream per trajectory, so
 
 Exit codes: 0 ok, 2 bad parameters/usage, 3 I/O failure, 4 numeric
 failure.  Floats print at 17 significant digits in text output; JSON
-uses shortest round-trip floats (lossless either way).
+uses shortest round-trip floats (lossless either way).  The ldp CSV
+starts with a "# format_version=1" line.
 The environment variable COUPONS_OUTPUT_DIR, when set, is prepended to
 relative --out paths.
 """
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
@@ -64,20 +65,19 @@ def _list_of(kind):
     return parse
 
 
-def _resolve_out(path):
-    base = os.environ.get("COUPONS_OUTPUT_DIR")
-    if path is not None and base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+@contextlib.contextmanager
+def _destination(out):
+    """stdout, or the --out file (under COUPONS_OUTPUT_DIR if relative) open for writing."""
+    if out is None:
+        yield sys.stdout
+    else:
+        with open(os.path.join(os.environ.get("COUPONS_OUTPUT_DIR", ""), out), "w") as fh:
+            yield fh
 
 
 def _emit(text, out):
-    out = _resolve_out(out)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with _destination(out) as fh:
+        fh.write(text)
 
 
 def _jsonify(obj):
@@ -86,9 +86,8 @@ def _jsonify(obj):
 
 def cmd_curve(args):
     c = curve.solve_completion_curve(args.nu, args.a, step=args.step)
-    buf = io.StringIO()
-    curve.curve_to_csv(c, buf)
-    _emit(buf.getvalue(), args.out)
+    with _destination(args.out) as fh:
+        curve.curve_to_csv(c, fh)  # streamed: the CSV is never held whole
     return 0
 
 
@@ -100,18 +99,16 @@ def _chain_length(lam, l):
     return int(round(m))
 
 
-def _stirling_verify(lams, ells, out):
+def _stirling_verify(grid, out):
     lines = ["lam,ell,m,l_abs_chi,l_trans_err"]
     worst_chi = worst_r = 0.0
-    for lam in lams:
-        for l in ells:
-            m = _chain_length(lam, l)
-            ch, err = stirling._chi_and_transition_error(m, l)
-            lc = l * abs(ch)
-            lr = l * err
-            worst_chi = max(worst_chi, lc)
-            worst_r = max(worst_r, lr)
-            lines.append("%.17g,%d,%d,%.17g,%.17g" % (lam, l, m, lc, lr))
+    for lam, l, m in grid:
+        ch, err = stirling._chi_and_transition_error(m, l)
+        lc = l * abs(ch)
+        lr = l * err
+        worst_chi = max(worst_chi, lc)
+        worst_r = max(worst_r, lr)
+        lines.append("%.17g,%d,%d,%.17g,%.17g" % (lam, l, m, lc, lr))
     lines.append("# max l|chi| = %.17g, max l|r-rho| = %.17g" % (worst_chi, worst_r))
     _emit("\n".join(lines) + "\n", out)
     return 0
@@ -128,7 +125,12 @@ def cmd_stirling(args):
             raise ValueError("stirling --verify: --lams must be > 0, got %r" % min(lams))
         if min(ells) < 1:
             raise ValueError("stirling --verify: --ells must be >= 1, got %d" % min(ells))
-        return _stirling_verify(lams, ells, args.out)
+        grid = [(lam, l, _chain_length(lam, l)) for lam in lams for l in ells]
+        for lam, l, m in grid:
+            if m <= l:
+                raise ValueError("stirling --verify: --lams %r with --ells %d gives "
+                                 "m = round((1 + lam) l) = %d, need m > l" % (lam, l, m))
+        return _stirling_verify(grid, args.out)
     if args.m is None or args.l is None:
         raise ValueError("stirling: need m and l (or --verify)")
     if args.lams or args.ells:
@@ -166,7 +168,7 @@ def cmd_ldp(args):
         raise ValueError("ldp: nu must be > 0")
     xi = xi_of_lambda(args.nu)
     j = rate_j(xi)
-    lines = ["n,lnP_over_n,minus_J,gap"]
+    lines = ["# format_version=1", "n,lnP_over_n,minus_J,gap"]
     for n in args.n:
         if n < 1:
             raise ValueError("ldp: n must be >= 1")

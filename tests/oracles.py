@@ -14,16 +14,17 @@ DP (not sampled walks) and from the Pollaczek-Khinchine identity on the
 bisection xi (`pollaczek_crossing`), and the saddle integral's tail mass
 from mpmath quadrature on graded panels (`tail_abs_reference`, not
 Gauss-Legendre), reference roots xi from 50-digit Newton in mpmath
-(`xi_mpmath`), and dense views of packed ratio tables placed by the
-reach mask (`dense_table`, not the library's row bases).  The exceptions are `xi_via_lambertw`, the Lambert-W
+(`xi_mpmath`), ln P(T_n <= N) by inclusion-exclusion in mpmath
+(`ln_p_mpmath`, not the forward law), and dense views of packed ratio
+tables placed by the reach mask (`dense_table`, not the library's row
+bases).  The exceptions are `xi_via_lambertw`, the Lambert-W
 closed form built on the library's own `lambert_w0` (a second route to
 xi, not a second implementation of W0), and frozen copies of earlier
 library code that pin the bits a faster route must reproduce: `xi_newton_reference`, the
 plain 100-iteration Newton loop its cycle exit must match, and
 `explicit_sum_reference`, the explicit Stirling sum with one big power
 per term, whose integers the sieve-built powers must match, and
-`logdp_log_table_reference`, the resident log table that the rolling
-`log_value` must match, and `ratio_table_reference`, the s-recurrence
+`ratio_table_reference`, the s-recurrence
 on scalar Python floats whose bits the vectorized band roll must match,
 and `rk4_path_reference`, the per-slope RK4 path
 whose bytes the curve solver must match, and
@@ -129,18 +130,25 @@ def xi_mpmath(lam, dps=50):
     raise RuntimeError("xi_mpmath: no convergence at lambda=%r" % lam)
 
 
-def logdp_log_table_reference(M, W):
-    """Whole table L[m, l] = ln {m l}, m <= M, l <= W, by the log-space recurrence."""
-    import numpy as np
-    L = np.full((M + 1, W + 1), -np.inf)
-    L[0, 0] = 0.0
-    lnl = np.log(np.arange(1, W + 1, dtype=float))
-    tmp = np.empty(W)
-    for m in range(1, M + 1):
-        w = min(m, W)
-        np.add(lnl[:w], L[m - 1, 1:w + 1], out=tmp[:w])
-        np.logaddexp(tmp[:w], L[m - 1, 0:w], out=L[m, 1:w + 1])
-    return L
+def ln_p_mpmath(N, n):
+    """ln P(T_n <= N), the log-probability that N uniform draws see all n labels, in mpmath.
+
+    Inclusion-exclusion: 1 - P = Sum_{j=1}^{n} (-1)^(j+1) C(n,j) (1 - j/n)^N,
+    and ln P = log1p(-(1 - P)), so a P near 1 keeps its relative digits.
+    The terms are at most 2^n times 1 - P >= (1 - 1/n)^N, and
+    P >= P(T_n <= n) = n!/n^n, so the sum and the log1p lose at most
+    log10(2^n n^n / n!) digits, about n log10(2e); 60 more are carried.
+    """
+    import mpmath
+    lost = (n * math.log(2.0 * n) - math.lgamma(n + 1)) / math.log(10.0)
+    with mpmath.workdps(int(lost) + 60):
+        q = mpmath.mpf(0)
+        c = mpmath.mpf(1)  # C(n, j)
+        for j in range(1, n + 1):
+            c = c * (n - j + 1) / j
+            term = c * (1 - mpmath.mpf(j) / n) ** N
+            q += term if j % 2 else -term
+        return float(mpmath.log1p(-q))
 
 
 def ratio_table_reference(N, n):

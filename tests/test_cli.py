@@ -9,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
 
 import coupons
 from coupons.cli import build_parser, main
-from coupons import (chi, korshunov_constant, specialfn, stirling, stirling_exact,
+from coupons import (chi, curve, korshunov_constant, specialfn, stirling, stirling_exact,
                      transition_error)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
@@ -58,6 +59,23 @@ def test_curve_rejects_json():
 def test_curve_bad_domain():
     assert main(["curve", "--nu", "-1", "--a", "0.2"]) == 2
     assert main(["curve", "--nu", "1", "--a", "3.0"]) == 2
+
+
+def test_curve_streams_its_csv(tmp_path, monkeypatch):
+    # 180,001 rows, 10.3 MB of CSV: formatting it whole into a buffer and
+    # copying that out peaked at 14.5 MB above the solve; streamed, the
+    # command holds one 4096-row block
+    c = curve.solve_completion_curve(1.0, 0.2, step=1e-5)
+    monkeypatch.setattr(curve, "solve_completion_curve", lambda *args, **kw: c)
+    path = tmp_path / "c.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["curve", "--nu", "1", "--a", "0.2", "--step", "1e-5", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and path.stat().st_size > 10 ** 7
+    assert peak < 2 ** 21, peak
 
 
 def test_nonfinite_floats_are_usage_errors():
@@ -224,6 +242,16 @@ def test_stirling_verify_grid_flags_are_checked_first(capsys, monkeypatch):
         assert (cap.out, cap.err) == ("", "error: stirling --verify: %s\n" % flag), argv
 
 
+def test_stirling_verify_rejects_a_chain_no_longer_than_l(capsys, monkeypatch):
+    # lam * l < 1/2 rounds m = (1 + lam) l back to l, where chi is undefined:
+    # a usage error naming both flags, raised before any solve
+    monkeypatch.setattr(stirling, "_chi_and_transition_error", None)
+    assert main(["stirling", "--verify", "--lams", "1,0.001", "--ells", "50"]) == 2
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", "error: stirling --verify: --lams 0.001 with --ells 50 "
+                                      "gives m = round((1 + lam) l) = 50, need m > l\n")
+
+
 def test_stirling_verify_table(tmp_path):
     rc, text = run_out(["stirling", "--verify", "--lams", "1.0",
                         "--ells", "50,100"], tmp_path, "v.csv")
@@ -343,9 +371,9 @@ def test_ldp_table(tmp_path):
     rc, text = run_out(["ldp", "--nu", "1", "--n", "50,100"], tmp_path, "l.csv")
     assert rc == 0
     lines = text.strip().split("\n")
-    assert lines[0] == "n,lnP_over_n,minus_J,gap"
-    r50 = [float(v) for v in lines[1].split(",")]
-    r100 = [float(v) for v in lines[2].split(",")]
+    assert lines[:2] == ["# format_version=1", "n,lnP_over_n,minus_J,gap"]
+    r50 = [float(v) for v in lines[2].split(",")]
+    r100 = [float(v) for v in lines[3].split(",")]
     assert r50[0] == 50 and r100[0] == 100
     assert r50[2] == r100[2] < 0.0
     assert r50[3] > r100[3] > 0.0        # gap shrinks with n
@@ -360,7 +388,7 @@ def test_ldp_bad_parameters():
 
 
 def test_ldp_caps_the_log_space_route(capsys):
-    # N = 5000005 would roll the LogDP recurrence for minutes; 1e300 never ends
+    # N = 5000005 would run the forward law for minutes; 1e300 never ends
     for nu in ("1e6", "1e300"):
         assert main(["ldp", "--nu", nu, "--n", "5"]) == 4
         assert "exceeds cap 100000" in capsys.readouterr().err
@@ -375,15 +403,15 @@ def test_ldp_caps_the_band_size(capsys):
 
 
 def test_ldp_rate_is_never_positive(capsys):
-    # the LogDP route's rounding once printed lnP_over_n = 7.2e-08 here
+    # the log-space route's rounding once printed lnP_over_n = 7.2e-08 here
     assert main(["ldp", "--nu", "19999", "--n", "5"]) == 0
-    assert float(capsys.readouterr().out.split("\n")[1].split(",")[1]) <= 0.0
+    assert float(capsys.readouterr().out.split("\n")[2].split(",")[1]) <= 0.0
 
 
 def test_ldp_prints_an_underflowed_rate_as_zero(capsys):
     # J underflows to 0 at nu = 19999; minus_J once printed as -0
     assert main(["ldp", "--nu", "19999", "--n", "5"]) == 0
-    assert capsys.readouterr().out.split("\n")[1] == "5,0,0,0"
+    assert capsys.readouterr().out.split("\n")[2] == "5,0,0,0"
 
 
 # --- output plumbing ----------------------------------------------------------------
@@ -502,7 +530,7 @@ def test_console_script():
     module, attr = _console_script_target()
     r = _run_console_script(module, attr, "ldp", "--nu", "1", "--n", "20")
     assert r.returncode == 0, r.stderr
-    assert r.stdout.startswith("n,lnP_over_n,minus_J,gap")
+    assert r.stdout.startswith("# format_version=1\nn,lnP_over_n,minus_J,gap")
     # the wrapper's sys.exit passes main's documented error code on
     r = _run_console_script(module, attr, "curve", "--nu", "-1", "--a", "0.2")
     assert r.returncode == 2, r.stderr
@@ -515,4 +543,4 @@ def test_installed_console_script():
     r = subprocess.run([exe, "ldp", "--nu", "1", "--n", "20"],
                        capture_output=True, text=True)
     assert r.returncode == 0
-    assert r.stdout.startswith("n,lnP_over_n,minus_J,gap")
+    assert r.stdout.startswith("# format_version=1\nn,lnP_over_n,minus_J,gap")

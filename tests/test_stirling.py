@@ -14,9 +14,8 @@ from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
                      surjection_log_probability, transition_error)
 from coupons.stirling import _explicit_sum, _log_big, _quad, _rows
 
-from oracles import (dense_table, explicit_sum_reference, logdp_log_table_reference,
-                     ratio_table_reference, reachable_states, set_partition_count,
-                     tail_abs_reference)
+from oracles import (dense_table, explicit_sum_reference, ln_p_mpmath, ratio_table_reference,
+                     reachable_states, set_partition_count, tail_abs_reference)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -190,15 +189,6 @@ def test_explicit_sum_memo_is_bounded():
 
 # --- backends -----------------------------------------------------------
 
-def test_logdp_matches_exact_in_log_space():
-    lb = LogDPBackend()
-    for m, l in [(50, 25), (150, 75), (500, 250), (1000, 500), (1000, 100),
-                 (900, 600)]:
-        a = _log_big(stirling_exact(m, l))
-        b = lb.log_value(m, l)
-        assert abs(a - b) <= 1e-9 * abs(a)
-
-
 def _assert_ratio_bound(E, D):
     # dense tables, row index m: |D/E - 1| <= (4m+2)u on every normal entry of
     # the exact E, and within 2^-1074 absolute below 2^-1022 (the
@@ -231,23 +221,6 @@ def test_logdp_ratio_table_matches_exact():
     R2 = dense_table(LogDPBackend().ratio_table(1800, 300), 1800, 300)[:1501]
     _assert_ratio_bound(R1, R2)
     assert np.any((0.0 < R1) & (R1 < 2.0 ** -1022))
-
-
-# N = 2n + 1, N = 2n, N = n, N = n + 1, n = 1 and nu = (N - n)/n = 0.1
-@pytest.mark.parametrize("N, n", [(41, 20), (600, 300), (2001, 1000), (4001, 2001),
-                                  (300, 300), (301, 300), (300, 1), (2200, 2000)])
-def test_logdp_bytes_match_resident_table(N, n):
-    # the rolling band rows reproduce the whole-table build bit for bit
-    L = logdp_log_table_reference(N, n)
-    lb = LogDPBackend()
-    for m, l in [(N, n), (N // 2, n // 3), (n, n), (n + 1, n), (N, 1), (N, 0),
-                 (1, 1), (1, 0), (0, 0)]:
-        if m <= N:
-            assert lb.log_value(m, l) == float(L[m, l]), (m, l)
-    if N == 4001:
-        # N = 4000 is above the exact route's 3000: the LogDP route of `ldp --nu 1 --n 2000`
-        want = math.lgamma(2001) + float(L[4000, 2000]) - 4000 * math.log(2000)
-        assert surjection_log_probability(4000, 2000) == want
 
 
 @pytest.mark.parametrize("N, n", [(41, 20), (600, 300), (2001, 1000), (4001, 2001),
@@ -296,7 +269,7 @@ def test_logdp_memory_is_the_returned_table():
     assert peak <= R.nbytes + 2 ** 20
     # about half the dense (2002, 1001) grid: a dense table fails here
     assert R.nbytes == 8 * np.count_nonzero(reachable_states(2001, 1000))
-    _, peak = _traced_peak(lambda: LogDPBackend().log_value(4000, 2000))
+    _, peak = _traced_peak(lambda: surjection_log_probability(4000, 2000))
     assert peak < 2 ** 20
 
 
@@ -356,16 +329,27 @@ def test_surjection_probability_trivial():
         surjection_log_probability(3, 4)
 
 
-def test_surjection_probability_exact_vs_logdp_route():
-    a = surjection_log_probability(400, 200)
-    b = math.lgamma(201) + LogDPBackend().log_value(400, 200) - 400 * math.log(200)
-    assert abs(a - b) <= 1e-9 * abs(a)
+# N = n, N = n + 1, N = 2n + 1, n = 1, P near 1 (ln P = -7.4e-291 at (3001, 5),
+# -5.7e-85 at (10^5, 500)), nu = (N - n)/n = 0.1 and the ldp --nu 1 chain
+@pytest.mark.parametrize("N, n", [(3, 3), (41, 20), (50, 25), (300, 1), (300, 300), (301, 300),
+                                  (400, 200), (600, 300), (2000, 2000), (2001, 1000),
+                                  (2001, 2000), (2200, 2000), (3001, 5), (3001, 1500),
+                                  (4000, 2000), (4001, 2001), (10 ** 4, 1000), (10 ** 5, 500)])
+def test_surjection_probability_matches_inclusion_exclusion(N, n):
+    want = ln_p_mpmath(N, n)
+    got = surjection_log_probability(N, n)
+    assert got <= 0.0
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 def test_surjection_probability_is_never_positive():
-    # the LogDP route's cancellation error once returned +2.4e-10, +2.0e-9 and +3.6e-7 here
+    # the log-space route's cancellation error once returned +2.4e-10, +2.0e-9 and +3.6e-7 here
     for N, n in ((3001, 5), (10 ** 4, 10), (10 ** 5, 5)):
         assert surjection_log_probability(N, n) <= 0.0
+    # ln P rounds to 0 (it is about -10^-9690 and -10^-876): +0, not a subnormal or -0
+    for n in (5, 50):
+        got = surjection_log_probability(10 ** 5, n)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0, (n, got)
 
 
 def test_surjection_probability_caps_the_band():
