@@ -77,6 +77,7 @@ def surjection_to_diagram(word, n):
 
     Returns (y, marks), both 1-based arrays of length N = len(word).
     """
+    n = integral("surjection_to_diagram: n", n)
     raw = np.asarray(word)
     word = raw.astype(np.int64)
     if word.ndim != 1 or np.any(word != raw) or np.any((word < 1) | (word > n)):
@@ -97,6 +98,8 @@ def structure_from_diagram(marks, k, n):
     out-edges in alphabet order.  Returns (initial_state, delta) with
     delta[l, c] = target of letter c+1 from state l (row 0 unused).
     """
+    k = integral("structure_from_diagram: k", k)
+    n = integral("structure_from_diagram: n", n)
     raw = np.asarray(marks)
     marks = raw.astype(np.int64)
     if len(marks) != k * n + 1:
@@ -111,6 +114,8 @@ def structure_from_diagram(marks, k, n):
 
 def bfs_accessible(marks, k, n):
     """Graph-search oracle: is every state reachable from the initial one?"""
+    k = integral("bfs_accessible: k", k)
+    n = integral("bfs_accessible: n", n)
     initial, delta = structure_from_diagram(marks, k, n)
     seen = np.zeros(n + 1, dtype=bool)
     stack = [initial]

@@ -76,7 +76,7 @@ class Curve:
     def y_at(self, x):
         """zeta(nu, x) by the closed form, for x in [a, 1+nu]."""
         x = float(x)
-        if x < self.a - 1e-12 or x > 1.0 + self.nu + 1e-12:
+        if not self.a - 1e-12 <= x <= 1.0 + self.nu + 1e-12:  # nan fails it too
             raise ValueError("y_at: x=%r outside [%r, %r]" % (x, self.a, 1.0 + self.nu))
         return float(_zeta(self.nu, x))
 

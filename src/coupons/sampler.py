@@ -2,9 +2,13 @@
 
 The object being sampled is the reversed chain Z: Z_0 = n, Z_N = 0,
 and from state (m, l) = (N - t, Z_t) the chain decrements with
-probability r(m, l) = {m-1 l-1}/{m l}.  With the exact backend the
-resulting law on completion paths is EXACTLY the uniform-surjection
-law conditioned on T_n <= N; no asymptotics are involved.
+probability r(m, l) = {m-1 l-1}/{m l}.  Its law on completion paths is
+the uniform-surjection law conditioned on T_n <= N; no asymptotics are
+involved.  The ratios come from one table route, `LogDPBackend`'s
+log-free float table, within (4m+2) 2^-53 relative of each r;
+`backend=ExactBackend()` gives the big-integer table, every ratio
+rounded once, and the same seed then gives the same path except with
+probability at most (2N^2 + 6N) 2^-53 (`auto_backend`).
 
 Randomness: counter-based Philox streams, one sub-stream per
 trajectory index (key = base_seed * 2^64 + index).  Batches are
@@ -30,23 +34,34 @@ import time
 import numpy as np
 
 from .curve import solve_completion_curve
-from .errors import integral
+from .errors import ResourceCapError, integral
 from .specialfn import f_drift
-from .stirling import ExactBackend, LogDPBackend, _band_rows
+from .stirling import LogDPBackend, _band_rows
+
+_TABLE_CAP = 5000  # auto_backend: largest n; the (2n + 1, n) table is 200 MB there
+
 
 def auto_backend(N, n):
-    """Default backend choice: Exact for n <= 300, LogDP for n <= 5000.
+    """The default ratio table: `LogDPBackend`'s, at every n <= 5000.
 
-    Exact's ratios are the nearest doubles; LogDP's are within
-    (4m+2) 2^-53 relative of them (2^-1074 absolute in the subnormal
-    range), so above n = 300 a sampled step can differ from Exact's only
-    where a uniform falls between the two values of r.
+    ResourceCapError above n = 5000, before any table is built.
+    `ExactBackend`, whose ratios are the nearest doubles, is the
+    reference and is used only when passed as `backend=`.
+
+    Path-level bound.  With u = 2^-53, a LogDP entry of row m is within
+    (4m+2)u r of the exact r (2^-1074 in the subnormal range) and the
+    Exact entry within u r, so the two differ by at most (4m+3)u, as
+    r <= 1.  A uniform, a multiple of u, falls between them with
+    probability at most their gap plus one spacing u, and only there
+    does a step of the two tables differ.  The chain reads rows m = N..1
+    once each, so with the same uniforms a path from this table differs
+    from the Exact-table path with probability at most
+    Sum_{m=1}^{N} (4m+4)u = (2N^2 + 6N)u: 8.1e-11 at N = 601, 8.9e-10
+    at N = 2001.
     """
-    if n <= 300:
-        return ExactBackend()
-    if n <= 5000:
-        return LogDPBackend()
-    raise ValueError("auto_backend: n=%d too large (max 5000 via LogDP)" % n)
+    if n > _TABLE_CAP:
+        raise ResourceCapError("auto_backend: n=%d exceeds cap %d" % (n, _TABLE_CAP))
+    return LogDPBackend()
 
 
 def _substreams(seed):
@@ -196,12 +211,15 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     jobs and of internal chunk sizes.  The seed must be an integer in
     [0, 2^64) (ValueError otherwise).
 
-    `backend` defaults to `auto_backend(N, n)`: the big-integer table for
-    n <= 300, the log-free float table of `LogDPBackend` above.  Any
-    object whose `ratio_table(N, n)` returns a table in the packed band
-    layout of `ExactBackend.ratio_table` serves: a 1-D float64 array holding, for
-    m = 1..N in turn, r(m, l) for max(1, m - (N - n)) <= l <= min(m, n),
-    and nothing else.  The chain reads only those entries.
+    `backend` defaults to `auto_backend(N, n)`: the log-free float table
+    of `LogDPBackend` at every n <= 5000 (ResourceCapError above).
+    `backend=ExactBackend()` gives the big-integer table, whose paths
+    equal the default's except with probability at most
+    (2N^2 + 6N) 2^-53 each.  Any object whose `ratio_table(N, n)`
+    returns a table in the packed band layout of `stirling._band` serves:
+    a 1-D float64 array holding, for m = 1..N in turn, r(m, l) for
+    max(1, m - (N - n)) <= l <= min(m, n), and nothing else.  The chain
+    reads only those entries.
 
     The rows run in ceil(trials / chunk) equal spans, their sizes
     differing by at most one row, with chunk about 4e6/(N+1) rows.
@@ -239,6 +257,8 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
         raise ValueError("conditioned_paths: need 1 <= n <= N")
     if trials < 1:
         raise ValueError("conditioned_paths: trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("conditioned_paths: jobs must be >= 1")
     stream = _substreams(seed)  # checks the seed before the table is built
     if backend is None:
         backend = auto_backend(N, n)
@@ -371,7 +391,9 @@ def prefix_law(N, n, s):
 
     Returns (exact, iid, tv): arrays over the 2^s patterns (bit j of the
     index is the step-j indicator) and their total-variation distance.
-    The reference law is i.i.d. Bernoulli(rho(Lambda)) per step.
+    The reference law is i.i.d. Bernoulli(rho(Lambda)) per step.  exact
+    walks the `auto_backend` table, so each pattern is within
+    s (4N+2) 2^-53 relative of the same walk over correctly rounded ratios.
     """
     N = integral("prefix_law: N", N)
     n = integral("prefix_law: n", n)

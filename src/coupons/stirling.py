@@ -34,12 +34,14 @@ quadrature diagnostics of the saddle-point integral representation
 
     {m l} = (m!/l!) (e^xi - 1)^l xi^{-m} / (2 pi) * Int_{-pi}^{pi} g(theta)^l dtheta.
 
-Ratio tables come from two interchangeable, stateless backends: Exact
-(big integers, every ratio the nearest double) and LogDP (a float64
-recurrence on s(m,l) = {m l-1}/{m l} with no log or exp, within
-(4m+2) 2^-53 relative of Exact).  Both roll their recurrence row by row
-in one pass and cache nothing between calls, so a table costs its own
-size in memory and LogDP holds only three rows of n+1 floats besides it.
+Ratio tables come from two interchangeable, stateless backends: LogDP
+(a float64 recurrence on s(m,l) = {m l-1}/{m l} with no log or exp,
+within (4m+2) 2^-53 relative of the exact ratio), the table the sampler
+reads at every n, and Exact (big integers, every ratio the nearest
+double), the reference it is tested against.  Both roll their
+recurrence row by row in one pass and cache nothing between calls, so a
+table costs its own size in memory and LogDP holds only three rows of
+n+1 floats besides it.
 A table for the chain from (N, n) holds only the band the chain can
 reach, lo(m) = max(1, m - (N - n)) <= l <= hi(m) = min(m, n) in row m
 (each step lowers l by at most one, so after t steps l >= n - t).  It is
@@ -54,7 +56,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, QuadratureError, ResourceCapError
+from .errors import NumericsError, QuadratureError, ResourceCapError, integral
 from .specialfn import f_drift, g_theta, saddle_params, tail_h
 
 DEFAULT_EXACT_CAP = 5000
@@ -153,6 +155,8 @@ def _explicit_sum(m, l):
 
 def stirling_exact(m, l, cap=DEFAULT_EXACT_CAP):
     """Exact {m l} as a Python integer, via the explicit alternating sum."""
+    m = integral("stirling_exact: m", m)
+    l = integral("stirling_exact: l", l)
     if m < 0 or l < 0:
         raise ValueError("stirling_exact: negative argument (%r, %r)" % (m, l))
     if l > m:
@@ -184,11 +188,16 @@ class ExactBackend:
     single ratio is (b - l a)/b from one pass of the explicit sum, with
     a = l! {m-1 l} and b = l! {m l} (no cap): the same rational, so the
     same rounding; a table rolls the recurrence once over its band.
+
+    The sampler's default table is LogDP's; this one is the reference the
+    tests hold it to, and what `backend=ExactBackend()` gives the sampler.
     """
 
     kind = "Exact"
 
     def ratio(self, m, l):
+        m = integral("ratio: m", m)
+        l = integral("ratio: l", l)
         if not (1 <= l <= m):
             raise ValueError("ratio: need 1 <= l <= m, got (%r, %r)" % (m, l))
         return _explicit_sum(m, l)[1]
@@ -199,6 +208,8 @@ class ExactBackend:
         Band, base and layout are `_band(N, n)`'s: the states the reversed
         chain from (N, n) can visit, nothing else.  Needs 0 <= n <= N.
         """
+        N = integral("ratio_table: N", N)
+        n = integral("ratio_table: n", n)
         rows = _rows(N, n)
         _, _, prev = next(rows)
         base, size = _band(N, n)[2:]
@@ -238,10 +249,10 @@ class LogDPBackend:
     falls below 2^-1022 (small l, m above about 1000) the error is
     absolute, measured at most 2^-1074, and r(1076, 2) = 5e-324 reads 0.
 
-    The name, from the log-space DP this table replaced, stays until the
-    table replaces the big-integer one at every n, which changes the
-    sampler's bytes for n <= 300.  The backend holds no state: a table
-    call's memory is the returned table plus three rows of n+1 floats.
+    This is the table the sampler reads at every n (`auto_backend`); the
+    name is that of the log-space DP it replaced.  The backend holds no
+    state: a table call's memory is the returned table plus three rows
+    of n+1 floats.
     """
 
     kind = "LogDP"
@@ -254,6 +265,8 @@ class LogDPBackend:
         s row into row m in place; s[0] stays 0, so r(m, 1) = 0 and
         s(m, 1) = 0 come out of the same four calls.
         """
+        N = integral("ratio_table: N", N)
+        n = integral("ratio_table: n", n)
         lo, hi, base, size = _band(N, n)
         R = np.empty(size)
         s = np.zeros(n + 1)  # s(m, l), rolled in place
@@ -285,6 +298,8 @@ def psi_log_forms(m, l):
 
 def _psi_log_forms(m, l):
     """(form A, form B, saddle_params(lambda)): psi_log_forms and its saddle bundle."""
+    m = integral("psi_log: m", m)
+    l = integral("psi_log: l", l)
     if not (1 <= l < m):
         raise ValueError("psi_log: need 1 <= l < m, got (%r, %r)" % (m, l))
     lam = (m - l) / l
@@ -368,6 +383,8 @@ def surjection_log_probability(N, n):
     per-draw overhead bounds N: ResourceCapError above N = 10^5, and
     above 5 * 10^8 band entries N * min(n, N - n + 1).
     """
+    N = integral("surjection_log_probability: N", N)
+    n = integral("surjection_log_probability: n", n)
     if not (1 <= n <= N):
         raise ValueError("surjection_log_probability: need 1 <= n <= N")
     if N > _SURJECTION_CAP:
@@ -452,6 +469,7 @@ def saddle_diagnostics(lam, l):
         raise ValueError("saddle_diagnostics: lambda must be > 0")
     if not (math.isfinite(l) and l >= 10):
         raise ValueError("saddle_diagnostics: need finite l >= 10")
+    l = integral("saddle_diagnostics: l", l)
     sp = saddle_params(lam)
     theta0 = math.log(l) / math.sqrt(l)
 

@@ -129,6 +129,20 @@ def test_stirling_cap_and_override(capsys):
     assert stirling_exact(5001, 2, cap=5100) == 2 ** 5000 - 1
 
 
+def test_sampler_commands_cap_n_before_the_table(capsys, monkeypatch):
+    # n = 6000 is above auto_backend's cap: exit 4, and no ratio table is built
+    def no_table(self, N, n):
+        raise AssertionError("ratio table built at n=%d" % n)
+
+    monkeypatch.setattr(stirling.LogDPBackend, "ratio_table", no_table)
+    for argv in (["korshunov", "--k", "2", "--n", "6000", "--trials", "10"],
+                 ["simulate", "--N", "12001", "--n", "6000", "--trials", "10", "--a", "0.2"]):
+        assert main(argv) == 4, argv
+        cap = capsys.readouterr()
+        assert (cap.out, cap.err) == ("", "numeric error: auto_backend: n=6000 exceeds "
+                                          "cap 5000\n"), argv
+
+
 def test_stirling_cap_message(capsys):
     # the single value and the verify grid stop at the same default cap
     want = "numeric error: stirling_exact: m=6000 exceeds cap 5000 (raise cap= explicitly)\n"
@@ -151,8 +165,9 @@ def test_stirling_negative_cap_is_usage_error(capsys):
 # sha256 of stdout: the stirling cases measured at commit d3ff9c2 (before
 # values and ratios shared one explicit-sum pass), the sampler cases at
 # commit 1a22897 (before the simulate --backend flag went and rho, the Dyck
-# test and the binomial frequency each got one route), on the Exact table
-# (n <= 300) and the LogDP table, the curve cases at commit 1abdd76 (before
+# test and the binomial frequency each got one route), which read the Exact
+# table for n <= 300 and the LogDP table above; the LogDP table at every n
+# gives the same bytes.  The curve cases at commit 1abdd76 (before
 # the fast paths of the xi Newton loop, the CSV writer and the explicit
 # sum).  A faster or simpler route must keep them.
 STDOUT_SHA256 = {

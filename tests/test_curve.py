@@ -137,6 +137,16 @@ def test_lambda_along_curve():
         lambda_along(c, 2.5)
 
 
+def test_y_at_rejects_x_outside_the_curve():
+    c = solve_completion_curve(1.0, 0.2)
+    assert c.y_at(0.2) > 0.0 and abs(c.y_at(2.0) - 1.0) <= 1e-12
+    for x in (0.1, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            c.y_at(x)
+        with pytest.raises(ValueError, match="outside"):
+            lambda_along(c, x)
+
+
 def test_strip_clearance():
     assert strip_clearance(2, 1.0 / 6.0)
     assert strip_clearance(3, 1.0 / 8.0)

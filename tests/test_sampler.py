@@ -22,7 +22,7 @@ from coupons import (ExactBackend, LogDPBackend,
 
 from coupons import sampler
 from coupons.automata import _dyck_flags, _window_crossed, simulate_walk_max
-from coupons.errors import NumericsError
+from coupons.errors import NumericsError, ResourceCapError
 from coupons.sampler import _substreams, auto_backend, sup_distances_of
 
 from oracles import (dense_table, dyck_flags_reference, enumerate_surjective_paths,
@@ -355,16 +355,18 @@ def test_seed_is_an_integer_below_two_to_the_64():
 
 
 def test_backends_agree_in_distribution_exactly():
-    # same uniforms + ratio tables equal to 1e-9 => identical paths
-    a = conditioned_paths(30, 12, 200, backend=ExactBackend(), seed=5)
-    b = conditioned_paths(30, 12, 200, backend=LogDPBackend(), seed=5)
-    assert np.array_equal(a, b)
+    # same uniforms: a path differs only with probability (2N^2 + 6N) 2^-53,
+    # 8.1e-11 at N = 601 (auto_backend's path-level bound)
+    for N, n, trials in ((30, 12, 200), (601, 300, 2000)):
+        a = conditioned_paths(N, n, trials, backend=ExactBackend(), seed=5)
+        b = conditioned_paths(N, n, trials, backend=LogDPBackend(), seed=5)
+        assert np.array_equal(a, b), (N, n)
 
 
 def test_auto_backend_selection():
-    assert auto_backend(100, 100).kind == "Exact"
+    assert auto_backend(100, 100).kind == "LogDP"
     assert auto_backend(900, 301).kind == "LogDP"
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceCapError, match="n=6000 exceeds cap 5000"):
         auto_backend(12000, 6000)
 
 
@@ -635,6 +637,9 @@ def test_sizes_must_be_integral(fn, args):
     if fn is not prefix_law:
         with pytest.raises(ValueError, match="jobs must be an integer"):
             fn(*args, jobs=1.5)
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                fn(*args, jobs=jobs)
 
 
 def test_sup_distance_batch_record():
@@ -663,27 +668,28 @@ def test_prefix_law_tv_decreasing_in_n():
 
 
 def test_prefix_law_is_within_the_table_bound_of_the_exact_walk():
-    # (2000, 1000, 16) reads the LogDP table; the same walk over correctly
-    # rounded ratios, ExactBackend.ratio's bits from big integers rolled up
-    # from row N - s, stays within s (4N+2)u relative
-    N, n, s = 2000, 1000, 16
-    big = {l: stirling_exact(N - s, l) for l in range(n - s, n + 1)}
-    R = np.zeros((N + 1, n + 1))
-    for m in range(N - s + 1, N + 1):
-        row = {l: l * big[l] + big[l - 1] for l in range(n - (N - m), n + 1)}
-        R[m, n - (N - m):] = [big[l - 1] / row[l] for l in range(n - (N - m), n + 1)]
-        big = row
-    assert R[N, n] == ExactBackend().ratio(N, n)
-    walk = _prefix_law_dense(N, n, s, R)
-    exact = prefix_law(N, n, s)[0]
-    assert np.all(np.abs(exact - walk) <= s * (4 * N + 2) * 2.0 ** -53 * walk)
+    # prefix_law reads the LogDP table; the same walk over correctly rounded
+    # ratios, ExactBackend.ratio's bits from big integers rolled up from row
+    # N - s, stays within s (4N+2)u relative
+    for N, n, s in ((2000, 1000, 16), (40, 20, 14)):
+        big = {l: stirling_exact(N - s, l) for l in range(n - s, n + 1)}
+        R = np.zeros((N + 1, n + 1))
+        for m in range(N - s + 1, N + 1):
+            row = {l: l * big[l] + big[l - 1] for l in range(n - (N - m), n + 1)}
+            R[m, n - (N - m):] = [big[l - 1] / row[l] for l in range(n - (N - m), n + 1)]
+            big = row
+        assert R[N, n] == ExactBackend().ratio(N, n)
+        walk = _prefix_law_dense(N, n, s, R)
+        exact = prefix_law(N, n, s)[0]
+        assert np.all(np.abs(exact - walk) <= s * (4 * N + 2) * 2.0 ** -53 * walk), (N, n, s)
 
 
 def test_prefix_law_digests():
     # sha256 of the bytes the per-pattern Python loop gave before the array passes;
-    # (2000, 1000, 16) reads the n > 300 table, pinned again for the log-free roll
+    # (2000, 1000, 16) pinned again for the log-free roll, and (40, 20, 14) once
+    # that table became the default at every n (both within the bound test above)
     want = {(12, 11, 12): "78ff049177ba21a3c103aaf5937fae975aafdb62545cbe2b06700e46ae076d72",
-            (40, 20, 14): "530505baa620d7162496a8672f915beaf83f471b338930619f1786dae0cf4759",
+            (40, 20, 14): "86c0624616449640c6eac057ab5e23d06f6d10091daeef3a1f02d3b37ea07733",
             (2000, 1000, 16): "e5a1519a8e4e7afe15af59426823ad53528f45fe3032343067a956279d6a23de"}
     for shape, digest in want.items():
         exact, iid, tv = prefix_law(*shape)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
-                     ResourceCapError, chi, psi_log, psi_log_forms,
-                     saddle_diagnostics, stirling_exact,
-                     surjection_log_probability, transition_error)
+                     ResourceCapError, bfs_accessible, chi, psi_log, psi_log_forms,
+                     saddle_diagnostics, stirling_exact, structure_from_diagram,
+                     surjection_log_probability, surjection_to_diagram, transition_error)
 from coupons.stirling import _explicit_sum, _log_big, _quad, _rows
 
 from oracles import (dense_table, explicit_sum_reference, ln_p_mpmath, ratio_table_reference,
@@ -42,6 +43,29 @@ def test_exact_argument_and_cap_errors():
     with pytest.raises(ResourceCapError):
         stirling_exact(6000, 10)
     assert stirling_exact(5, 2, cap=5) == 15
+
+
+@pytest.mark.parametrize("fn, args, sizes", [
+    (stirling_exact, (10, 5), {0: "m", 1: "l"}),
+    (ExactBackend().ratio, (10, 5), {0: "m", 1: "l"}),
+    (psi_log, (10, 5), {0: "m", 1: "l"}),
+    (psi_log_forms, (10, 5), {0: "m", 1: "l"}),
+    (chi, (10, 5), {0: "m", 1: "l"}),
+    (transition_error, (10, 5), {0: "m", 1: "l"}),
+    (surjection_log_probability, (10, 5), {0: "N", 1: "n"}),
+    (ExactBackend().ratio_table, (10, 5), {0: "N", 1: "n"}),
+    (LogDPBackend().ratio_table, (10, 5), {0: "N", 1: "n"}),
+    (saddle_diagnostics, (1.0, 100), {1: "l"}),
+    (surjection_to_diagram, ([2, 1, 2], 2), {1: "n"}),
+    (structure_from_diagram, ([1, 2, 1], 1, 2), {1: "k", 2: "n"}),
+    (bfs_accessible, ([1, 1, 1], 2, 1), {1: "k", 2: "n"})])
+def test_stirling_and_diagram_sizes_must_be_integral(fn, args, sizes):
+    # each size in turn given a fractional part, then every size an integral float
+    for i, name in sizes.items():
+        with pytest.raises(ValueError, match=r"\b%s must be an integer" % name):
+            fn(*args[:i], args[i] + 0.5, *args[i + 1:])
+    floats = [float(a) if i in sizes else a for i, a in enumerate(args)]
+    assert pickle.dumps(fn(*floats)) == pickle.dumps(fn(*args))
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))
