@@ -39,6 +39,15 @@ def _window_crossed(Z, k, xs):
     return ~_above_floors(Z, Z.shape[1] - 1 - xs, (xs - 1) // k + 1)
 
 
+def _shape(name, k, n):
+    """(k, n, N = kn + 1) of an automaton with k >= 2 letters and n >= 2 states."""
+    k = integral(name + ": k", k)
+    n = integral(name + ": n", n)
+    if k < 2 or n < 2:
+        raise ValueError("%s: need k >= 2 and n >= 2" % name)
+    return k, n, k * n + 1
+
+
 def _frequency(hits, trials):
     """(hits / trials, its normal-approximation binomial standard error)."""
     est = hits / trials
@@ -138,11 +147,7 @@ def estimate_accessibility(k, n, trials, seed=0, jobs=1):
     test; returns (estimate, stderr) with the normal-approximation
     binomial standard error.
     """
-    k = integral("estimate_accessibility: k", k)
-    n = integral("estimate_accessibility: n", n)
-    if k < 2 or n < 2:
-        raise ValueError("estimate_accessibility: need k >= 2 and n >= 2")
-    N = k * n + 1
+    k, n, N = _shape("estimate_accessibility", k, n)
     flags = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
                               reduce=lambda Z: _dyck_flags(Z, k, n))
     return _frequency(int(flags.sum()), trials)
@@ -190,11 +195,7 @@ def exact_accessible_count(k, n):
     for j <= l after column lk+1 (the k-Dyck barrier), and n! {N n}, whose
     stirling_exact cap N <= 5000 applies before the roll.
     """
-    k = integral("exact_accessible_count: k", k)
-    n = integral("exact_accessible_count: n", n)
-    if k < 2 or n < 2:
-        raise ValueError("exact_accessible_count: need k >= 2 and n >= 2")
-    N = k * n + 1
+    k, n, N = _shape("exact_accessible_count", k, n)
     surjective = math.factorial(n) * stirling_exact(N, n)
     for m, (_, _, row) in enumerate(_rows(N, n)):
         if m % k == 1 and m < N:  # column lk+1 with l = m // k: zero levels j <= l
@@ -209,17 +210,14 @@ def estimate_middle_crossing(k, n, trials, seed=0):
     a = e^{-k}/8 and C = _WINDOW_C; a crossing at column x means k y_x <= x - 1.  The
     frequency must vanish as n grows (the limit curve clears the strip).
     """
-    k = integral("estimate_middle_crossing: k", k)
-    n = integral("estimate_middle_crossing: n", n)
-    if k < 2 or n < 2:
-        raise ValueError("estimate_middle_crossing: need k >= 2 and n >= 2")
+    k, n, N = _shape("estimate_middle_crossing", k, n)
     a = math.exp(-k) / 8.0
     x_lo = max(1, int(math.ceil(a * n)))
-    x_hi = min(k * n + 1, int(math.floor(k * n - 2.0 * _WINDOW_C * k * k * n ** (1.0 / 3.0))))
+    x_hi = min(N, int(math.floor(k * n - 2.0 * _WINDOW_C * k * k * n ** (1.0 / 3.0))))
     if x_hi < x_lo:
         raise ValueError("estimate_middle_crossing: empty window at n=%d" % n)
     xs = np.arange(x_lo, x_hi + 1)
-    flags = conditioned_paths(k * n + 1, n, trials, seed=seed,
+    flags = conditioned_paths(N, n, trials, seed=seed,
                               reduce=lambda Z: _window_crossed(Z, k, xs))
     return _frequency(int(flags.sum()), trials)
 

@@ -25,13 +25,6 @@ from .errors import NumericsError
 from .specialfn import rate_j, xi_of_lambda
 
 
-def _u64(text):
-    v = int(text)
-    if not (0 <= v < 1 << 64):
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return v
-
-
 def _at_least(low):
     """argparse type: an int >= low."""
     def parse(text):
@@ -211,7 +204,7 @@ def build_parser():
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--trials", type=int, required=True)
     pm.add_argument("--a", type=finite, required=True)
-    pm.add_argument("--seed", type=_u64, default=0)
+    pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--jobs", type=_at_least(1), default=1)
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_simulate)
@@ -220,7 +213,7 @@ def build_parser():
     pk.add_argument("--k", type=int, required=True)
     pk.add_argument("--n", type=int, required=True)
     pk.add_argument("--trials", type=int, required=True)
-    pk.add_argument("--seed", type=_u64, default=0)
+    pk.add_argument("--seed", type=int, default=0)
     pk.add_argument("--jobs", type=_at_least(1), default=1)
     pk.add_argument("--out", default=None)
     pk.set_defaults(func=cmd_korshunov)

@@ -46,12 +46,12 @@ def patient_curve(t):
     """zeta_inf(t) = 1 - e^{-t} for t >= 0; accepts scalars or arrays."""
     if np.ndim(t) == 0:
         t = float(t)
-        if t < 0.0:
+        if not t >= 0.0:  # nan fails it too
             raise ValueError("patient_curve: negative time %r" % t)
         return -math.expm1(-t)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("patient_curve: negative time in array")
+    if not np.all(t >= 0.0):
+        raise ValueError("patient_curve: negative or nan time in array")
     return -np.expm1(-t)
 
 
@@ -134,8 +134,8 @@ def solve_completion_curve(nu, a, step=1e-3, richardson_check=True):
     uses the Newton root of xi.  When richardson_check is set (the
     default), every grid point must lie within 1e-8 of the closed form
     `_zeta`; that check also catches a wrong xi on the path.  The flag
-    once enabled a re-solve at step/2 and keeps its name so that callers
-    binding it by keyword still work.
+    keeps its name because the bench tracer (perfbench/tracer.py) reads
+    it by name, until the RK4 path leaves the library (ROADMAP item 3).
     NumericsError on any failed check; ResourceCapError when
     (1 + nu - a)/step exceeds 10^7 steps, before anything is allocated.
     """

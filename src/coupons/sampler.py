@@ -152,11 +152,12 @@ _FOLD_COLUMNS = 32  # the columns a built-in reduction reads per step of its fol
 def _span_runner(rtab, N, n, stream, size, reduce):
     """run(start, count): the reversed chain for rows start..start+count-1.
 
-    count <= size.  The buffers are allocated on the first call and kept
-    for every later span of the same runner, so a worker faults its pages
-    in once.  One mapping of (N+1) * size float64 entries holds the span:
-    UT, the (N, count) transposed uniforms, starts one row of count
-    entries in, and the int32 ZT (N+1, count) starts at its beginning.
+    count <= size.  The buffers are mapped when the runner is built and
+    kept for every span it runs; a forking parent never touches them, and
+    each worker faults its own pages in once.  One mapping of (N+1) * size
+    float64 entries holds the span: UT, the (N, count) transposed
+    uniforms, starts one row of count entries in, and the int32 ZT
+    (N+1, count) starts at its beginning.
     Row i is drawn from stream(i) of `_substreams` into a draw block of
     about _BLOCK_BYTES, a mapping of its own, and each block's transpose is
     copied into UT while the block is still in cache; the time loop then
@@ -172,20 +173,17 @@ def _span_runner(rtab, N, n, stream, size, reduce):
     """
     rows = _band_rows(rtab, N, n)
     block = min(size, max(1, _BLOCK_BYTES // (8 * N)))
-    bufs = []
+    span, B = _mapped((N + 1) * size), _mapped(block * N).reshape(block, N)
+    thr_row, step_row = np.empty(size), np.empty(size, dtype=bool)
 
     def run(start, count):
-        if not bufs:
-            bufs.extend((_mapped((N + 1) * size), _mapped(block * N),
-                         np.empty(size), np.empty(size, dtype=bool)))
-        span, B = bufs[0], bufs[1].reshape(block, N)
         UT = span[count:(N + 1) * count].reshape(N, count)
         for i0 in range(0, count, block):
             c = min(block, count - i0)
             for j in range(c):
                 stream(start + i0 + j).random(out=B[j])
             np.copyto(UT[:, i0:i0 + c], B[:c].T)
-        thr, step = bufs[2][:count], bufs[3][:count]
+        thr, step = thr_row[:count], step_row[:count]
         ZT = span.view(np.int32)[:(N + 1) * count].reshape(N + 1, count)
         ZT[0] = n
         for t in range(N):
@@ -305,8 +303,7 @@ def sample_patient(n, seed=0):
     T_n is the sum of n independent gaps and y holds the value j for
     gap j draws.  This is the law of the label-by-label run, drawn in
     O(n) instead of about n ln n labels.  The gaps come from Philox
-    sub-stream (seed, 0); before the waiting-time draw that stream fed
-    raw labels, so a seed's path differs from that of earlier versions.
+    sub-stream (seed, 0).
     """
     n = integral("sample_patient: n", n)
     if n < 1:
@@ -327,7 +324,7 @@ def sup_distances_of(Z, curve, N, n):
     if N <= n:
         raise ValueError("sup_distance: need N > n (Lambda > 0)")
     nu = (N - n) / n
-    if abs(curve.nu - nu) > 1e-9:
+    if not abs(curve.nu - nu) <= 1e-9:  # nan fails it too
         raise ValueError("sup_distance: curve nu=%r but (N-n)/n=%r" % (curve.nu, nu))
     Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != N + 1:

@@ -316,7 +316,10 @@ def _psi_log_forms(m, l):
 
 
 def psi_log(m, l):
-    """ln psi(m,l), with the two displayed forms cross-checked to 1e-9."""
+    """ln psi(m,l), with the two displayed forms cross-checked to 1e-9.
+
+    {m l} = psi (1 + chi), min(l, m - l)|chi| <= 0.11 uniformly in lambda (`chi`).
+    """
     return _psi_log(m, l)[0]
 
 
@@ -336,7 +339,13 @@ def _chi_of(s, psi):
 
 
 def chi(m, l):
-    """Relative error chi = ({m l} - psi)/psi, via expm1 of a log difference."""
+    """Relative error chi = ({m l} - psi)/psi, via expm1 of a log difference.
+
+    Uniform in lambda = (m - l)/l: min(l, m - l)|chi| <= 0.11 and
+    l|r - rho| <= 0.115 (maxima 0.1078 at lambda = 1 and 0.1106 at 1/2 for
+    l in {50, 200, 800}, m - l up to 20 l, m <= 5000).  At fixed d = m - l,
+    chi -> sqrt(2 pi d)(d/e)^d/d! - 1 (Stirling's error for d!) within d/(12 l^2).
+    """
     return _chi_of(stirling_exact(m, l), psi_log(m, l))
 
 

@@ -9,7 +9,8 @@ displayed formula, sampler rows from a freshly built Philox generator
 (`philox_reference`, not the re-keyed sub-stream) and a scalar chain
 walk (not the span-wise vector loop),
 conditioned paths also from raw words by rejection (`rejection_paths`,
-not the chain), the walk's no-crossing probability from a killed-walk
+not the chain) and from tilted geometric stays (`boltzmann_paths`, no
+ratio table), the walk's no-crossing probability from a killed-walk
 DP (not sampled walks) and from the Pollaczek-Khinchine identity on the
 bisection xi (`pollaczek_crossing`), and the saddle integral's tail mass
 from mpmath quadrature on graded panels (`tail_abs_reference`, not
@@ -265,6 +266,41 @@ def rejection_paths(N, n, count, seed=0):
     seen = np.logical_or.accumulate(W[:, :, None] == np.arange(1, n + 1), axis=1)
     Y = np.pad(seen.sum(axis=2), ((0, 0), (1, 0)))  # forward paths, y_0 = 0
     return Y[:, ::-1].astype(np.int32)
+
+
+def boltzmann_paths(N, n, count, seed=0):
+    """Conditioned paths by Boltzmann tilting and rejection; reversed, as conditioned_paths.
+
+    A surjective word's completion path is fixed by its stays s_j, the
+    draws spent at level j after reaching it, and n! prod_j j^(s_j) words
+    share it, Sum s_j = N - n.  The stays at levels 1..n-1 are drawn as
+    independent geometrics, P(s_j = s) = (1 - jx)(jx)^s, and a proposal
+    with rem = N - n - Sum s_j >= 0 is kept with probability (nx)^rem,
+    s_n = rem: the law is prod_j j^(s_j) up to a constant for any
+    0 < x < 1/n.  x = theta/n with theta = xi(nu)/(1 + nu) from
+    `xi_bisect` only sets the acceptance rate.  No chain, no ratio table
+    and no Philox sub-stream: the draws come from np.random.default_rng(seed).
+    """
+    import numpy as np
+    if not (1 <= n <= N):
+        raise ValueError("boltzmann_paths: need 1 <= n <= N")
+    nu = (N - n) / n
+    x = xi_bisect(nu) / (1.0 + nu) / n
+    rng = np.random.default_rng(seed)
+    q = x * np.arange(1, n)  # jx at levels 1..n-1
+    Z = np.empty((count, N + 1), dtype=np.int32)
+    have = 0
+    while have < count:
+        stays = rng.geometric(1.0 - q, size=(1024, n - 1)) - 1
+        rem = N - n - stays.sum(axis=1)
+        keep = (rem >= 0) & (rng.random(1024) < (n * x) ** np.maximum(rem, 0))
+        for s, r in zip(stays[keep], rem[keep]):
+            if have == count:
+                break
+            y = np.repeat(np.arange(n + 1), np.concatenate(([1], s + 1, [r + 1])))
+            Z[have] = y[::-1]
+            have += 1
+    return Z
 
 
 def walk_max_reference(k, rho, horizon):

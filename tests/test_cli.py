@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -339,17 +340,24 @@ def test_simulate_backend_choices():
         assert exc.value.code == 2
 
 
-def test_simulate_bad_parameters():
+def test_simulate_bad_parameters(capsys):
     assert main(["simulate", "--N", "5", "--n", "10", "--trials", "5",
                  "--a", "0.2"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--N", "60", "--n", "30", "--trials", "5",
               "--a", "0.2", "--format", "csv"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--N", "60", "--n", "30", "--trials", "5",
-              "--a", "0.2", "--seed", "-1"])
-    assert exc.value.code == 2
+    assert main(["simulate", "--N", "60", "--n", "30", "--trials", "5",
+                 "--a", "0.2", "--seed", "-1"]) == 2
+    assert "seed must be in [0, 2^64), got -1" in capsys.readouterr().err
+
+
+def test_seed_of_two_to_the_64_exits_2(capsys):
+    # the sampler's range check is the only one: the parser takes any int
+    for argv in (["simulate", "--N", "60", "--n", "30", "--trials", "5", "--a", "0.2"],
+                 ["korshunov", "--k", "2", "--n", "10", "--trials", "10"]):
+        assert main(argv + ["--seed", str(2 ** 64)]) == 2, argv[0]
+        assert "error: seed must be in [0, 2^64), got %d" % 2 ** 64 in capsys.readouterr().err
 
 
 def test_jobs_below_one_is_usage_error():
@@ -517,6 +525,20 @@ def test_public_surface():
     with open(README) as fh:
         readme = fh.read()
     assert [name for name in coupons.__all__ if "`%s`" % name not in readme] == []
+
+
+def test_readme_command_lines_parse():
+    # every `coupons ...` line of the README's "Command line" block parses
+    with open(README) as fh:
+        readme = fh.read()
+    start = readme.index("```sh\n", readme.index("## Command line")) + len("```sh\n")
+    lines = readme[start:readme.index("```", start)].splitlines()
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        assert words[0] == "coupons", line
+        parser.parse_args(words[1:])
 
 
 def _console_script_target():

@@ -30,6 +30,9 @@ def test_patient_curve_values():
     assert vals[-1] < 1.0 and vals[-1] > 1.0 - 1e-12
     with pytest.raises(ValueError):
         patient_curve(-0.5)
+    for bad in (math.nan, np.array([1.0, math.nan])):  # nan is no time either
+        with pytest.raises(ValueError):
+            patient_curve(bad)
 
 
 def test_solver_anchor_and_golden_points():

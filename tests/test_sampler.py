@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -10,6 +11,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,12 +23,13 @@ from coupons import (ExactBackend, LogDPBackend,
                      sup_distance_batch, transition_error)
 
 from coupons import sampler
-from coupons.automata import _dyck_flags, _window_crossed, simulate_walk_max
+from coupons.automata import (_dyck_flags, _window_crossed, exact_accessible_count,
+                              simulate_walk_max)
 from coupons.errors import NumericsError, ResourceCapError
 from coupons.sampler import _substreams, auto_backend, sup_distances_of
 
-from oracles import (dense_table, dyck_flags_reference, enumerate_surjective_paths,
-                     philox_reference, reachable_states, rejection_paths,
+from oracles import (boltzmann_paths, dense_table, dyck_flags_reference,
+                     enumerate_surjective_paths, philox_reference, reachable_states, rejection_paths,
                      reversed_chain_reference, set_partition_count, sup_distances_reference,
                      window_crossed_reference)
 
@@ -531,6 +534,49 @@ def test_rejection_attempt_cap():
         rejection_paths(20, 20, 1, seed=0)
 
 
+# --- Boltzmann sampler: the law at bench sizes -------------------------------
+
+def _path_counts(Z):
+    """Counter of the forward paths y_1..y_N of a batch of reversed paths."""
+    return Counter(map(tuple, Z[:, -2::-1].tolist()))
+
+
+@pytest.mark.parametrize("N,n", [(7, 3), (8, 4), (9, 3)])
+def test_boltzmann_law_equals_enumeration(N, n):
+    cnt, total = enumerate_surjective_paths(N, n)
+    trials = 20000
+    obs = _path_counts(boltzmann_paths(N, n, trials, seed=N * n))
+    assert set(obs) <= set(cnt)
+    paths = sorted(cnt)
+    o = np.array([obs[p] for p in paths])
+    e = np.array([cnt[p] for p in paths]) * trials / total
+    stat = float(((o - e) ** 2 / e).sum())
+    assert scipy.stats.chi2.sf(stat, len(paths) - 1) > 0.001
+
+
+def test_boltzmann_and_chain_dyck_frequencies_at_n_1000():
+    # k = 2 accessibility of 4,000 paths each against the exact P_1000
+    acc, surj = exact_accessible_count(2, 1000)
+    exact = acc / surj
+    assert exact == 0.5938961639231748
+    se = math.sqrt(exact * (1.0 - exact) / 4000)
+    flags = _dyck_flags(boltzmann_paths(2001, 1000, 4000, seed=1), 2, 1000)
+    assert abs(flags.mean() - exact) <= 4.0 * se
+    flags = conditioned_paths(2001, 1000, 4000, seed=1,
+                              reduce=lambda Z: _dyck_flags(Z, 2, 1000))
+    assert abs(flags.mean() - exact) <= 4.0 * se
+
+
+def test_boltzmann_and_chain_sup_distances_at_n_2000():
+    # two-sample KS on 1,000 sup-distances each, the bench's simulate shape
+    N, n = 4001, 2000
+    c = solve_completion_curve((N - n) / n, 0.2)
+    d_boltzmann = sup_distances_of(boltzmann_paths(N, n, 1000, seed=2), c, N, n)
+    d_chain = conditioned_paths(N, n, 1000, seed=2,
+                                reduce=lambda Z: sup_distances_of(Z, c, N, n))
+    assert scipy.stats.ks_2samp(d_boltzmann, d_chain).pvalue > 1e-3
+
+
 # --- martingale structure ---------------------------------------------------
 
 def test_increment_bias_is_martingale_difference():
@@ -563,6 +609,8 @@ def test_sup_distance_domain_checks():
     Z = conditioned_paths(15, 5, 1, seed=0)
     with pytest.raises(ValueError, match="curve nu"):
         sup_distances_of(Z, c, 15, 5)  # nu mismatch
+    with pytest.raises(ValueError, match="curve nu"):
+        sup_distances_of(Z, dataclasses.replace(c, nu=math.nan), 15, 5)
     stair = np.arange(5, -1, -1)[None, :]
     with pytest.raises(ValueError, match="Lambda > 0"):
         sup_distances_of(stair, c, 5, 5)  # Lambda = 0

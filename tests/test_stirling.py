@@ -13,7 +13,7 @@ from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
                      ResourceCapError, bfs_accessible, chi, psi_log, psi_log_forms,
                      saddle_diagnostics, stirling_exact, structure_from_diagram,
                      surjection_log_probability, surjection_to_diagram, transition_error)
-from coupons.stirling import _explicit_sum, _log_big, _quad, _rows
+from coupons.stirling import _chi_and_transition_error, _explicit_sum, _log_big, _quad, _rows
 
 from oracles import (dense_table, explicit_sum_reference, ln_p_mpmath, ratio_table_reference,
                      reachable_states, set_partition_count, tail_abs_reference)
@@ -333,6 +333,25 @@ def test_chi_first_order_decay():
         c1 = chi(int(round((1 + lam) * 100)), 100)
         c2 = chi(int(round((1 + lam) * 200)), 200)
         assert 0.3 <= c2 / c1 <= 0.7
+
+
+def test_chi_and_transition_error_uniform_in_lambda():
+    # grid l in {50, 200, 800}, d = m - l in {1, 2, 5, 20, l/2, l, 2l, 5l, 20l},
+    # m <= 5000: 26 points.  Measured maxima: min(l, d)|chi| = 0.1078 at
+    # lambda = 1, l|r - rho| = 0.1106 at lambda = 1/2.  As lambda -> 0 at
+    # fixed d, chi(l + d, l) tends to Stirling's relative error for d!,
+    # sqrt(2 pi d)(d/e)^d/d! - 1; the gap measured at most 0.0812 d/l^2.
+    for l in (50, 200, 800):
+        for d in (1, 2, 5, 20, l // 2, l, 2 * l, 5 * l, 20 * l):
+            if l + d > 5000:
+                continue
+            ch, err = _chi_and_transition_error(l + d, l)
+            assert min(l, d) * abs(ch) <= 0.11, (l, d)
+            assert l * err <= 0.115, (l, d)
+            if d <= 20:
+                limit = math.expm1(0.5 * math.log(2.0 * math.pi * d) + d * math.log(d) - d
+                                   - math.lgamma(d + 1))
+                assert abs(ch - limit) <= d / (12.0 * l * l), (l, d)
 
 
 def test_transition_error_examples():
