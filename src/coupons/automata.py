@@ -20,23 +20,22 @@ import math
 import numpy as np
 
 from .errors import integral
-from .sampler import _above_floors, _substreams, conditioned_paths
+from .sampler import _Floors, _substreams, conditioned_paths
 from .specialfn import f_drift
 from .stirling import _rows, stirling_exact
 
 _WINDOW_C = 1.0  # estimate_middle_crossing: the constant C of the window I2
 
 
-def _dyck_flags(Z, k, n):
-    # the k-Dyck test on each row of Z, a batch of reversed paths (y_i is
-    # Z[:, N - i]): y_{l k + 1} >= l + 1 for every l
-    return _above_floors(Z, Z.shape[1] - 2 - k * np.arange(n), np.arange(1, n + 1))
+def _dyck_flags(k, n):
+    # the k-Dyck test as a floors reduction: y_{l k + 1} >= l + 1 for every l
+    return _Floors(1 + k * np.arange(n), np.arange(1, n + 1))
 
 
-def _window_crossed(Z, k, xs):
-    # k y_x <= x - 1 at some column x of xs, on each row of Z, a batch of
-    # reversed paths; on integers that is y_x < (x - 1) // k + 1
-    return ~_above_floors(Z, Z.shape[1] - 1 - xs, (xs - 1) // k + 1)
+def _window_clear(k, xs):
+    # k y_x > x - 1 at every column x of xs, as a floors reduction; on
+    # integers that is y_x >= (x - 1) // k + 1, and a path crosses where it fails
+    return _Floors(xs, (xs - 1) // k + 1)
 
 
 def _shape(name, k, n):
@@ -78,7 +77,7 @@ def dyck_check(y, k):
     n = int(y[-1])
     if N != k * n + 1:
         raise ValueError("dyck_check: path length %d != k*n+1 = %d" % (N, k * n + 1))
-    return bool(_dyck_flags(np.concatenate(([0], y))[None, ::-1], k, n)[0])
+    return bool(_dyck_flags(k, n)(np.concatenate(([0], y))[None, ::-1])[0])
 
 
 def surjection_to_diagram(word, n):
@@ -148,8 +147,7 @@ def estimate_accessibility(k, n, trials, seed=0, jobs=1):
     binomial standard error.
     """
     k, n, N = _shape("estimate_accessibility", k, n)
-    flags = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
-                              reduce=lambda Z: _dyck_flags(Z, k, n))
+    flags = conditioned_paths(N, n, trials, seed=seed, jobs=jobs, reduce=_dyck_flags(k, n))
     return _frequency(int(flags.sum()), trials)
 
 
@@ -217,9 +215,8 @@ def estimate_middle_crossing(k, n, trials, seed=0):
     if x_hi < x_lo:
         raise ValueError("estimate_middle_crossing: empty window at n=%d" % n)
     xs = np.arange(x_lo, x_hi + 1)
-    flags = conditioned_paths(N, n, trials, seed=seed,
-                              reduce=lambda Z: _window_crossed(Z, k, xs))
-    return _frequency(int(flags.sum()), trials)
+    clear = conditioned_paths(N, n, trials, seed=seed, reduce=_window_clear(k, xs))
+    return _frequency(int((~clear).sum()), trials)
 
 
 def korshunov_report(k, n, trials, seed=0, jobs=1):

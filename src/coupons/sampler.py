@@ -18,13 +18,19 @@ A batch splits into ceil(trials / chunk) spans of rows whose sizes
 differ by at most one; with jobs > 1 a count above one is rounded up to
 a multiple of jobs, and the spans run in forked worker processes.  Each
 span re-keys one Philox bit generator per trajectory instead of building
-a generator per row, and draws the rows a cache-sized block at a time.
-A span lives in one (N+1) x span float64 buffer, its uniforms and then
-its int32 paths.  With `conditioned_paths(..., reduce=f)` every span is
-mapped to one value per path and dropped, so memory is one span buffer
-and one draw block per process plus the reduced outputs, whatever the
-number of trials; the built-in reductions fold over column blocks and
-add one such block.
+a generator per row.  Under a floors reduction (`_Floors`: the k-Dyck
+and window tests of `automata`) with a floor in the first _PREFIX = 32
+reversed steps, every row first takes those steps from a small
+(span, 32) prefix block, and a row that fell below a floor by then is
+final as False and is dropped.  The survivors (every row otherwise)
+draw the rest of their uniforms, a cache-sized block at a time, into
+one survivor-wide buffer of at most (N + 1) x span float64, their
+uniforms and then their int32 paths.  No byte of any output depends on
+the cull.  With `conditioned_paths(..., reduce=f)` every span is mapped
+to one value per path and dropped, so memory is the prefix block, one
+span buffer and one draw block per process plus the reduced outputs,
+whatever the number of trials; the built-in reductions fold over column
+blocks and add one such block.
 """
 
 import os
@@ -65,13 +71,17 @@ def auto_backend(N, n):
 
 
 def _substreams(seed):
-    """stream(index): the Generator of sub-stream (seed, index), at its start.
+    """stream(index, offset=0): the Generator of sub-stream (seed, index),
+    `offset` draws in.
 
     The key is seed * 2^64 + index, for an integer 0 <= seed < 2^64
     (ValueError otherwise).  Each call re-keys one shared Philox bit
-    generator through `.state` (key [index, seed], counter 0, empty
-    buffer), so it restarts the stream the previous call returned; the
-    draws are those of a generator built fresh for that key.
+    generator through `.state` (key [index, seed], counter offset / 4,
+    empty buffer), so it restarts the stream the previous call returned;
+    the draws are those of a generator built fresh for that key after it
+    has drawn `offset` 64-bit words.  One Philox block holds four words,
+    so the offset must be a multiple of 4 and at least 0 (ValueError
+    otherwise).
     """
     seed = integral("seed", seed)
     if not 0 <= seed < 1 << 64:
@@ -79,12 +89,17 @@ def _substreams(seed):
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     key = np.array([0, seed], dtype=np.uint64)
-    zero = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    counter = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
 
-    def stream(index):
+    def stream(index, offset=0):
+        if offset < 0 or offset % 4:
+            raise ValueError("sub-stream offset must be a multiple of 4 and >= 0, got %r"
+                             % (offset,))
         key[0] = index
+        counter[0] = offset // 4
         bitgen.state = state
         return gen
 
@@ -147,6 +162,23 @@ def _mapped(count):
 
 _BLOCK_BYTES = 2 << 20  # a draw block: small enough to stay in L2 while it is transposed
 _FOLD_COLUMNS = 32  # the columns a built-in reduction reads per step of its fold
+_PREFIX = 32  # the steps a floors reduction checks before it culls: 8 Philox blocks of 4 draws
+
+
+class _Floors:
+    """The reduction y_x >= floors[j] at every x = xs[j], for each path.
+
+    On a batch Z of reversed paths y_x is Z[:, N - x], with N + 1 = Z.shape[1],
+    so a floor at x is decided at reversed step N - x.  Passed to
+    `conditioned_paths` as `reduce`, it lets each span drop the rows that
+    fall below a floor within the first _PREFIX steps (see `_span_runner`).
+    """
+
+    def __init__(self, xs, floors):
+        self.xs, self.floors = xs, floors
+
+    def __call__(self, Z):
+        return _above_floors(Z, Z.shape[1] - 1 - self.xs, self.floors)
 
 
 def _span_runner(rtab, N, n, stream, size, reduce):
@@ -154,49 +186,86 @@ def _span_runner(rtab, N, n, stream, size, reduce):
 
     count <= size.  The buffers are mapped when the runner is built and
     kept for every span it runs; a forking parent never touches them, and
-    each worker faults its own pages in once.  One mapping of (N+1) * size
-    float64 entries holds the span: UT, the (N, count) transposed
-    uniforms, starts one row of count entries in, and the int32 ZT
-    (N+1, count) starts at its beginning.
-    Row i is drawn from stream(i) of `_substreams` into a draw block of
-    about _BLOCK_BYTES, a mapping of its own, and each block's transpose is
-    copied into UT while the block is still in cache; the time loop then
-    reads and writes contiguous rows without temporaries.  Step t reads
-    UT[t] and writes ZT[t + 1], which ends at byte 4 * count * (t + 2),
-    no later than UT[t + 1] begins (8 * count * (t + 2)), so ZT only
+    each worker faults its own pages in once.
+    The prefix: under a `_Floors` reduction with a floor at a reversed
+    step <= p, p = _PREFIX or N rounded down to a multiple of 4 below
+    that, each row i draws its first p uniforms from stream(i) of
+    `_substreams` into the (size, p) draws of the prefix block, a mapping
+    of its own, and the chain runs p steps on all rows, reading the
+    draws' columns, into the block's int32 levels (p+1, count).  A row
+    then below such a floor is final as False and is dropped.  Under any
+    other reduction, or none, p = 0 and every row survives.
+    The rest: the s survivors draw their other N - p uniforms from
+    stream(i, p), so each row still reads its own sub-stream in order, and
+    the chain continues from step p.  One mapping of (lead + N - p) * size
+    float64 entries, lead = p//2 + 1, holds them: UT, the (N - p, s)
+    transposed uniforms, starts lead rows of s entries in, and the int32
+    ZT (N+1, s), whose first p + 1 rows are copied from the prefix levels,
+    starts at its beginning.  The uniforms are drawn into a draw block of
+    _BLOCK_BYTES // (8N) rows, a mapping of its own, and each block's
+    transpose is copied into UT while the block is still in cache; the
+    time loop then reads and writes contiguous rows without temporaries.
+    Step t >= p reads UT[t - p] and writes ZT[t + 1], which ends at byte
+    4 * s * (t + 2), no later than UT[t - p + 1] begins, so ZT only
     overwrites uniforms already read.  rtab is a packed band table, read
     through its `_band_rows` views; z stays on the band, so
     take(mode="clip") only skips the checked copy.  Returns a copy of
-    reduce(Z), which must have count entries, or, without reduce, the
-    (count, N+1) view Z of the runner's buffer, which the next span
-    overwrites.
+    reduce(Z) on the survivors, which must have s entries, with False at
+    each dropped row, or, without reduce, the (count, N+1) view Z of the
+    runner's buffer, which the next span overwrites.
     """
     rows = _band_rows(rtab, N, n)
+    p, cull = 0, None  # the prefix steps, and the floors they decide
+    if isinstance(reduce, _Floors):
+        cols, most = N - reduce.xs, min(_PREFIX, N - N % 4)
+        if (cols <= most).any():
+            p, cull = most, (cols[cols <= most], reduce.floors[cols <= most])
+    lead = p // 2 + 1
     block = min(size, max(1, _BLOCK_BYTES // (8 * N)))
-    span, B = _mapped((N + 1) * size), _mapped(block * N).reshape(block, N)
+    prefix = _mapped(size * p + ((p + 1) * size + 1) // 2)
+    P, levels = prefix[:size * p].reshape(size, p), prefix[size * p:].view(np.int32)
+    span = _mapped((lead + N - p) * size)
+    B = _mapped(block * (N - p)).reshape(block, N - p)
     thr_row, step_row = np.empty(size), np.empty(size, dtype=bool)
 
-    def run(start, count):
-        UT = span[count:(N + 1) * count].reshape(N, count)
-        for i0 in range(0, count, block):
-            c = min(block, count - i0)
-            for j in range(c):
-                stream(start + i0 + j).random(out=B[j])
-            np.copyto(UT[:, i0:i0 + c], B[:c].T)
-        thr, step = thr_row[:count], step_row[:count]
-        ZT = span.view(np.int32)[:(N + 1) * count].reshape(N + 1, count)
-        ZT[0] = n
-        for t in range(N):
+    def chain(ZT, UT, t0):
+        # steps t0 .. t0 + len(UT) - 1, step t reading UT[t - t0]
+        thr, step = thr_row[:ZT.shape[1]], step_row[:ZT.shape[1]]
+        for t in range(t0, t0 + len(UT)):
             rows[N - t].take(ZT[t], out=thr, mode="clip")
-            np.less(UT[t], thr, out=step)
+            np.less(UT[t - t0], thr, out=step)
             np.subtract(ZT[t], step, out=ZT[t + 1])
+
+    def run(start, count):
+        ZP = levels[:(p + 1) * count].reshape(p + 1, count)
+        ZP[0] = n
+        keep = np.arange(count)
+        if cull is not None:
+            for j in range(count):
+                stream(start + j).random(out=P[j])
+            chain(ZP, P[:count].T, 0)
+            keep = np.flatnonzero(_above_floors(ZP.T, *cull))
+        s = len(keep)
+        UT = span[lead * s:(lead + N - p) * s].reshape(N - p, s)
+        for i0 in range(0, s, block):
+            c = min(block, s - i0)
+            for j, i in enumerate(keep[i0:i0 + c].tolist()):
+                stream(start + i, p).random(out=B[j])
+            np.copyto(UT[:, i0:i0 + c], B[:c].T)
+        ZT = span.view(np.int32)[:(N + 1) * s].reshape(N + 1, s)
+        np.take(ZP, keep, axis=1, out=ZT[:p + 1])
+        chain(ZT, UT, p)
         if reduce is None:
             return ZT.T
         out = np.array(reduce(ZT.T))  # a copy: a view of ZT would not outlive the span
-        if out.shape[:1] != (count,):
+        if out.shape[:1] != (s,):
             raise ValueError("conditioned_paths: reduce returned shape %r for %d paths"
-                             % (out.shape, count))
-        return out
+                             % (out.shape, s))
+        if s == count:
+            return out
+        flags = np.zeros(count, dtype=bool)
+        flags[keep] = out
+        return flags
 
     return run
 
@@ -225,13 +294,19 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     span's buffer, is passed to `reduce`, which must return an array of
     count entries (ValueError otherwise); a copy of it is kept, so it may
     be a view of the span.  The result is those arrays concatenated in
-    trajectory order, and no path matrix is kept: memory is one span
-    buffer of (N+1) x span float64 (at most 32 MB while N < 15625), a
-    draw block of at most 2 MiB and the reduced outputs.  The built-in
-    reductions (`sup_distances_of`, and the k-Dyck and window-crossing
-    tests of `automata`) are folds over blocks of _FOLD_COLUMNS columns,
-    so each adds one column block of the span, _FOLD_COLUMNS x span
-    entries, not a temporary the size of the span.
+    trajectory order, and no path matrix is kept: memory is a prefix
+    block of _PREFIX = 32 uniforms and levels a row, one span buffer of at
+    most (N+1) x span float64 (32 MB while N < 15625), a draw block of at
+    most 2 MiB and the reduced outputs.  The built-in reductions
+    (`sup_distances_of`, and the k-Dyck and window-crossing tests of
+    `automata`) are folds over blocks of _FOLD_COLUMNS columns, so each
+    adds one column block of the span, _FOLD_COLUMNS x span entries, not a
+    temporary the size of the span.  The k-Dyck and window tests are
+    floors reductions (`_Floors`): when one has a floor in the first
+    _PREFIX reversed steps, each span runs those steps on all its rows,
+    and a row that falls below a floor there is False without drawing or
+    stepping the rest of its chain; `reduce` then sees only the
+    survivors.  The flags are those of the full path matrix.
 
     `jobs` is first capped at the number of CPUs this process may use.
     With jobs > 1 and more than one span, the span count is rounded up to
@@ -239,8 +314,8 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     in min(jobs, spans) worker processes forked from this one: the ratio table and `reduce`
     reach them copy-on-write as the pool initializer's arguments, which
     fork does not pickle, and each sends back only its reduced arrays
-    (its int32 rows without `reduce`).  Each worker holds one span
-    buffer and one draw block, and the workers have exited when this
+    (its int32 rows without `reduce`).  Each worker holds one prefix
+    block, one span buffer and one draw block, and the workers have exited when this
     returns; an exception raised in a worker is re-raised here.  Where
     the platform cannot fork, the spans run serially in this process,
     with the same output.

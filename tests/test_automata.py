@@ -321,9 +321,11 @@ def test_estimate_accessibility_memory_flat_in_trials(monkeypatch):
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 1e6
     # trials split into equal spans of at most one chunk (1998 rows at N = 2001):
-    # 2 spans of 1000 rows, then 5 of 1600; each run maps one span buffer and
-    # one draw block of 2 MiB // (8 N) = 131 rows
-    assert mapped == [1000 * 2002, 131 * 2001, 1600 * 2002, 131 * 2001]
+    # 2 spans of 1000 rows, then 5 of 1600; each run maps a prefix block of 32
+    # uniforms and 33 int32 levels a row, a span buffer of N + 1 - 16 rows and
+    # one draw block of 2 MiB // (8 N) = 131 rows of the other N - 32 columns
+    assert mapped == [1000 * 32 + 33 * 1000 // 2, 1000 * 1986, 131 * 1969,
+                      1600 * 32 + 33 * 1600 // 2, 1600 * 1986, 131 * 1969]
 
 
 def test_korshunov_report_record():

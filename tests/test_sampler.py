@@ -23,7 +23,7 @@ from coupons import (ExactBackend, LogDPBackend,
                      sup_distance_batch, transition_error)
 
 from coupons import sampler
-from coupons.automata import (_dyck_flags, _window_crossed, exact_accessible_count,
+from coupons.automata import (_dyck_flags, _window_clear, exact_accessible_count,
                               simulate_walk_max)
 from coupons.errors import NumericsError, ResourceCapError
 from coupons.sampler import _substreams, auto_backend, sup_distances_of
@@ -287,9 +287,9 @@ def test_reduce_equals_reducer_of_full_matrix(big_batch):
     backend, Z = big_batch
     N, n, seed = BIG["N"], BIG["n"], BIG["seed"]
     flags = conditioned_paths(N, n, BIG["trials"], backend=backend, seed=seed,
-                              jobs=2, reduce=lambda B: _dyck_flags(B, 2, n))
+                              jobs=2, reduce=_dyck_flags(2, n))
     assert flags.shape == (BIG["trials"],)
-    assert np.array_equal(flags, _dyck_flags(Z, 2, n))
+    assert np.array_equal(flags, _dyck_flags(2, n)(Z))
     curve = solve_completion_curve((N - n) / n, 0.2, richardson_check=False)
     d = conditioned_paths(N, n, BIG["trials"], backend=backend, seed=seed,
                           reduce=lambda B: sup_distances_of(B, curve, N, n))
@@ -325,11 +325,13 @@ def test_blocked_draws_match_the_reference(monkeypatch):
         assert Z.shape == (count, N + 1)
         for i in range(count):
             assert Z[i].tolist() == reversed_chain_reference(dense, N, n, seed, start + i)
-    assert mapped == [(N + 1) * 10, 4 * N]  # one span buffer and one draw block
+    # no floors reduction, so no prefix steps: a prefix block of one level a row,
+    # one span buffer and one draw block
+    assert mapped == [(10 + 1) // 2, (N + 1) * 10, 4 * N]
     assert np.array_equal(conditioned_paths(N, n, 17, seed=seed)[13:], Z)
     mapped.clear()
     sampler._span_runner(rtab, N, n, _substreams(seed), 3, None)(0, 3)
-    assert mapped == [(N + 1) * 3, 3 * N]  # no block larger than the span
+    assert mapped == [(3 + 1) // 2, (N + 1) * 3, 3 * N]  # no block larger than the span
 
 
 def test_rekeyed_substreams_equal_fresh_generators():
@@ -343,6 +345,19 @@ def test_rekeyed_substreams_equal_fresh_generators():
             assert np.array_equal(out, philox_reference(seed, index).random(1001))
             assert np.array_equal(stream(index).geometric(p),
                                   philox_reference(seed, index).geometric(p))
+
+
+def test_offset_substreams_continue_the_fresh_generators():
+    # stream(i, off) is the fresh generator's stream after its first off draws
+    for seed in (0, 2 ** 64 - 1):
+        stream = _substreams(seed)
+        for index in (0, 2 ** 40 + 3):
+            for off in (0, 4, 32, 1996):
+                assert np.array_equal(stream(index, off).random(40),
+                                      philox_reference(seed, index).random(off + 40)[off:])
+    for off in (-4, 30):
+        with pytest.raises(ValueError, match="offset"):
+            stream(0, off)
 
 
 def test_seed_is_an_integer_below_two_to_the_64():
@@ -560,10 +575,10 @@ def test_boltzmann_and_chain_dyck_frequencies_at_n_1000():
     exact = acc / surj
     assert exact == 0.5938961639231748
     se = math.sqrt(exact * (1.0 - exact) / 4000)
-    flags = _dyck_flags(boltzmann_paths(2001, 1000, 4000, seed=1), 2, 1000)
+    flags = _dyck_flags(2, 1000)(boltzmann_paths(2001, 1000, 4000, seed=1))
     assert abs(flags.mean() - exact) <= 4.0 * se
     flags = conditioned_paths(2001, 1000, 4000, seed=1,
-                              reduce=lambda Z: _dyck_flags(Z, 2, 1000))
+                              reduce=_dyck_flags(2, 1000))
     assert abs(flags.mean() - exact) <= 4.0 * se
 
 
@@ -647,12 +662,12 @@ def test_folds_match_the_whole_grid_reductions():
                      (2, 100, 1 + 2 * np.arange(101))):
         Z = conditioned_paths(k * n + 1, n, 40, seed=3)
         for B in (Z, np.asfortranarray(Z), Z[:1]):
-            assert _same_bits(_dyck_flags(B, k, n), dyck_flags_reference(B, k, n)), (k, n)
-            assert _same_bits(_window_crossed(B, k, xs), window_crossed_reference(B, k, xs))
+            assert _same_bits(_dyck_flags(k, n)(B), dyck_flags_reference(B, k, n)), (k, n)
+            assert _same_bits(~_window_clear(k, xs)(B), window_crossed_reference(B, k, xs))
     # both outcomes occur on the 40 rows at (2, 100), so the flags test something
     Z = conditioned_paths(201, 100, 40, seed=3)
-    assert 0 < _dyck_flags(Z, 2, 100).sum() < 40
-    assert 0 < _window_crossed(Z, 2, np.arange(3, 200)).sum() < 40
+    assert 0 < _dyck_flags(2, 100)(Z).sum() < 40
+    assert 0 < (~_window_clear(2, np.arange(3, 200))(Z)).sum() < 40
 
 
 def test_span_reductions_stay_under_a_megabyte():
@@ -661,8 +676,8 @@ def test_span_reductions_stay_under_a_megabyte():
     c = solve_completion_curve(1.0, 0.2, step=1e-3, richardson_check=False)
     xs = np.arange(1, 3900)
     for name, reduce in (("sup", lambda: sup_distances_of(Z, c, 4000, 2000)),
-                         ("dyck", lambda: _dyck_flags(Z, 2, 2000)),
-                         ("window", lambda: _window_crossed(Z, 2, xs))):
+                         ("dyck", lambda: _dyck_flags(2, 2000)(Z)),
+                         ("window", lambda: _window_clear(2, xs)(Z))):
         tracemalloc.start()
         try:
             reduce()
@@ -670,6 +685,109 @@ def test_span_reductions_stay_under_a_megabyte():
         finally:
             tracemalloc.stop()
         assert peak < 1e6, (name, peak)
+
+
+# --- the prefix cull ------------------------------------------------------------
+
+def _opened_substreams(monkeypatch):
+    # the (index, offset) of every sub-stream a batch opens in this process
+    calls, substreams = [], sampler._substreams
+
+    def recording(seed):
+        stream = substreams(seed)
+
+        def opened(index, offset=0):
+            calls.append((index, offset))
+            return stream(index, offset)
+
+        return opened
+
+    monkeypatch.setattr(sampler, "_substreams", recording)
+    return calls
+
+
+@pytest.mark.parametrize("k, n, seed", [(2, 3, 5), (2, 16, 2 ** 64 - 1), (3, 40, 6), (2, 1000, 7)])
+def test_culled_dyck_flags_equal_the_full_matrix_flags(k, n, seed, cpus8):
+    # N = 7 is below the prefix, which shrinks to 4 steps, and N = 33 one step
+    # past it; 2500 rows at N = 2001
+    # make two spans, which jobs=2 forks
+    N = k * n + 1
+    trials = 2500 if n == 1000 else 300
+    dyck = _dyck_flags(k, n)
+    full = dyck(conditioned_paths(N, n, trials, seed=seed))
+    assert 0 < full.sum() < trials
+    for jobs in (1, 2):
+        assert _same_bits(conditioned_paths(N, n, trials, seed=seed, jobs=jobs, reduce=dyck), full)
+
+
+def test_culled_window_flags_equal_the_full_matrix_flags():
+    # the windows of test_folds_match_the_whole_grid_reductions, floor boundaries too
+    for k, n, xs in ((2, 100, np.arange(3, 200)), (2, 1, np.array([2])), (3, 40, np.array([118])),
+                     (3, 40, np.array([1, 2, 3])), (3, 40, 1 + 3 * np.arange(41)),
+                     (2, 100, 1 + 2 * np.arange(101))):
+        window = _window_clear(k, xs)
+        Z = conditioned_paths(k * n + 1, n, 40, seed=3)
+        assert _same_bits(conditioned_paths(k * n + 1, n, 40, seed=3, reduce=window), window(Z))
+
+
+def test_prefix_culls_every_row_or_none(monkeypatch):
+    # a floor no level reaches culls every row, one every level meets culls none; a
+    # culled row opens only its own sub-stream, a survivor then opens it again 32 draws in
+    N, n, trials = 201, 100, 60
+    Z = conditioned_paths(N, n, trials, seed=4)
+    calls = _opened_substreams(monkeypatch)
+    for floor, survivors in ((n + 1, []), (0, list(range(trials)))):
+        floors = sampler._Floors(np.array([N - 5, 3]), np.array([floor, 1]))
+        calls.clear()
+        flags = conditioned_paths(N, n, trials, seed=4, reduce=floors)
+        assert _same_bits(flags, floors(Z))
+        assert flags.tolist() == [bool(survivors)] * trials
+        assert calls == [(i, 0) for i in range(trials)] + [(i, 32) for i in survivors]
+    # the k-Dyck test culls some rows, and every accepted row survives
+    calls.clear()
+    flags = conditioned_paths(N, n, trials, seed=4, reduce=_dyck_flags(2, n))
+    assert _same_bits(flags, _dyck_flags(2, n)(Z))
+    survivors = {i for i, offset in calls if offset == 32}
+    assert set(np.flatnonzero(flags).tolist()) <= survivors < set(range(trials))
+
+
+def test_survivors_continue_their_own_substreams(monkeypatch):
+    # every row that passes the prefix floors reaches the reduction with the
+    # path of its own sub-stream: 32 draws, then the other 9 from offset 32
+    k, n, N, seed = 2, 20, 41, 2 ** 64 - 1
+    seen = []
+
+    class Recording(sampler._Floors):
+        def __call__(self, Z):
+            seen.extend(Z.tolist())
+            return super().__call__(Z)
+
+    dyck = _dyck_flags(k, n)
+    flags = conditioned_paths(N, n, 60, seed=seed, reduce=Recording(dyck.xs, dyck.floors))
+    dense = dense_table(auto_backend(N, n).ratio_table(N, n), N, n)
+    paths = [reversed_chain_reference(dense, N, n, seed, i) for i in range(60)]
+    prefix = sampler._Floors(dyck.xs[dyck.xs >= N - 32], dyck.floors[dyck.xs >= N - 32])
+    survivors = [z for z, ok in zip(paths, prefix(np.array(paths))) if ok]
+    assert seen == survivors and 0 < len(survivors) < 60
+    assert _same_bits(flags, dyck(np.array(paths, dtype=np.int32)))
+
+
+def test_dyck_rejections_are_decided_within_the_prefix():
+    # the measurement behind _PREFIX: at (2001, 1000), seed 0, 4,085 of 10,000
+    # paths fail the k-Dyck test, and none first falls below a floor after
+    # reversed step 24.  Reversed step k j checks y_{k (n - j) + 1} >= n + 1 - j
+    k, n, N = 2, 1000, 2001
+    steps = k * np.arange(1, n + 1)
+    floors = n + 1 - np.arange(1, n + 1)
+
+    def first_violation(Z):
+        bad = Z.T[steps] < floors[:, None]
+        return np.where(bad.any(axis=0), steps[bad.argmax(axis=0)], N + 1)
+
+    first = conditioned_paths(N, n, 10000, seed=0, jobs=2, reduce=first_violation)
+    rejected = first[first <= N]
+    assert len(rejected) == 4085
+    assert rejected.max() == 24 <= sampler._PREFIX
 
 
 @pytest.mark.parametrize("fn, args", [(conditioned_paths, (60, 30, 3)),
