@@ -7,8 +7,8 @@ the uniform-surjection law conditioned on T_n <= N; no asymptotics are
 involved.  The ratios come from one table route, `LogDPBackend`'s
 log-free float table, within (4m+2) 2^-53 relative of each r;
 `backend=ExactBackend()` gives the big-integer table, every ratio
-rounded once, and the same seed then gives the same path except with
-probability at most (2N^2 + 6N) 2^-53 (`auto_backend`).
+rounded once; `auto_backend` bounds how often the same seed then gives
+a different path.
 
 Randomness: counter-based Philox streams, one sub-stream per
 trajectory index (key = base_seed * 2^64 + index).  Batches are
@@ -17,20 +17,12 @@ therefore reproducible and independent of chunking or worker count.
 A batch splits into ceil(trials / chunk) spans of rows whose sizes
 differ by at most one; with jobs > 1 a count above one is rounded up to
 a multiple of jobs, and the spans run in forked worker processes.  Each
-span re-keys one Philox bit generator per trajectory instead of building
-a generator per row.  Under a floors reduction (`_Floors`: the k-Dyck
-and window tests of `automata`) with a floor in the first _PREFIX = 32
-reversed steps, every row first takes those steps from a small
-(span, 32) prefix block, and a row that fell below a floor by then is
-final as False and is dropped.  The survivors (every row otherwise)
-draw the rest of their uniforms, a cache-sized block at a time, into
-one survivor-wide buffer of at most (N + 1) x span float64, their
-uniforms and then their int32 paths.  No byte of any output depends on
-the cull.  With `conditioned_paths(..., reduce=f)` every span is mapped
-to one value per path and dropped, so memory is the prefix block, one
-span buffer and one draw block per process plus the reduced outputs,
-whatever the number of trials; the built-in reductions fold over column
-blocks and add one such block.
+span re-keys one Philox bit generator per trajectory.  `_span_runner`
+lays out a span's buffers and culls rows early under a floors
+reduction (`_Floors`: the k-Dyck and window tests of `automata`); no
+byte of any output depends on the cull.  `conditioned_paths` states
+what a caller gets, and the memory a batch with `reduce=` holds
+whatever the number of trials.
 """
 
 import os
@@ -281,8 +273,8 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     `backend` defaults to `auto_backend(N, n)`: the log-free float table
     of `LogDPBackend` at every n <= 5000 (ResourceCapError above).
     `backend=ExactBackend()` gives the big-integer table, whose paths
-    equal the default's except with probability at most
-    (2N^2 + 6N) 2^-53 each.  Any object whose `ratio_table(N, n)`
+    equal the default's except with the probability `auto_backend`
+    bounds.  Any object whose `ratio_table(N, n)`
     returns a table in the packed band layout of `stirling._band` serves:
     a 1-D float64 array holding, for m = 1..N in turn, r(m, l) for
     max(1, m - (N - n)) <= l <= min(m, n), and nothing else.  The chain
@@ -302,11 +294,10 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     `automata`) are folds over blocks of _FOLD_COLUMNS columns, so each
     adds one column block of the span, _FOLD_COLUMNS x span entries, not a
     temporary the size of the span.  The k-Dyck and window tests are
-    floors reductions (`_Floors`): when one has a floor in the first
-    _PREFIX reversed steps, each span runs those steps on all its rows,
-    and a row that falls below a floor there is False without drawing or
-    stepping the rest of its chain; `reduce` then sees only the
-    survivors.  The flags are those of the full path matrix.
+    floors reductions (`_Floors`): a span may decide rows False within
+    the first _PREFIX reversed steps (`_span_runner`), and `reduce` then
+    sees only the other rows.  The flags are those of the full path
+    matrix.
 
     `jobs` is first capped at the number of CPUs this process may use.
     With jobs > 1 and more than one span, the span count is rounded up to

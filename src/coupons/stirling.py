@@ -22,8 +22,9 @@ from a smallest-prime-factor sieve: a big power for each prime i, one
 product p^(m-1) (i/p)^(m-1) for each composite i with smallest prime
 factor p.  Both factors are at most l/2, so only the powers of
 i <= l // 2 are kept, about (l/2)(m-1) log2(l/2) bits (7.4 MB at
-(5000, 2500)).  Single values, single ratios and the chi/r-rho grid of
-`stirling --verify` all share this pass.
+(5000, 2500)).  Single values and single ratios share this pass, and
+chi, transition_error and each point of the `stirling --verify` grid
+are one pass and one xi solve.
 
 On top of the raw numbers this module evaluates the transition ratio
 r(m,l) = {m-1 l-1}/{m l} of the reversed collector chain, the
@@ -57,7 +58,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError, QuadratureError, ResourceCapError, integral
-from .specialfn import f_drift, g_theta, saddle_params, tail_h
+from .specialfn import g_theta, saddle_params, tail_h
 
 DEFAULT_EXACT_CAP = 5000
 _SURJECTION_CAP = 10 ** 5  # surjection_log_probability: forward law up to this N
@@ -305,13 +306,13 @@ def _psi_log_forms(m, l):
     lam = (m - l) / l
     sp = saddle_params(lam)
     xi, v = sp.xi, sp.v
-    lnb = xi + math.log1p(-math.exp(-xi))  # ln(e^xi - 1), overflow-free
+    lnb = xi + math.log1p(-sp.rho)  # ln(e^xi - 1), overflow-free
     base = math.lgamma(m + 1) - math.lgamma(l + 1)
     form_a = (-math.log(2.0 * math.pi) + base
               + l * (lnb - (1.0 + lam) * math.log(xi))
               + 0.5 * math.log(math.pi / (v * l)))
     form_b = (base + l * lnb - m * math.log(xi)
-              - 0.5 * math.log(2.0 * math.pi * m * (1.0 - (m / l) * math.exp(-xi))))
+              - 0.5 * math.log(2.0 * math.pi * m * (1.0 - (m / l) * sp.rho)))
     return form_a, form_b, sp
 
 
@@ -345,28 +346,32 @@ def chi(m, l):
     l|r - rho| <= 0.115 (maxima 0.1078 at lambda = 1 and 0.1106 at 1/2 for
     l in {50, 200, 800}, m - l up to 20 l, m <= 5000).  At fixed d = m - l,
     chi -> sqrt(2 pi d)(d/e)^d/d! - 1 (Stirling's error for d!) within d/(12 l^2).
+    Needs 1 <= l < m <= DEFAULT_EXACT_CAP.
     """
-    return _chi_of(stirling_exact(m, l), psi_log(m, l))
+    return _chi_and_transition_error(m, l)[0]
 
 
 def transition_error(m, l):
-    """|r(m,l) - rho(lambda)| at lambda = (m-l)/l > 0."""
-    if not (1 <= l < m):
-        raise ValueError(
-            "transition_error: need 1 <= l < m (lambda > 0), got (%r, %r)" % (m, l))
-    return abs(ExactBackend().ratio(m, l) - f_drift((m - l) / l))
+    """|r(m,l) - rho(lambda)| at lambda = (m-l)/l > 0, for m <= DEFAULT_EXACT_CAP."""
+    return _chi_and_transition_error(m, l)[1]
 
 
 def _chi_and_transition_error(m, l):
     """(chi(m, l), transition_error(m, l)) from one explicit-sum pass and one xi solve.
 
-    Equal to the two calls bit for bit: rho(lambda) is the saddle
-    bundle's exp(-xi), the value f_drift computes from the same xi.
-    Outside 1 <= l < m <= DEFAULT_EXACT_CAP it makes the two calls, so
-    the error raised is chi's own and no xi is solved.
+    rho(lambda) is the saddle bundle's exp(-xi), the value f_drift
+    computes from the same xi.  The arguments are checked before the
+    pass: ValueError unless 1 <= l < m, ResourceCapError (stirling_exact's
+    message) above m = DEFAULT_EXACT_CAP, so no xi is solved there.
     """
-    if not (1 <= l < m <= DEFAULT_EXACT_CAP):
-        return chi(m, l), transition_error(m, l)
+    m = integral("chi, transition_error: m", m)
+    l = integral("chi, transition_error: l", l)
+    if not (1 <= l < m):
+        raise ValueError(
+            "chi, transition_error: need 1 <= l < m (lambda > 0), got (%r, %r)" % (m, l))
+    if m > DEFAULT_EXACT_CAP:
+        raise ResourceCapError("stirling_exact: m=%d exceeds cap %d (raise cap= explicitly)"
+                               % (m, DEFAULT_EXACT_CAP))
     s, r = _explicit_sum(m, l)
     psi, sp = _psi_log(m, l)
     return _chi_of(s, psi), abs(r - sp.rho)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coupons import (NumericsError, f_drift, g_theta, rate_j, saddle_params,
+from coupons import (NumericsError, curve, f_drift, g_theta, rate_j, saddle_params,
                      tail_h, xi_of_lambda)
 from coupons.specialfn import _xi_newton, lambert_w0
 
@@ -139,13 +139,19 @@ def test_xi_small_lambda_matches_50_digit_roots(lam):
     assert abs(xi_of_lambda(lam) - want) <= 1e-14 * want
 
 
-def test_xi_newton_cycle_exit_is_bit_identical():
+def test_xi_newton_cycle_exit_is_bit_identical(monkeypatch):
     # leaving a 2-cycle early must return the very double the plain loop
-    # returns at its 100-iteration cap, and the sample must contain such cycles
+    # returns at its 100-iteration cap, and the sample must contain such
+    # cycles; it includes every RK4 slope lambda of the nu = 1 curve
+    slopes = []
+    monkeypatch.setattr(curve, "_xi_newton", lambda lam: slopes.append(lam) or _xi_newton(lam))
+    curve.solve_completion_curve(1.0, 0.2)
+    assert len(slopes) > 7000
     rng = np.random.default_rng(1906)
     lams = np.concatenate([np.linspace(1e-4, 10.0, 25000),
                            10.0 ** rng.uniform(-8.0, 4.0, 25000),
-                           [0.0006506993242453797]])  # drifts without cycling
+                           [0.0006506993242453797],  # drifts without cycling
+                           slopes])
     capped = 0
     converged_at = set()
     for lam in lams.tolist():
@@ -154,8 +160,8 @@ def test_xi_newton_cycle_exit_is_bit_identical():
         capped += iters == 100
         converged_at.add(iters)
     assert capped >= 1000
-    # the first 8 iterations run without the cycle history: the sample
-    # converges on both sides of that switch
+    # the cycle history is kept from k = 8 on: the sample converges on
+    # both sides of that gate
     assert {7, 8, 9, 10} <= converged_at
 
 

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
-                     ResourceCapError, bfs_accessible, chi, psi_log, psi_log_forms,
+                     ResourceCapError, bfs_accessible, chi, f_drift, psi_log, psi_log_forms,
                      saddle_diagnostics, stirling_exact, structure_from_diagram,
                      surjection_log_probability, surjection_to_diagram, transition_error)
 from coupons.stirling import _chi_and_transition_error, _explicit_sum, _log_big, _quad, _rows
@@ -325,6 +325,7 @@ def test_psi_gap_halves_along_ray():
 def test_chi_golden_snapshot():
     v = chi(200, 100)
     assert abs(v - CHI_200_100) <= 1e-9 * abs(CHI_200_100)
+    assert v == math.expm1(_log_big(stirling_exact(200, 100)) - psi_log(200, 100))
     assert v < 0.0
 
 
@@ -356,10 +357,18 @@ def test_chi_and_transition_error_uniform_in_lambda():
 
 def test_transition_error_examples():
     assert transition_error(300, 100) < 0.01
+    assert transition_error(300, 100) == abs(ExactBackend().ratio(300, 100) - f_drift(2.0))
     with pytest.raises(ValueError):
         transition_error(100, 100)
     with pytest.raises(ValueError):
         transition_error(100, 101)
+
+
+def test_transition_error_shares_the_chi_cap():
+    # both are one explicit-sum pass, capped at m = DEFAULT_EXACT_CAP
+    for fn in (chi, transition_error):
+        with pytest.raises(ResourceCapError, match="exceeds cap 5000"):
+            fn(5001, 2)
 
 
 # --- surjection probability ----------------------------------------------
