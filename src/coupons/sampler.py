@@ -8,7 +8,12 @@ involved.  The ratios come from one table route, `LogDPBackend`'s
 log-free float table, within (4m+2) 2^-53 relative of each r;
 `backend=ExactBackend()` gives the big-integer table, every ratio
 rounded once; `auto_backend` bounds how often the same seed then gives
-a different path.
+a different path.  The chain reads the rows r(m, .) from m = N down to
+1 through `stirling._RatioRows`, a block of steps at a time: the whole
+band while the default table fits in _TABLE_BUDGET bytes (and for any
+`backend=`), and above that a checkpoint every B ~ sqrt(N) rows, each
+block re-rolled from its checkpoint over the levels a span's rows can
+reach in it, bit for bit the resident table's entries.
 
 Randomness: counter-based Philox streams, one sub-stream per
 trajectory index (key = base_seed * 2^64 + index).  Batches are
@@ -18,9 +23,10 @@ A batch splits into ceil(trials / chunk) spans of rows whose sizes
 differ by at most one; with jobs > 1 a count above one is rounded up to
 a multiple of jobs, and the spans run in forked worker processes.  Each
 span re-keys one Philox bit generator per trajectory.  `_span_runner`
-lays out a span's buffers and culls rows early under a floors
-reduction (`_Floors`: the k-Dyck and window tests of `automata`); no
-byte of any output depends on the cull.  `conditioned_paths` states
+lays out a span's buffers, steps a span one block of rows at a time,
+and culls rows early under a floors reduction (`_Floors`: the k-Dyck
+and window tests of `automata`); no byte of any output depends on the
+cull.  `conditioned_paths` states
 what a caller gets, and the memory a batch with `reduce=` holds
 whatever the number of trials.
 """
@@ -32,17 +38,18 @@ import time
 import numpy as np
 
 from .curve import solve_completion_curve
-from .errors import ResourceCapError, integral
+from .errors import integral
 from .specialfn import f_drift
-from .stirling import LogDPBackend, _band_rows
+from .stirling import LogDPBackend, _band, _check_band, _RatioRows
 
-_TABLE_CAP = 5000  # auto_backend: largest n; the (2n + 1, n) table is 200 MB there
+_TABLE_BUDGET = 16 << 20  # bytes: a larger default band table is checkpointed, not kept
 
 
 def auto_backend(N, n):
-    """The default ratio table: `LogDPBackend`'s, at every n <= 5000.
+    """The default ratio table: `LogDPBackend`'s.
 
-    ResourceCapError above n = 5000, before any table is built.
+    ResourceCapError, before any roll, where the band of (N, n) holds
+    over 5 * 10^8 entries (`surjection_log_probability`'s cap).
     `ExactBackend`, whose ratios are the nearest doubles, is the
     reference and is used only when passed as `backend=`.
 
@@ -57,9 +64,22 @@ def auto_backend(N, n):
     Sum_{m=1}^{N} (4m+4)u = (2N^2 + 6N)u: 8.1e-11 at N = 601, 8.9e-10
     at N = 2001.
     """
-    if n > _TABLE_CAP:
-        raise ResourceCapError("auto_backend: n=%d exceeds cap %d" % (n, _TABLE_CAP))
+    _check_band("auto_backend", N, n)
     return LogDPBackend()
+
+
+def _ratio_rows(N, n, backend=None):
+    """The rows of the chain from (N, n), a `stirling._RatioRows`.
+
+    The default table is checkpointed where its packed band would take
+    more than _TABLE_BUDGET bytes, and resident otherwise; a `backend`'s
+    table is resident.
+    """
+    if backend is None:
+        backend = auto_backend(N, n)
+        if 8 * _band(N, n)[3] > _TABLE_BUDGET:
+            return _RatioRows(N, n)
+    return _RatioRows(N, n, backend.ratio_table(N, n))
 
 
 def _substreams(seed):
@@ -199,14 +219,18 @@ def _span_runner(rtab, N, n, stream, size, reduce):
     time loop then reads and writes contiguous rows without temporaries.
     Step t >= p reads UT[t - p] and writes ZT[t + 1], which ends at byte
     4 * s * (t + 2), no later than UT[t - p + 1] begins, so ZT only
-    overwrites uniforms already read.  rtab is a packed band table, read
-    through its `_band_rows` views; z stays on the band, so
-    take(mode="clip") only skips the checked copy.  Returns a copy of
+    overwrites uniforms already read.  rtab is a `stirling._RatioRows`
+    or a packed band table, read as resident rows.  The chain steps one
+    block of B rows at a time: at its first step a, with levels z, it asks
+    for the block valid on [min z - (steps left in the block), max z], the
+    levels its rows can reach in it, so a span re-rolls each checkpointed
+    block at most once, the prefix's last block included.  z stays on the
+    band, so take(mode="clip") only skips the checked copy.  Returns a copy of
     reduce(Z) on the survivors, which must have s entries, with False at
     each dropped row, or, without reduce, the (count, N+1) view Z of the
     runner's buffer, which the next span overwrites.
     """
-    rows = _band_rows(rtab, N, n)
+    rows = rtab if isinstance(rtab, _RatioRows) else _RatioRows(N, n, rtab)
     p, cull = 0, None  # the prefix steps, and the floors they decide
     if isinstance(reduce, _Floors):
         cols, most = N - reduce.xs, min(_PREFIX, N - N % 4)
@@ -221,12 +245,19 @@ def _span_runner(rtab, N, n, stream, size, reduce):
     thr_row, step_row = np.empty(size), np.empty(size, dtype=bool)
 
     def chain(ZT, UT, t0):
-        # steps t0 .. t0 + len(UT) - 1, step t reading UT[t - t0]
+        # steps t0 .. t1 - 1, step t reading UT[t - t0] and row t - kB of block k
+        if not ZT.shape[1]:
+            return  # every row was culled
         thr, step = thr_row[:ZT.shape[1]], step_row[:ZT.shape[1]]
-        for t in range(t0, t0 + len(UT)):
-            rows[N - t].take(ZT[t], out=thr, mode="clip")
-            np.less(UT[t - t0], thr, out=step)
-            np.subtract(ZT[t], step, out=ZT[t + 1])
+        t1 = t0 + len(UT)
+        for k in range(t0 // rows.B, -(-t1 // rows.B)):
+            k0, k1 = k * rows.B, k * rows.B + rows.B  # the steps of block k
+            a = max(t0, k0)
+            rows_k = rows.block(k, int(ZT[a].min()) - (k1 - a), int(ZT[a].max()))
+            for t in range(a, min(t1, k1)):
+                rows_k[t - k0].take(ZT[t], out=thr, mode="clip")
+                np.less(UT[t - t0], thr, out=step)
+                np.subtract(ZT[t], step, out=ZT[t + 1])
 
     def run(start, count):
         ZP = levels[:(p + 1) * count].reshape(p + 1, count)
@@ -271,7 +302,8 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     [0, 2^64) (ValueError otherwise).
 
     `backend` defaults to `auto_backend(N, n)`: the log-free float table
-    of `LogDPBackend` at every n <= 5000 (ResourceCapError above).
+    of `LogDPBackend`, up to 5 * 10^8 band entries N * min(n, N - n + 1)
+    (ResourceCapError above, before any roll).
     `backend=ExactBackend()` gives the big-integer table, whose paths
     equal the default's except with the probability `auto_backend`
     bounds.  Any object whose `ratio_table(N, n)`
@@ -279,6 +311,16 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     a 1-D float64 array holding, for m = 1..N in turn, r(m, l) for
     max(1, m - (N - n)) <= l <= min(m, n), and nothing else.  The chain
     reads only those entries.
+
+    Table memory.  A `backend=` table is resident, and so is the default
+    one while its packed band takes at most _TABLE_BUDGET = 16 MiB
+    ((2001, 1000) takes 7.6 MiB).  Above that the default table is not
+    kept: one upward pass of its roll keeps the s row every B =
+    isqrt(N) + 1 rows, (N/B)(n+1) x 8 bytes, and one (B, n+1) block of
+    rows, and each span re-rolls each block from its checkpoint over the
+    levels its rows can reach there (`stirling._RatioRows`).  That is
+    2.0 MB in place of 30.5 MiB at (4001, 2000), and 10.6 MB in place
+    of 275 MiB at (12001, 6000).  The paths are the same bytes either way.
 
     The rows run in ceil(trials / chunk) equal spans, their sizes
     differing by at most one row, with chunk about 4e6/(N+1) rows.
@@ -302,11 +344,12 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     `jobs` is first capped at the number of CPUs this process may use.
     With jobs > 1 and more than one span, the span count is rounded up to
     a multiple of `jobs` (at most one span per trial), and the spans run
-    in min(jobs, spans) worker processes forked from this one: the ratio table and `reduce`
+    in min(jobs, spans) worker processes forked from this one: the ratio rows and `reduce`
     reach them copy-on-write as the pool initializer's arguments, which
     fork does not pickle, and each sends back only its reduced arrays
     (its int32 rows without `reduce`).  Each worker holds one prefix
-    block, one span buffer and one draw block, and the workers have exited when this
+    block, one span buffer and one draw block, and writes its own copy of
+    a checkpointed table's block, and the workers have exited when this
     returns; an exception raised in a worker is re-raised here.  Where
     the platform cannot fork, the spans run serially in this process,
     with the same output.
@@ -324,9 +367,7 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     if jobs < 1:
         raise ValueError("conditioned_paths: jobs must be >= 1")
     stream = _substreams(seed)  # checks the seed before the table is built
-    if backend is None:
-        backend = auto_backend(N, n)
-    rtab = backend.ratio_table(N, n)
+    rows = _ratio_rows(N, n, backend)
 
     chunk = max(256, min(65536, int(4e6 // (N + 1))))
     jobs = min(jobs, _cpus())  # the output does not depend on jobs
@@ -336,7 +377,7 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     size, extra = divmod(trials, spans)
     starts = [i * size + min(i, extra) for i in range(spans)]
     counts = [size + (i < extra) for i in range(spans)]
-    run = _span_runner(rtab, N, n, stream, counts[0], reduce)
+    run = _span_runner(rows, N, n, stream, counts[0], reduce)
     workers = min(jobs, spans)
     if workers > 1:
         import multiprocessing  # deferred: about 15 ms of import, used only here
@@ -455,7 +496,9 @@ def prefix_law(N, n, s):
     Returns (exact, iid, tv): arrays over the 2^s patterns (bit j of the
     index is the step-j indicator) and their total-variation distance.
     The reference law is i.i.d. Bernoulli(rho(Lambda)) per step.  exact
-    walks the `auto_backend` table, so each pattern is within
+    walks the `auto_backend` table, read from the top rows of its roll as
+    `conditioned_paths` reads them (no resident table above its budget),
+    so each pattern is within
     s (4N+2) 2^-53 relative of the same walk over correctly rounded ratios.
     """
     N = integral("prefix_law: N", N)
@@ -465,7 +508,7 @@ def prefix_law(N, n, s):
         raise ValueError("prefix_law: need 1 <= n < N")
     if not (1 <= s <= min(20, N)):
         raise ValueError("prefix_law: need 1 <= s <= min(20, N)")
-    rows = _band_rows(auto_backend(N, n).ratio_table(N, n), N, n)
+    rows = _ratio_rows(N, n)
     rho = f_drift((N - n) / n)
 
     patt = np.arange(1 << s)
@@ -474,7 +517,10 @@ def prefix_law(N, n, s):
     for j in range(s):
         # a pattern leaves the band only through a factor 0, r(m, m) = 1 kept
         # or r(m, 1) = 0 taken, so exact is +0.0 wherever the clip reads off it
-        r = rows[N - j].take(l, mode="clip")
+        k, i = divmod(j, rows.B)
+        if not i:
+            block = rows.block(k, n - s, n)
+        r = block[i].take(l, mode="clip")
         step = (patt >> j) & 1
         exact *= np.where(step, r, 1.0 - r)
         l -= step

@@ -50,6 +50,11 @@ packed: one 1-D float64 array with rows m = 1..N one after another and
 nothing off the band, so r(m, l) = R[base[m] + l] with base from
 `_band`; at N = 2n + 1 that is about half the dense (N+1, n+1)
 grid.
+The chain reads the rows in descending m, the order opposite to the
+roll.  `_RatioRows` hands them out a block of steps at a time, either
+from a resident table or from LogDP's roll checkpointed every B rows and
+re-rolled one block at a time (Griewank, Optim. Methods Softw. 1, 1992),
+which holds about (N/B + B)(n+1) floats instead of the band.
 """
 
 import functools
@@ -251,9 +256,12 @@ class LogDPBackend:
     absolute, measured at most 2^-1074, and r(1076, 2) = 5e-324 reads 0.
 
     This is the table the sampler reads at every n (`auto_backend`); the
-    name is that of the log-space DP it replaced.  The backend holds no
-    state: a table call's memory is the returned table plus three rows
-    of n+1 floats.
+    name is that of the log-space DP it replaced.  Its roll (`_roll`,
+    driven up the band by `_band_pass`) has two consumers: ratio_table,
+    which keeps every row, and the checkpointed `_RatioRows`, which
+    keeps every B-th s row and re-rolls the rest on demand, bit for bit.
+    The backend holds no state: a table call's memory is the returned
+    table plus three rows of n+1 floats.
     """
 
     kind = "LogDP"
@@ -262,28 +270,121 @@ class LogDPBackend:
         """Packed band table R: 1-D float64 with r(m, l) = R[base[m] + l] on the band.
 
         The layout is ExactBackend.ratio_table's.  Needs 0 <= n <= N.
-        Row m writes r(m, l) for l <= m-1 straight into R, then turns the
-        s row into row m in place; s[0] stays 0, so r(m, 1) = 0 and
-        s(m, 1) = 0 come out of the same four calls.
         """
         N = integral("ratio_table: N", N)
         n = integral("ratio_table: n", n)
         lo, hi, base, size = _band(N, n)
         R = np.empty(size)
-        s = np.zeros(n + 1)  # s(m, l), rolled in place
-        tmp = np.empty(n + 1)
-        ls = np.arange(n + 1, dtype=float)
-        for m in range(1, N + 1):
-            a, b, h = lo[m], base[m], min(hi[m], m - 1)  # slices are empty where h = a - 1
-            r, t = R[b + a:b + h + 1], tmp[a:h + 1]
-            np.add(s[a:h + 1], ls[a:h + 1], out=t)
-            np.divide(s[a:h + 1], t, out=r)
-            np.add(ls[a - 1:h], s[a - 1:h], out=t)
-            np.multiply(r, t, out=s[a:h + 1])
-            if m <= n:
-                R[b + m] = 1.0
-                s[m] = m * (m - 1) // 2
+        for _ in _band_pass(n, lo, hi, lambda m: (R, base[m])):
+            pass
         return R
+
+
+def _roll(s_l, s_below, ls_l, ls_below, t, r):
+    """Row m of LogDP's s-recurrence over one slice of levels l, in four calls.
+
+    On entry s_l and s_below hold s(m-1, l) and s(m-1, l-1) on the slice,
+    ls_l and ls_below the floats l and l-1, and t is scratch of the same
+    length.  r receives r(m, l), and s_l becomes s(m, l) in place.  With
+    s(m-1, 0) = 0, r(m, 1) = 0 and s(m, 1) = 0 come out of the same calls.
+    """
+    np.add(s_l, ls_l, out=t)
+    np.divide(s_l, t, out=r)
+    np.add(ls_below, s_below, out=t)
+    np.multiply(r, t, out=s_l)
+
+
+def _band_pass(n, lo, hi, dest):
+    """Roll s up the band lo, hi (`_band`), m = 1..N; yield (m, s) after row m.
+
+    dest(m) is (buf, b): r(m, l) goes to buf[b + l] for lo(m) <= l <=
+    min(hi(m), m-1), and r(m, m) = 1 where m <= n.  s is one row of n+1
+    floats rolled in place: s(m, l) on the band, s(m, m) = C(m, 2), 0
+    above l = m, and below lo(m) whatever it last held there.
+    """
+    s = np.zeros(n + 1)
+    tmp = np.empty(n + 1)
+    ls = np.arange(n + 1, dtype=float)
+    for m in range(1, len(lo)):
+        buf, b = dest(m)
+        a, h = lo[m], min(hi[m], m - 1)  # slices are empty where h = a - 1
+        _roll(s[a:h + 1], s[a - 1:h], ls[a:h + 1], ls[a - 1:h], tmp[a:h + 1],
+              buf[b + a:b + h + 1])
+        if m <= n:
+            buf[b + m] = 1.0
+            s[m] = m * (m - 1) // 2
+        yield m, s
+
+
+def _block_steps(N):
+    """B, the steps of a checkpointed block: isqrt(N) + 1, at most N."""
+    return min(math.isqrt(N) + 1, N)
+
+
+class _RatioRows:
+    """The rows r(m, .) the reversed chain from (N, n) reads, m = N..1, B steps at a time.
+
+    block(k, lo, hi) is a list of the rows read at steps kB, kB + 1, ...:
+    row j is r(N - kB - j, .), indexed by level, B rows (fewer in the last
+    block).  On every band level in [lo, hi] each entry has the bits of
+    LogDPBackend().ratio_table's; off it an entry is some finite number.
+    A list handed out holds until the next call that asks for more.
+
+    Resident (`table`, a packed band table of any backend): one block of
+    all N steps, the `_band_rows` views of the table.
+    Checkpointed (no table): one upward pass of LogDP's roll keeps, for
+    each block k, the s row just below it, s(N - (k+1)B, .), and the r
+    rows of the top block in a (B, n+1) buffer.  That is
+    ceil(N/B) (n+1) + B (n+1) floats, with B = `_block_steps(N)`.  Any
+    other block, or a wider window of the top one, is re-rolled into the
+    same buffer from its checkpoint, on the fixed slice [w, hi] with
+    w = max(1, lo - B - 1): row j of the block reads s(., w - 1) from the
+    checkpoint, which is stale after the first row, so its entries at
+    levels below about w + (rows rolled before it) are wrong, and B + 1
+    levels of margin keep them below lo.  Every entry in [lo, hi] runs
+    the same IEEE calls on the same operands as in the upward pass.
+    """
+
+    def __init__(self, N, n, table=None):
+        self.n = n
+        if table is not None:
+            self.B, self._held = N, (0, 0, n)
+            self._views = _band_rows(table, N, n)[:0:-1]
+            return
+        self.N = N
+        B = self.B = _block_steps(N)
+        self._ckpt = np.zeros((-(-N // B), n + 1))  # s(N - (k+1)B, .); s(0, .) = 0
+        self._buf = np.zeros((B, n + 1))
+        self._s, self._t = np.empty(n + 1), np.empty(n + 1)
+        self._ls = np.arange(n + 1, dtype=float)
+        scratch, flat = np.empty(n + 1), self._buf.reshape(-1)
+        lo, hi = _band(N, n)[:2]
+        for m, s in _band_pass(n, lo, hi, lambda m: (flat, (N - m) * (n + 1))
+                               if N - m < B else (scratch, 0)):
+            k, j = divmod(N - m, B)
+            if j == 0 and k:
+                self._ckpt[k - 1] = s
+        self._held, self._views = (0, 0, n), list(self._buf[:B])
+
+    def block(self, k, lo, hi):
+        lo, hi = max(lo, 0), min(hi, self.n)
+        held_k, held_lo, held_hi = self._held
+        if k == held_k and held_lo <= lo and hi <= held_hi:
+            return self._views
+        B, buf, s, ls, t = self.B, self._buf, self._s, self._ls, self._t
+        top = self.N - k * B  # the row of step kB
+        m0 = max(top - B, 0)  # the checkpoint's row
+        w = max(lo - B - 1, 1)
+        s[w - 1:hi + 1] = self._ckpt[k, w - 1:hi + 1]
+        views = s[w:hi + 1], s[w - 1:hi], ls[w:hi + 1], ls[w - 1:hi], t[w:hi + 1]
+        rows = buf[:top - m0, w:hi + 1]
+        for m in range(m0 + 1, top + 1):
+            _roll(*views, rows[top - m])
+            if w <= m <= hi:
+                buf[top - m, m] = 1.0
+                s[m] = m * (m - 1) // 2
+        self._held, self._views = (k, lo, hi), list(buf[:top - m0])
+        return self._views
 
 
 def psi_log_forms(m, l):
@@ -361,8 +462,9 @@ def _chi_and_transition_error(m, l):
 
     rho(lambda) is the saddle bundle's exp(-xi), the value f_drift
     computes from the same xi.  The arguments are checked before the
-    pass: ValueError unless 1 <= l < m, ResourceCapError (stirling_exact's
-    message) above m = DEFAULT_EXACT_CAP, so no xi is solved there.
+    pass: ValueError unless 1 <= l < m, ResourceCapError above
+    m = DEFAULT_EXACT_CAP, so no xi is solved there.  Neither function
+    takes a cap, so the message offers none to raise.
     """
     m = integral("chi, transition_error: m", m)
     l = integral("chi, transition_error: l", l)
@@ -370,11 +472,20 @@ def _chi_and_transition_error(m, l):
         raise ValueError(
             "chi, transition_error: need 1 <= l < m (lambda > 0), got (%r, %r)" % (m, l))
     if m > DEFAULT_EXACT_CAP:
-        raise ResourceCapError("stirling_exact: m=%d exceeds cap %d (raise cap= explicitly)"
+        raise ResourceCapError("chi, transition_error: m=%d exceeds cap %d"
                                % (m, DEFAULT_EXACT_CAP))
     s, r = _explicit_sum(m, l)
     psi, sp = _psi_log(m, l)
     return _chi_of(s, psi), abs(r - sp.rho)
+
+
+def _check_band(who, N, n):
+    """ResourceCapError where a roll over the band of (N, n), N * min(n, N - n + 1)
+    entries, would exceed _SURJECTION_BAND_CAP; checked before any roll."""
+    band = N * min(n, N - n + 1)
+    if band > _SURJECTION_BAND_CAP:
+        raise ResourceCapError("%s: N=%d, n=%d rolls %d band entries, which exceeds cap %d"
+                               % (who, N, n, band, _SURJECTION_BAND_CAP))
 
 
 def surjection_log_probability(N, n):
@@ -404,10 +515,7 @@ def surjection_log_probability(N, n):
     if N > _SURJECTION_CAP:
         raise ResourceCapError("surjection_log_probability: N=%d exceeds cap %d"
                                % (N, _SURJECTION_CAP))
-    band = N * min(n, N - n + 1)
-    if band > _SURJECTION_BAND_CAP:
-        raise ResourceCapError("surjection_log_probability: N=%d, n=%d rolls %d band "
-                               "entries, which exceeds cap %d" % (N, n, band, _SURJECTION_BAND_CAP))
+    _check_band("surjection_log_probability", N, n)
     k = N - n  # draws before the first level leaves the band
     y = np.arange(n + 1)
     stay, up = y / n, (n - y) / n

@@ -328,6 +328,29 @@ def test_estimate_accessibility_memory_flat_in_trials(monkeypatch):
                       1600 * 32 + 33 * 1600 // 2, 1600 * 1986, 131 * 1969]
 
 
+def test_estimate_accessibility_above_the_table_budget(monkeypatch):
+    # at (12001, 6000) the band would take 275 MiB resident.  Checkpointed,
+    # the table is 110 s rows of 6001 floats (5.3 MB) and one block of 110
+    # rows (5.3 MB), whatever the trials: the span buffers sit on mappings
+    # that tracemalloc does not see.  Chunks are 333 rows at N = 12001, so
+    # 400 trials fork two workers at jobs=2
+    monkeypatch.setattr(sampler, "_cpus", lambda: 2)
+    estimate_accessibility(2, 50, 10)  # a first batch's one-off allocations
+    peaks, results = [], []
+    for trials in (40, 120):
+        tracemalloc.start()
+        try:
+            results.append(estimate_accessibility(2, 6000, trials, jobs=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 16e6, peaks
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+    assert estimate_accessibility(2, 6000, 120, jobs=2) == results[1]
+    assert (estimate_accessibility(2, 6000, 400, jobs=2)
+            == estimate_accessibility(2, 6000, 400, jobs=1))
+
+
 def test_korshunov_report_record():
     rec = korshunov_report(2, 50, 2000, seed=9)
     assert rec["k"] == 2 and rec["n"] == 50 and rec["trials"] == 2000

@@ -131,24 +131,31 @@ def test_stirling_cap_and_override(capsys):
 
 
 def test_sampler_commands_cap_n_before_the_table(capsys, monkeypatch):
-    # n = 6000 is above auto_backend's cap: exit 4, and no ratio table is built
-    def no_table(self, N, n):
-        raise AssertionError("ratio table built at n=%d" % n)
+    # bands of N * min(n, N - n + 1) > 5e8 entries are above auto_backend's
+    # cap: exit 4, and nothing is rolled, resident or checkpointed
+    def no_roll(*args):
+        raise AssertionError("band rolled at %r" % (args[1:],))
 
-    monkeypatch.setattr(stirling.LogDPBackend, "ratio_table", no_table)
-    for argv in (["korshunov", "--k", "2", "--n", "6000", "--trials", "10"],
-                 ["simulate", "--N", "12001", "--n", "6000", "--trials", "10", "--a", "0.2"]):
+    monkeypatch.setattr(stirling.LogDPBackend, "ratio_table", no_roll)
+    monkeypatch.setattr(stirling, "_band_pass", no_roll)
+    for argv, N, n in ((["korshunov", "--k", "2", "--n", "25000", "--trials", "10"],
+                        50001, 25000),
+                       (["simulate", "--N", "60001", "--n", "30000", "--trials", "10",
+                         "--a", "0.2"], 60001, 30000)):
         assert main(argv) == 4, argv
         cap = capsys.readouterr()
-        assert (cap.out, cap.err) == ("", "numeric error: auto_backend: n=6000 exceeds "
-                                          "cap 5000\n"), argv
+        assert (cap.out, cap.err) == ("", "numeric error: auto_backend: N=%d, n=%d rolls %d "
+                                          "band entries, which exceeds cap 500000000\n"
+                                      % (N, n, N * n)), argv
 
 
 def test_stirling_cap_message(capsys):
     # the single value and the verify grid stop at the same default cap
-    want = "numeric error: stirling_exact: m=6000 exceeds cap 5000 (raise cap= explicitly)\n"
-    for argv in (["stirling", "6000", "10"],
-                 ["stirling", "--verify", "--lams", "2", "--ells", "2000"]):
+    for argv, want in (
+            (["stirling", "6000", "10"],
+             "numeric error: stirling_exact: m=6000 exceeds cap 5000 (raise cap= explicitly)\n"),
+            (["stirling", "--verify", "--lams", "2", "--ells", "2000"],
+             "numeric error: chi, transition_error: m=6000 exceeds cap 5000\n")):
         assert main(argv) == 4, argv
         cap = capsys.readouterr()
         assert (cap.out, cap.err) == ("", want), argv

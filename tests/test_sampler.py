@@ -22,7 +22,7 @@ from coupons import (ExactBackend, LogDPBackend,
                      conditioned_paths, prefix_law, sample_patient, solve_completion_curve, stirling_exact,
                      sup_distance_batch, transition_error)
 
-from coupons import sampler
+from coupons import sampler, stirling
 from coupons.automata import (_dyck_flags, _window_clear, exact_accessible_count,
                               simulate_walk_max)
 from coupons.errors import NumericsError, ResourceCapError
@@ -283,6 +283,40 @@ def test_workers_exit_when_the_parent_is_killed(tmp_path):
             os.kill(pid, signal.SIGKILL)
 
 
+def _no_resident_table(monkeypatch, steps):
+    # the default table goes checkpointed at every size, with B = steps if given
+    def no_table(self, N, n):
+        raise AssertionError("resident table built at (%d, %d)" % (N, n))
+
+    monkeypatch.setattr(sampler, "_TABLE_BUDGET", 0)
+    monkeypatch.setattr(LogDPBackend, "ratio_table", no_table)
+    if steps is not None:
+        monkeypatch.setattr(stirling, "_block_steps", lambda N: steps)
+
+
+@pytest.mark.parametrize("steps", [None, 7])
+def test_checkpointed_rows_give_the_resident_bytes(big_batch, cpus8, monkeypatch, steps):
+    # the same paths, flags and distances from re-rolled blocks as from the
+    # resident table: over 3 spans at jobs 1 (serial) and 2 and 3 (forked,
+    # each span re-rolling its blocks), B = 45 or 7.  At B = 7 the Dyck
+    # floors' 32-step cull ends inside block 4, whose rows the survivors reuse
+    backend, Z = big_batch
+    N, n, seed, trials = BIG["N"], BIG["n"], BIG["seed"], BIG["trials"]
+    curve = solve_completion_curve((N - n) / n, 0.2, richardson_check=False)
+
+    def sup(B):
+        return sup_distances_of(B, curve, N, n)
+
+    dyck = _dyck_flags(2, n)
+    wants = ((None, Z), (sup, sup(Z)), (dyck, dyck(Z)))
+    _no_resident_table(monkeypatch, steps)
+    for jobs in (1, 2, 3):
+        for reduce, want in wants:
+            got = conditioned_paths(N, n, trials, seed=seed, jobs=jobs, reduce=reduce)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), jobs
+    assert multiprocessing.active_children() == []
+
+
 def test_reduce_equals_reducer_of_full_matrix(big_batch):
     backend, Z = big_batch
     N, n, seed = BIG["N"], BIG["n"], BIG["seed"]
@@ -384,8 +418,10 @@ def test_backends_agree_in_distribution_exactly():
 def test_auto_backend_selection():
     assert auto_backend(100, 100).kind == "LogDP"
     assert auto_backend(900, 301).kind == "LogDP"
-    with pytest.raises(ResourceCapError, match="n=6000 exceeds cap 5000"):
-        auto_backend(12000, 6000)
+    assert auto_backend(12001, 6000).kind == "LogDP"  # no cap on n: the band's is 5e8
+    with pytest.raises(ResourceCapError, match="N=50001, n=25000 rolls 1250025000 band "
+                                               "entries, which exceeds cap 500000000"):
+        auto_backend(50001, 25000)
 
 
 # --- exactness against enumeration ----------------------------------------
@@ -861,6 +897,19 @@ def test_prefix_law_digests():
         exact, iid, tv = prefix_law(*shape)
         got = hashlib.sha256(exact.tobytes() + iid.tobytes() + repr(tv).encode())
         assert got.hexdigest() == digest, shape
+
+
+@pytest.mark.parametrize("steps", [None, 7])
+def test_prefix_law_reads_the_checkpointed_rows(monkeypatch, steps):
+    # the walk over the top rows of the upward pass (and, at B = 7, over
+    # re-rolled blocks below them) gives the resident table's bytes
+    shapes = [(12, 11, 12), (40, 20, 14), (2000, 1000, 16), (2001, 1000, 20)]
+    wants = [prefix_law(*shape) for shape in shapes]
+    _no_resident_table(monkeypatch, steps)
+    for shape, want in zip(shapes, wants):
+        got = prefix_law(*shape)
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]], shape
+        assert repr(got[2]) == repr(want[2]), shape
 
 
 def test_prefix_law_argument_errors():

@@ -13,7 +13,9 @@ from coupons import (ExactBackend, LogDPBackend, NumericsError, QuadratureError,
                      ResourceCapError, bfs_accessible, chi, f_drift, psi_log, psi_log_forms,
                      saddle_diagnostics, stirling_exact, structure_from_diagram,
                      surjection_log_probability, surjection_to_diagram, transition_error)
-from coupons.stirling import _chi_and_transition_error, _explicit_sum, _log_big, _quad, _rows
+from coupons import stirling
+from coupons.stirling import (_chi_and_transition_error, _explicit_sum, _log_big, _quad,
+                              _RatioRows, _rows)
 
 from oracles import (dense_table, explicit_sum_reference, ln_p_mpmath, ratio_table_reference,
                      reachable_states, set_partition_count, tail_abs_reference)
@@ -295,6 +297,40 @@ def test_logdp_memory_is_the_returned_table():
     assert R.nbytes == 8 * np.count_nonzero(reachable_states(2001, 1000))
     _, peak = _traced_peak(lambda: surjection_log_probability(4000, 2000))
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("N, n", [(61, 60), (200, 1), (601, 300), (2001, 1000), (4001, 2000)])
+@pytest.mark.parametrize("steps", [None, 7])
+def test_checkpointed_rows_equal_the_resident_table(N, n, steps, monkeypatch):
+    # every row a checkpointed block hands out, kept from the upward pass or
+    # re-rolled from a checkpoint, holds LogDP's resident bits on its band
+    # levels inside the window asked for.  B = 7 makes up to 572 short blocks
+    if steps is not None:
+        monkeypatch.setattr(stirling, "_block_steps", lambda N: steps)
+    R = LogDPBackend().ratio_table(N, n)
+    band = reachable_states(N, n)
+    ends = np.cumsum(band.sum(axis=1))  # row m of R ends at ends[m]
+    rows = _RatioRows(N, n)
+    B = rows.B
+    assert B == (steps or math.isqrt(N) + 1)
+    blocks = -(-N // B)
+    rng = np.random.default_rng(N)
+    narrow = []
+    for k in [*range(1, blocks), 0]:  # block 0 last: it is no longer held, so re-rolled
+        levels = np.flatnonzero(band[N - k * B])
+        c = int(rng.choice(levels))
+        narrow.append((k, c - int(rng.integers(0, 2 * B)), c + int(rng.integers(0, 9))))
+    full = [(k, 0, n) for k in range(blocks)]
+    for k, lo, hi in [(0, 0, n)] + narrow + full:
+        block = rows.block(k, lo, hi)
+        assert len(block) == min(B, N - k * B)
+        for j, row in enumerate(block):
+            m = N - k * B - j
+            levels = np.flatnonzero(band[m])
+            inside = (lo <= levels) & (levels <= hi)
+            want = R[ends[m] - len(levels):ends[m]][inside]
+            assert row[levels[inside]].tobytes() == want.tobytes(), (k, j, lo, hi)
+            assert np.isfinite(row).all()
 
 
 # --- psi, chi, transition error ------------------------------------------
