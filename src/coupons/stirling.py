@@ -257,9 +257,12 @@ class LogDPBackend:
 
     This is the table the sampler reads at every n (`auto_backend`); the
     name is that of the log-space DP it replaced.  Its roll (`_roll`,
-    driven up the band by `_band_pass`) has two consumers: ratio_table,
-    which keeps every row, and the checkpointed `_RatioRows`, which
-    keeps every B-th s row and re-rolls the rest on demand, bit for bit.
+    driven up the band by `_band_pass`) is three numpy calls a row: the
+    sums s(m-1, l) + l, formed once, serve as the divisor at l and as the
+    factor (l-1) + s(m-1, l-1) at l + 1, the same IEEE sum either way.
+    It has two consumers: ratio_table, which keeps every row, and the
+    checkpointed `_RatioRows`, which keeps every B-th s row and re-rolls
+    the rest on demand, bit for bit.
     The backend holds no state: a table call's memory is the returned
     table plus three rows of n+1 floats.
     """
@@ -275,41 +278,50 @@ class LogDPBackend:
         n = integral("ratio_table: n", n)
         lo, hi, base, size = _band(N, n)
         R = np.empty(size)
-        for _ in _band_pass(n, lo, hi, lambda m: (R, base[m])):
+        for _ in _band_pass(n, lo, hi, R, base):
             pass
         return R
 
 
-def _roll(s_l, s_below, ls_l, ls_below, t, r):
-    """Row m of LogDP's s-recurrence over one slice of levels l, in four calls.
+def _roll(s, t, ls, s_l, t_l, t_below, r):
+    """Row m of LogDP's s-recurrence over one slice [a-1, h] of levels l, in three calls.
 
-    On entry s_l and s_below hold s(m-1, l) and s(m-1, l-1) on the slice,
-    ls_l and ls_below the floats l and l-1, and t is scratch of the same
-    length.  r receives r(m, l), and s_l becomes s(m, l) in place.  With
-    s(m-1, 0) = 0, r(m, 1) = 0 and s(m, 1) = 0 come out of the same calls.
+    The first six arguments are the `_roll_views` of the rows s, t and ls
+    for a..h.  On entry s holds s(m-1, l) and ls the floats l; t is
+    scratch.  r, of length h - a + 1, receives r(m, l) for a <= l <= h,
+    and s_l becomes s(m, l) in place; s(m-1, a-1) is only read.  The
+    first call forms t = s + l once over [a-1, h], so t_l is the divisor
+    s(m-1, l) + l and t_below the factor s(m-1, l-1) + (l-1).  IEEE
+    addition commutes, so that factor has the bits of (l-1) + s(m-1, l-1),
+    and every entry the bits of a four-call roll that formed the two sums
+    apart.  With s(m-1, 0) = 0, r(m, 1) = 0 and s(m, 1) = 0 come out of
+    the same calls.
     """
-    np.add(s_l, ls_l, out=t)
-    np.divide(s_l, t, out=r)
-    np.add(ls_below, s_below, out=t)
-    np.multiply(r, t, out=s_l)
+    np.add(s, ls, t)
+    np.divide(s_l, t_l, r)
+    np.multiply(r, t_below, s_l)
 
 
-def _band_pass(n, lo, hi, dest):
+def _roll_views(s, t, ls, a, h):
+    """The views `_roll` reads, for levels a..h (1 <= a <= h + 1) of the rows s, t and ls:
+    s, t and ls on [a-1, h], s and t on [a, h], and t on [a-1, h-1]."""
+    return s[a - 1:h + 1], t[a - 1:h + 1], ls[a - 1:h + 1], s[a:h + 1], t[a:h + 1], t[a - 1:h]
+
+
+def _band_pass(n, lo, hi, buf, base):
     """Roll s up the band lo, hi (`_band`), m = 1..N; yield (m, s) after row m.
 
-    dest(m) is (buf, b): r(m, l) goes to buf[b + l] for lo(m) <= l <=
-    min(hi(m), m-1), and r(m, m) = 1 where m <= n.  s is one row of n+1
-    floats rolled in place: s(m, l) on the band, s(m, m) = C(m, 2), 0
-    above l = m, and below lo(m) whatever it last held there.
+    r(m, l) goes to buf[base[m] + l] for lo(m) <= l <= min(hi(m), m-1),
+    and r(m, m) = 1 where m <= n.  s is one row of n+1 floats rolled in
+    place: s(m, l) on the band, s(m, m) = C(m, 2), 0 above l = m, and
+    below lo(m) whatever it last held there.
     """
     s = np.zeros(n + 1)
-    tmp = np.empty(n + 1)
+    t = np.empty(n + 1)
     ls = np.arange(n + 1, dtype=float)
     for m in range(1, len(lo)):
-        buf, b = dest(m)
-        a, h = lo[m], min(hi[m], m - 1)  # slices are empty where h = a - 1
-        _roll(s[a:h + 1], s[a - 1:h], ls[a:h + 1], ls[a - 1:h], tmp[a:h + 1],
-              buf[b + a:b + h + 1])
+        a, h, b = lo[m], min(hi[m], m - 1), base[m]  # r is empty where h = a - 1
+        _roll(*_roll_views(s, t, ls, a, h), buf[b + a:b + h + 1])
         if m <= n:
             buf[b + m] = 1.0
             s[m] = m * (m - 1) // 2
@@ -334,8 +346,9 @@ class _RatioRows:
     all N steps, the `_band_rows` views of the table.
     Checkpointed (no table): one upward pass of LogDP's roll keeps, for
     each block k, the s row just below it, s(N - (k+1)B, .), and the r
-    rows of the top block in a (B, n+1) buffer.  That is
-    ceil(N/B) (n+1) + B (n+1) floats, with B = `_block_steps(N)`.  Any
+    rows of the top block in a (B, n+1) buffer, which one scratch row for
+    the other rows' r follows in the same allocation.  That is
+    ceil(N/B) (n+1) + (B+1) (n+1) floats, with B = `_block_steps(N)`.  Any
     other block, or a wider window of the top one, is re-rolled into the
     same buffer from its checkpoint, on the fixed slice [w, hi] with
     w = max(1, lo - B - 1): row j of the block reads s(., w - 1) from the
@@ -354,13 +367,14 @@ class _RatioRows:
         self.N = N
         B = self.B = _block_steps(N)
         self._ckpt = np.zeros((-(-N // B), n + 1))  # s(N - (k+1)B, .); s(0, .) = 0
-        self._buf = np.zeros((B, n + 1))
+        rows = np.zeros((B + 1, n + 1))  # the block, then one scratch row for the rest
+        self._buf = rows[:B]
         self._s, self._t = np.empty(n + 1), np.empty(n + 1)
         self._ls = np.arange(n + 1, dtype=float)
-        scratch, flat = np.empty(n + 1), self._buf.reshape(-1)
         lo, hi = _band(N, n)[:2]
-        for m, s in _band_pass(n, lo, hi, lambda m: (flat, (N - m) * (n + 1))
-                               if N - m < B else (scratch, 0)):
+        # rows N - B + 1 .. N go to block rows B - 1 .. 0, the rest to the scratch row
+        base = [B * (n + 1)] * (N - B + 1) + list(range((B - 1) * (n + 1), -1, -(n + 1)))
+        for m, s in _band_pass(n, lo, hi, rows.reshape(-1), base):
             k, j = divmod(N - m, B)
             if j == 0 and k:
                 self._ckpt[k - 1] = s
@@ -376,7 +390,7 @@ class _RatioRows:
         m0 = max(top - B, 0)  # the checkpoint's row
         w = max(lo - B - 1, 1)
         s[w - 1:hi + 1] = self._ckpt[k, w - 1:hi + 1]
-        views = s[w:hi + 1], s[w - 1:hi], ls[w:hi + 1], ls[w - 1:hi], t[w:hi + 1]
+        views = _roll_views(s, t, ls, w, hi)
         rows = buf[:top - m0, w:hi + 1]
         for m in range(m0 + 1, top + 1):
             _roll(*views, rows[top - m])

@@ -27,7 +27,10 @@ plain 100-iteration Newton loop its cycle exit must match, and
 per term, whose integers the sieve-built powers must match, and
 `ratio_table_reference`, the s-recurrence
 on scalar Python floats whose bits the vectorized band roll must match,
-and `rk4_path_reference`, the per-slope RK4 path
+and `logdp_table_reference`, the four-call band roll
+(`roll_four_call_reference`, `band_pass_four_call_reference`) whose bits
+the three-call roll of the library must match at shapes too large for
+the scalar loop, and `rk4_path_reference`, the per-slope RK4 path
 whose bytes the curve solver must match, and
 `accessible_count_reference`, the full-width in-place column roll whose
 integers the band-recurrence accessible count must match, and the
@@ -173,6 +176,62 @@ def ratio_table_reference(N, n):
             row[m] = 1.0
             new[m] = float(m * (m - 1) // 2)
         s = new
+    return R
+
+
+def roll_four_call_reference(s_l, s_below, ls_l, ls_below, t, r):
+    """Row m of LogDP's s-recurrence over one slice of levels l, in four calls.
+
+    On entry s_l and s_below hold s(m-1, l) and s(m-1, l-1) on the slice,
+    ls_l and ls_below the floats l and l-1, and t is scratch of the same
+    length.  r receives r(m, l), and s_l becomes s(m, l) in place.  With
+    s(m-1, 0) = 0, r(m, 1) = 0 and s(m, 1) = 0 come out of the same calls.
+    """
+    import numpy as np
+    np.add(s_l, ls_l, out=t)
+    np.divide(s_l, t, out=r)
+    np.add(ls_below, s_below, out=t)
+    np.multiply(r, t, out=s_l)
+
+
+def band_pass_four_call_reference(n, lo, hi, dest):
+    """Roll s up the band lo, hi (`_band`), m = 1..N; yield (m, s) after row m.
+
+    dest(m) is (buf, b): r(m, l) goes to buf[b + l] for lo(m) <= l <=
+    min(hi(m), m-1), and r(m, m) = 1 where m <= n.  s is one row of n+1
+    floats rolled in place: s(m, l) on the band, s(m, m) = C(m, 2), 0
+    above l = m, and below lo(m) whatever it last held there.
+    """
+    import numpy as np
+    s = np.zeros(n + 1)
+    tmp = np.empty(n + 1)
+    ls = np.arange(n + 1, dtype=float)
+    for m in range(1, len(lo)):
+        buf, b = dest(m)
+        a, h = lo[m], min(hi[m], m - 1)  # slices are empty where h = a - 1
+        roll_four_call_reference(s[a:h + 1], s[a - 1:h], ls[a:h + 1], ls[a - 1:h],
+                                 tmp[a:h + 1], buf[b + a:b + h + 1])
+        if m <= n:
+            buf[b + m] = 1.0
+            s[m] = m * (m - 1) // 2
+        yield m, s
+
+
+def logdp_table_reference(N, n):
+    """The packed band table of the chain from (N, n), 1 <= n <= N, by the four-call roll.
+
+    The band's rows lo..hi and the packed layout come from the
+    `reachable_states` mask (see `dense_table`), not the library's `_band`.
+    """
+    import numpy as np
+    mask = reachable_states(N, n)
+    counts = mask.sum(axis=1)
+    lo = mask.argmax(axis=1)  # the first state of each row m >= 1
+    hi = n - mask[:, ::-1].argmax(axis=1)  # ... and the last
+    base = (np.cumsum(counts) - counts - lo).tolist()  # R[base[m] + l] = r(m, l)
+    R = np.empty(int(counts.sum()))
+    for _ in band_pass_four_call_reference(n, lo.tolist(), hi.tolist(), lambda m: (R, base[m])):
+        pass
     return R
 
 

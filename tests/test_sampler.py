@@ -394,6 +394,27 @@ def test_offset_substreams_continue_the_fresh_generators():
             stream(0, off)
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_rekeys_restart_a_partly_used_generator(seed):
+    # a re-key restarts the stream whatever the shared generator did last:
+    # 3 uint32 draws leave half a word held (has_uint32), 1,001 uniforms
+    # part of a Philox block in the buffer
+    stream = _substreams(seed)
+    for index in (0, 2 ** 40 + 3):
+        for offset in (0, 32):
+            for used in (lambda g: g.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                         lambda g: g.random(1001)):
+                used(stream(index + 1))
+                ref = philox_reference(seed, index)
+                ref.random(offset)
+                got = stream(index, offset)
+                assert np.array_equal(got.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+                                      ref.integers(0, 2 ** 32, size=3, dtype=np.uint32))
+                used(stream(index + 1))
+                assert np.array_equal(stream(index, offset).random(40),
+                                      philox_reference(seed, index).random(offset + 40)[offset:])
+
+
 def test_seed_is_an_integer_below_two_to_the_64():
     # no seed is wrapped or truncated into another seed's stream
     calls = (lambda seed: conditioned_paths(60, 30, 3, seed=seed),

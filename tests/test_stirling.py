@@ -17,8 +17,9 @@ from coupons import stirling
 from coupons.stirling import (_chi_and_transition_error, _explicit_sum, _log_big, _quad,
                               _RatioRows, _rows)
 
-from oracles import (dense_table, explicit_sum_reference, ln_p_mpmath, ratio_table_reference,
-                     reachable_states, set_partition_count, tail_abs_reference)
+from oracles import (dense_table, explicit_sum_reference, ln_p_mpmath, logdp_table_reference,
+                     ratio_table_reference, reachable_states, set_partition_count,
+                     tail_abs_reference)
 
 CHI_200_100 = -0.0010776744425554736  # frozen at build time from this code path
 
@@ -302,12 +303,14 @@ def test_logdp_memory_is_the_returned_table():
 @pytest.mark.parametrize("N, n", [(61, 60), (200, 1), (601, 300), (2001, 1000), (4001, 2000)])
 @pytest.mark.parametrize("steps", [None, 7])
 def test_checkpointed_rows_equal_the_resident_table(N, n, steps, monkeypatch):
-    # every row a checkpointed block hands out, kept from the upward pass or
-    # re-rolled from a checkpoint, holds LogDP's resident bits on its band
-    # levels inside the window asked for.  B = 7 makes up to 572 short blocks
+    # LogDP's resident table, and every row a checkpointed block hands out,
+    # kept from the upward pass or re-rolled from a checkpoint, on its band
+    # levels inside the window asked for, hold the bits of the four-call
+    # roll, a frozen copy in the oracles.  B = 7 makes up to 572 short blocks
     if steps is not None:
         monkeypatch.setattr(stirling, "_block_steps", lambda N: steps)
-    R = LogDPBackend().ratio_table(N, n)
+    R = logdp_table_reference(N, n)
+    assert LogDPBackend().ratio_table(N, n).tobytes() == R.tobytes()
     band = reachable_states(N, n)
     ends = np.cumsum(band.sum(axis=1))  # row m of R ends at ends[m]
     rows = _RatioRows(N, n)
