@@ -23,10 +23,10 @@ A batch splits into ceil(trials / chunk) spans of rows whose sizes
 differ by at most one; with jobs > 1 a count above one is rounded up to
 a multiple of jobs, and the spans run in forked worker processes.  Each
 span re-keys one Philox bit generator per trajectory.  `_span_runner`
-lays out a span's buffers, steps a span one block of rows at a time,
-and culls rows early under a floors reduction (`_Floors`: the k-Dyck
-and window tests of `automata`); no byte of any output depends on the
-cull.  `conditioned_paths` states
+allocates a batch's span buffers as plain numpy arrays, steps a span
+one block of rows at a time, and culls rows early under a floors
+reduction (`_Floors`: the k-Dyck and window tests of `automata`); no
+byte of any output depends on the cull.  `conditioned_paths` states
 what a caller gets, and the memory a batch with `reduce=` holds
 whatever the number of trials.
 """
@@ -153,26 +153,6 @@ def _forked_span(start, count):
     return _span(start, count)
 
 
-def _mapped(count):
-    """An empty float64 array of `count` entries on a private mapping of its own.
-
-    malloc serves a request below its mmap threshold from the heap, and
-    freeing a mapped block of up to 32 MiB (a ratio table, say) raises
-    that threshold to the block's size.  A forked worker shares the heap
-    with its parent copy-on-write, so a span buffer placed there faults
-    each 4 KiB page it writes.  A mapping of its own, advised for huge
-    pages as numpy advises its large arrays, faults the same way
-    whatever the process freed before.  Where the platform has no
-    huge-page advice, this is np.empty.
-    """
-    import mmap  # deferred: used only once a span runs
-    if not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.empty(count)
-    buf = mmap.mmap(-1, 8 * max(count, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, count=count)
-
-
 _BLOCK_BYTES = 2 << 20  # a draw block: small enough to stay in L2 while it is transposed
 _FOLD_COLUMNS = 32  # the columns a built-in reduction reads per step of its fold
 _PREFIX = 32  # the steps a floors reduction checks before it culls: 8 Philox blocks of 4 draws
@@ -194,44 +174,42 @@ class _Floors:
         return _above_floors(Z, Z.shape[1] - 1 - self.xs, self.floors)
 
 
-def _span_runner(rtab, N, n, stream, size, reduce):
-    """run(start, count): the reversed chain for rows start..start+count-1.
+def _span_runner(rows, N, n, stream, size, reduce):
+    """run(start, count): the reversed chain for rows start..start+count-1,
+    on the ratio rows `rows`, a `stirling._RatioRows`.
 
-    count <= size.  The buffers are mapped when the runner is built and
-    kept for every span it runs; a forking parent never touches them, and
-    each worker faults its own pages in once.
+    count <= size.  The buffers are numpy arrays allocated when the runner
+    is built and reused by every span it runs.
     The prefix: under a `_Floors` reduction with a floor at a reversed
     step <= p, p = _PREFIX or N rounded down to a multiple of 4 below
     that, each row i draws its first p uniforms from stream(i) of
-    `_substreams` into the (size, p) draws of the prefix block, a mapping
-    of its own, and the chain runs p steps on all rows, reading the
-    draws' columns, into the block's int32 levels (p+1, count).  A row
-    then below such a floor is final as False and is dropped.  Under any
-    other reduction, or none, p = 0 and every row survives.
+    `_substreams` into P, the (size, p) float64 prefix draws, and the
+    chain runs p steps on all rows, reading P's columns, into the int32
+    prefix levels (p+1, count).  A row then below such a floor is final
+    as False and is dropped.  Under any other reduction, or none, p = 0
+    and every row survives.
     The rest: the s survivors draw their other N - p uniforms from
     stream(i, p), so each row still reads its own sub-stream in order, and
-    the chain continues from step p.  One mapping of (lead + N - p) * size
-    float64 entries, lead = p//2 + 1, holds them: UT, the (N - p, s)
-    transposed uniforms, starts lead rows of s entries in, and the int32
-    ZT (N+1, s), whose first p + 1 rows are copied from the prefix levels,
-    starts at its beginning.  The uniforms are drawn into a draw block of
-    _BLOCK_BYTES // (8N) rows, a mapping of its own, and each block's
+    the chain continues from step p.  One float64 span buffer of
+    (lead + N - p) * size entries, lead = p//2 + 1, holds them: UT, the
+    (N - p, s) transposed uniforms, starts lead rows of s entries in, and
+    the int32 ZT (N+1, s), whose first p + 1 rows are copied from the
+    prefix levels, starts at its beginning.  The uniforms are drawn into
+    a draw block of _BLOCK_BYTES // (8N) rows of N - p, and each block's
     transpose is copied into UT while the block is still in cache; the
     time loop then reads and writes contiguous rows without temporaries.
     Step t >= p reads UT[t - p] and writes ZT[t + 1], which ends at byte
     4 * s * (t + 2), no later than UT[t - p + 1] begins, so ZT only
-    overwrites uniforms already read.  rtab is a `stirling._RatioRows`
-    or a packed band table, read as resident rows.  The chain steps one
-    block of B rows at a time: at its first step a, with levels z, it asks
-    for the block valid on [min z - (steps left in the block), max z], the
-    levels its rows can reach in it, so a span re-rolls each checkpointed
-    block at most once, the prefix's last block included.  z stays on the
-    band, so take(mode="clip") only skips the checked copy.  Returns a copy of
+    overwrites uniforms already read.  The chain steps one block of B
+    rows at a time: at its first step a, with levels z, it asks for the
+    block valid on [min z - (steps left in the block), max z], the levels
+    its rows can reach in it, so a span re-rolls each checkpointed block
+    at most once, the prefix's last block included.  z stays on the band,
+    so take(mode="clip") only skips the checked copy.  Returns a copy of
     reduce(Z) on the survivors, which must have s entries, with False at
     each dropped row, or, without reduce, the (count, N+1) view Z of the
     runner's buffer, which the next span overwrites.
     """
-    rows = rtab if isinstance(rtab, _RatioRows) else _RatioRows(N, n, rtab)
     p, cull = 0, None  # the prefix steps, and the floors they decide
     if isinstance(reduce, _Floors):
         cols, most = N - reduce.xs, min(_PREFIX, N - N % 4)
@@ -239,10 +217,9 @@ def _span_runner(rtab, N, n, stream, size, reduce):
             p, cull = most, (cols[cols <= most], reduce.floors[cols <= most])
     lead = p // 2 + 1
     block = min(size, max(1, _BLOCK_BYTES // (8 * N)))
-    prefix = _mapped(size * p + ((p + 1) * size + 1) // 2)
-    P, levels = prefix[:size * p].reshape(size, p), prefix[size * p:].view(np.int32)
-    span = _mapped((lead + N - p) * size)
-    B = _mapped(block * (N - p)).reshape(block, N - p)
+    P, levels = np.empty((size, p)), np.empty((p + 1) * size, dtype=np.int32)
+    span = np.empty((lead + N - p) * size)
+    B = np.empty((block, N - p))
     thr_row, step_row = np.empty(size), np.empty(size, dtype=bool)
 
     def chain(ZT, UT, t0):
@@ -331,10 +308,11 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     span's buffer, is passed to `reduce`, which must return an array of
     count entries (ValueError otherwise); a copy of it is kept, so it may
     be a view of the span.  The result is those arrays concatenated in
-    trajectory order, and no path matrix is kept: memory is a prefix
-    block of _PREFIX = 32 uniforms and levels a row, one span buffer of at
-    most (N+1) x span float64 (32 MB while N < 15625), a draw block of at
-    most 2 MiB and the reduced outputs.  The built-in reductions
+    trajectory order, and no path matrix is kept: memory is _PREFIX = 32
+    prefix uniforms and 33 int32 prefix levels a row, one span buffer of
+    at most (N+1) x span float64 (32 MB while N < 15625), a draw block of
+    at most 2 MiB and the reduced outputs, all numpy arrays, which
+    tracemalloc counts.  The built-in reductions
     (`sup_distances_of`, and the k-Dyck and window-crossing tests of
     `automata`) are folds over blocks of _FOLD_COLUMNS columns, so each
     adds one column block of the span, _FOLD_COLUMNS x span entries, not a

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,6 +10,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 _acceptance_results = {}
+
+
+def traced_peak(fn, *args, **kw):
+    """(fn(*args, **kw), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kw)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.hookimpl(hookwrapper=True)

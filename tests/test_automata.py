@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -14,6 +13,7 @@ from coupons import (NumericsError, ResourceCapError,
                      surjection_to_diagram)
 from coupons import sampler
 
+from conftest import traced_peak
 from oracles import (accessible_count_reference, completion_path,
                      enumerate_surjective_paths, pollaczek_crossing,
                      walk_max_reference, xi_bisect)
@@ -304,49 +304,37 @@ def test_estimate_accessibility_approaches_constant():
     assert abs(est - acc / surj) <= 4.0 * se
 
 
-def test_estimate_accessibility_memory_flat_in_trials(monkeypatch):
+def test_estimate_accessibility_memory_flat_in_trials():
     # chunks are reduced to Dyck flags and dropped: no (trials, N+1) matrix.
-    # The span buffers sit on mappings that tracemalloc does not see, so
-    # their sizes are recorded as they are made
-    peaks, mapped = [], []
-    mapped_of = sampler._mapped
-    monkeypatch.setattr(sampler, "_mapped",
-                        lambda count: mapped.append(count) or mapped_of(count))
-    for trials in (2000, 8000):
-        tracemalloc.start()
-        try:
-            estimate_accessibility(2, 1000, trials, jobs=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    # A chunk is 1998 rows at N = 2001, so 1998 and 7992 trials run 1 and 4
+    # spans of 1998 rows
+    peaks = [traced_peak(estimate_accessibility, 2, 1000, trials, jobs=1)[1]
+             for trials in (1998, 7992)]
     assert abs(peaks[1] - peaks[0]) < 1e6
-    # trials split into equal spans of at most one chunk (1998 rows at N = 2001):
-    # 2 spans of 1000 rows, then 5 of 1600; each run maps a prefix block of 32
-    # uniforms and 33 int32 levels a row, a span buffer of N + 1 - 16 rows and
-    # one draw block of 2 MiB // (8 N) = 131 rows of the other N - 32 columns
-    assert mapped == [1000 * 32 + 33 * 1000 // 2, 1000 * 1986, 131 * 1969,
-                      1600 * 32 + 33 * 1600 // 2, 1600 * 1986, 131 * 1969]
+    # the peak holds the runner's buffers (34.6 MB): 32 prefix uniforms and
+    # 33 int32 prefix levels a row, a span buffer of N + 1 - 16 float64 rows
+    # and a draw block of 2 MiB // (8 N) = 131 rows of the other N - 32 columns
+    assert min(peaks) > 8 * (1998 * 32 + 1998 * 1986 + 131 * 1969) + 4 * 1998 * 33, peaks
 
 
 def test_estimate_accessibility_above_the_table_budget(monkeypatch):
     # at (12001, 6000) the band would take 275 MiB resident.  Checkpointed,
     # the table is 110 s rows of 6001 floats (5.3 MB) and one block of 110
-    # rows (5.3 MB), whatever the trials: the span buffers sit on mappings
-    # that tracemalloc does not see.  Chunks are 333 rows at N = 12001, so
-    # 400 trials fork two workers at jobs=2
+    # rows (5.3 MB), whatever the trials.  Chunks are 333 rows at N = 12001,
+    # so 333 and 999 trials run 1 and 3 spans of 333 rows, and 400 trials
+    # fork two workers at jobs=2
     monkeypatch.setattr(sampler, "_cpus", lambda: 2)
     estimate_accessibility(2, 50, 10)  # a first batch's one-off allocations
-    peaks, results = [], []
-    for trials in (40, 120):
-        tracemalloc.start()
-        try:
-            results.append(estimate_accessibility(2, 6000, trials, jobs=1))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) < 16e6, peaks
-    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
-    assert estimate_accessibility(2, 6000, 120, jobs=2) == results[1]
+    results, peaks = zip(*(traced_peak(estimate_accessibility, 2, 6000, trials, jobs=1)
+                           for trials in (333, 999)))
+    # the runner's buffers (34.1 MB), as in the test above with N = 12001: a
+    # span buffer of N + 1 - 16 float64 rows and a draw block of
+    # 2 MiB // (8 N) = 21 rows; the bounds are on the rest of the peak
+    spans = 8 * (333 * 32 + 333 * 11986 + 21 * 11969) + 4 * 333 * 33
+    rest = [peak - spans for peak in peaks]
+    assert 0 < min(rest) and max(rest) < 16e6, peaks
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * rest[0], peaks
+    assert estimate_accessibility(2, 6000, 999, jobs=2) == results[1]
     assert (estimate_accessibility(2, 6000, 400, jobs=2)
             == estimate_accessibility(2, 6000, 400, jobs=1))
 

@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import jsonschema
 import pytest
@@ -19,6 +18,8 @@ import coupons
 from coupons.cli import build_parser, main
 from coupons import (chi, curve, korshunov_constant, specialfn, stirling, stirling_exact,
                      transition_error)
+
+from conftest import traced_peak
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -69,12 +70,8 @@ def test_curve_streams_its_csv(tmp_path, monkeypatch):
     c = curve.solve_completion_curve(1.0, 0.2, step=1e-5)
     monkeypatch.setattr(curve, "solve_completion_curve", lambda *args, **kw: c)
     path = tmp_path / "c.csv"
-    tracemalloc.start()
-    try:
-        rc = main(["curve", "--nu", "1", "--a", "0.2", "--step", "1e-5", "--out", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(main, ["curve", "--nu", "1", "--a", "0.2", "--step", "1e-5",
+                                  "--out", str(path)])
     assert rc == 0 and path.stat().st_size > 10 ** 7
     assert peak < 2 ** 21, peak
 

@@ -1,6 +1,5 @@
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from coupons import (NumericsError, curve, curve_to_csv, envelope, f_drift,
                      strip_clearance, sup_distance_batch)
 from coupons.cli import main
 
+from conftest import traced_peak
 from oracles import rk4_path_reference
 
 # frozen from an independent step-1e-6 RK4 with bisection drift
@@ -208,12 +208,7 @@ def test_csv_writer_memory_is_bounded():
         size = 0
 
     c, sink = _synthetic_curve(200000), Sink()
-    tracemalloc.start()
-    try:
-        curve_to_csv(c, sink)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(curve_to_csv, c, sink)
     assert sink.size > 10 * 2 ** 20
     assert peak < 2 * 2 ** 20
 
@@ -250,12 +245,7 @@ def test_perturbed_newton_root_is_caught(monkeypatch):
 
 def test_solver_memory_is_bounded():
     # the path is two arrays of nsteps + 1 floats
-    tracemalloc.start()
-    try:
-        solve_completion_curve(3.0, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(solve_completion_curve, 3.0, 0.5)
     assert peak < 2 * 2 ** 20
 
 

@@ -28,6 +28,7 @@ from coupons.automata import (_dyck_flags, _window_clear, exact_accessible_count
 from coupons.errors import NumericsError, ResourceCapError
 from coupons.sampler import _substreams, auto_backend, sup_distances_of
 
+from conftest import traced_peak
 from oracles import (boltzmann_paths, dense_table, dyck_flags_reference,
                      enumerate_surjective_paths, philox_reference, reachable_states, rejection_paths,
                      reversed_chain_reference, set_partition_count, sup_distances_reference,
@@ -343,29 +344,49 @@ def test_reduce_may_return_a_view_of_the_span(big_batch, cpus8):
             conditioned_paths(N, n, trials, backend=backend, seed=seed, reduce=bad)
 
 
+def _runner_buffers(*args):
+    # a span runner, and the byte sizes of the numpy buffers it allocates
+    tracemalloc.start()
+    try:
+        run = sampler._span_runner(*args)
+        snap = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    snap = snap.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    snap = snap.filter_traces([tracemalloc.Filter(True, sampler.__file__)])
+    return run, sorted(trace.size for trace in snap.traces)
+
+
 def test_blocked_draws_match_the_reference(monkeypatch):
     # draw blocks of 4 rows: spans of 10 (blocks 4, 4, 2), 3 and 4 rows, on
-    # one runner whose buffers are mapped once, for a 10-row span
+    # one runner whose buffers are allocated once, for a 10-row span
     N, n, seed = 40, 17, 8
     monkeypatch.setattr(sampler, "_BLOCK_BYTES", 4 * 8 * N + 7)
-    mapped, mapped_of = [], sampler._mapped
-    monkeypatch.setattr(sampler, "_mapped",
-                        lambda count: mapped.append(count) or mapped_of(count))
-    rtab = auto_backend(N, n).ratio_table(N, n)
-    dense = dense_table(rtab, N, n)
-    run = sampler._span_runner(rtab, N, n, _substreams(seed), 10, None)
+    rows = sampler._ratio_rows(N, n)
+    dense = dense_table(auto_backend(N, n).ratio_table(N, n), N, n)
+    run, sizes = _runner_buffers(rows, N, n, _substreams(seed), 10, None)
     for start, count in ((0, 10), (10, 3), (13, 4)):
         Z = run(start, count)
         assert Z.shape == (count, N + 1)
         for i in range(count):
             assert Z[i].tolist() == reversed_chain_reference(dense, N, n, seed, start + i)
-    # no floors reduction, so no prefix steps: a prefix block of one level a row,
-    # one span buffer and one draw block
-    assert mapped == [(10 + 1) // 2, (N + 1) * 10, 4 * N]
+    # no floors reduction, so no prefix steps: empty prefix draws (numpy
+    # allocates one byte), one int32 prefix level a row, one span buffer of
+    # N + 1 float64 rows, one draw block, and a float and a bool a row for a step
+    assert sizes == sorted([1, 4 * 10, 8 * (N + 1) * 10, 8 * 4 * N, 8 * 10, 10])
     assert np.array_equal(conditioned_paths(N, n, 17, seed=seed)[13:], Z)
-    mapped.clear()
-    sampler._span_runner(rtab, N, n, _substreams(seed), 3, None)(0, 3)
-    assert mapped == [(3 + 1) // 2, (N + 1) * 3, 3 * N]  # no block larger than the span
+    run, sizes = _runner_buffers(rows, N, n, _substreams(seed), 3, None)
+    run(0, 3)
+    # no draw block larger than the span
+    assert sizes == sorted([1, 4 * 3, 8 * (N + 1) * 3, 8 * 3 * N, 8 * 3, 3])
+    # under a floors reduction deciding a row within the first 32 steps: the
+    # floor's column and value, 32 prefix uniforms and 33 levels a row, and a
+    # span buffer of N + 1 - 16 rows holding the other N - 32 steps, drawn in
+    # blocks of 4 rows
+    floors = sampler._Floors(np.array([N - 5]), np.array([n - 3]))
+    _, sizes = _runner_buffers(rows, N, n, _substreams(seed), 10, floors)
+    assert sizes == sorted([8, 8, 8 * 10 * 32, 4 * 10 * 33, 8 * (N + 1 - 16) * 10,
+                            8 * 4 * (N - 32), 8 * 10, 10])
 
 
 def test_rekeyed_substreams_equal_fresh_generators():
@@ -735,12 +756,7 @@ def test_span_reductions_stay_under_a_megabyte():
     for name, reduce in (("sup", lambda: sup_distances_of(Z, c, 4000, 2000)),
                          ("dyck", lambda: _dyck_flags(2, 2000)(Z)),
                          ("window", lambda: _window_clear(2, xs)(Z))):
-        tracemalloc.start()
-        try:
-            reduce()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(reduce)
         assert peak < 1e6, (name, peak)
 
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import pickle
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +16,7 @@ from coupons import stirling
 from coupons.stirling import (_chi_and_transition_error, _explicit_sum, _log_big, _quad,
                               _RatioRows, _rows)
 
+from conftest import traced_peak
 from oracles import (dense_table, explicit_sum_reference, ln_p_mpmath, logdp_table_reference,
                      ratio_table_reference, reachable_states, set_partition_count,
                      tail_abs_reference)
@@ -208,7 +208,7 @@ def test_explicit_sum_memo_is_bounded():
     # only the powers of i <= l // 2 are kept: (l/2)(m-1) log2(l/2) bits;
     # keeping every i <= l would take about twice that
     m, l = 2000, 1000
-    want, peak = _traced_peak(lambda: stirling_exact(m, l))
+    want, peak = traced_peak(stirling_exact, m, l)
     assert want == explicit_sum_reference(m, l)[0]
     memo = (l // 2) * ((m - 1) * math.log2(l // 2) / 8 + 32)
     assert peak <= 1.1 * memo, (peak, memo)
@@ -269,15 +269,6 @@ def test_logdp_ratio_table_matches_scalar_reference(N, n):
         assert not np.any(D[2:, 1])
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("N, n", [(300, 300), (300, 1), (2001, 1000), (2200, 2000),
                                   (300, 0), (0, 0)])
 def test_table_size_is_the_reach_count(N, n):
@@ -292,11 +283,11 @@ def test_table_size_is_the_reach_count(N, n):
 
 
 def test_logdp_memory_is_the_returned_table():
-    R, peak = _traced_peak(lambda: LogDPBackend().ratio_table(2001, 1000))
+    R, peak = traced_peak(LogDPBackend().ratio_table, 2001, 1000)
     assert peak <= R.nbytes + 2 ** 20
     # about half the dense (2002, 1001) grid: a dense table fails here
     assert R.nbytes == 8 * np.count_nonzero(reachable_states(2001, 1000))
-    _, peak = _traced_peak(lambda: surjection_log_probability(4000, 2000))
+    _, peak = traced_peak(surjection_log_probability, 4000, 2000)
     assert peak < 2 ** 20
 
 
