@@ -409,8 +409,8 @@ def sup_distances_of(Z, curve, N, n):
     (_FOLD_COLUMNS, rows) buffer, so the temporaries do not grow with the
     grid; max is exact, so the bits are those of one pass over the grid.
     """
-    if N <= n:
-        raise ValueError("sup_distance: need N > n (Lambda > 0)")
+    if not 1 <= n < N:
+        raise ValueError("sup_distance: need 1 <= n < N (Lambda > 0), got N=%r, n=%r" % (N, n))
     nu = (N - n) / n
     if not abs(curve.nu - nu) <= 1e-9:  # nan fails it too
         raise ValueError("sup_distance: curve nu=%r but (N-n)/n=%r" % (curve.nu, nu))
@@ -454,9 +454,11 @@ def sup_distance_batch(N, n, trials, a, seed=0, jobs=1):
     N = integral("sup_distance_batch: N", N)
     n = integral("sup_distance_batch: n", n)
     trials = integral("sup_distance_batch: trials", trials)
+    if not 1 <= n < N:
+        raise ValueError("sup_distance_batch: need 1 <= n < N, got N=%d, n=%d" % (N, n))
+    if trials < 1:
+        raise ValueError("sup_distance_batch: trials must be >= 1")
     nu = (N - n) / n
-    if nu <= 0.0:
-        raise ValueError("sup_distance_batch: need N > n")
     curve = solve_completion_curve(nu, a, step=1e-3)
     d = conditioned_paths(N, n, trials, seed=seed, jobs=jobs,
                           reduce=lambda Z: sup_distances_of(Z, curve, N, n))

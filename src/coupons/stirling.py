@@ -256,13 +256,10 @@ class LogDPBackend:
     absolute, measured at most 2^-1074, and r(1076, 2) = 5e-324 reads 0.
 
     This is the table the sampler reads at every n (`auto_backend`); the
-    name is that of the log-space DP it replaced.  Its roll (`_roll`,
-    driven up the band by `_band_pass`) is three numpy calls a row: the
-    sums s(m-1, l) + l, formed once, serve as the divisor at l and as the
-    factor (l-1) + s(m-1, l-1) at l + 1, the same IEEE sum either way.
-    It has two consumers: ratio_table, which keeps every row, and the
-    checkpointed `_RatioRows`, which keeps every B-th s row and re-rolls
-    the rest on demand, bit for bit.
+    name is that of the log-space DP it replaced.  Its roll (`_roll`) is
+    three numpy calls a row: the sums s(m-1, l) + l, formed once, serve
+    as the divisor at l and as the factor (l-1) + s(m-1, l-1) at l + 1,
+    the same IEEE sum either way.
     The backend holds no state: a table call's memory is the returned
     table plus three rows of n+1 floats.
     """
@@ -278,8 +275,14 @@ class LogDPBackend:
         n = integral("ratio_table: n", n)
         lo, hi, base, size = _band(N, n)
         R = np.empty(size)
-        for _ in _band_pass(n, lo, hi, R, base):
-            pass
+        s, t = np.zeros(n + 1), np.empty(n + 1)
+        ls = np.arange(n + 1, dtype=float)
+        for m in range(1, N + 1):
+            a, h, b = lo[m], min(hi[m], m - 1), base[m]  # r is empty where h = a - 1
+            _roll(*_roll_views(s, t, ls, a, h), R[b + a:b + h + 1])
+            if m <= n:
+                R[b + m] = 1.0
+                s[m] = m * (m - 1) // 2
         return R
 
 
@@ -308,26 +311,6 @@ def _roll_views(s, t, ls, a, h):
     return s[a - 1:h + 1], t[a - 1:h + 1], ls[a - 1:h + 1], s[a:h + 1], t[a:h + 1], t[a - 1:h]
 
 
-def _band_pass(n, lo, hi, buf, base):
-    """Roll s up the band lo, hi (`_band`), m = 1..N; yield (m, s) after row m.
-
-    r(m, l) goes to buf[base[m] + l] for lo(m) <= l <= min(hi(m), m-1),
-    and r(m, m) = 1 where m <= n.  s is one row of n+1 floats rolled in
-    place: s(m, l) on the band, s(m, m) = C(m, 2), 0 above l = m, and
-    below lo(m) whatever it last held there.
-    """
-    s = np.zeros(n + 1)
-    t = np.empty(n + 1)
-    ls = np.arange(n + 1, dtype=float)
-    for m in range(1, len(lo)):
-        a, h, b = lo[m], min(hi[m], m - 1), base[m]  # r is empty where h = a - 1
-        _roll(*_roll_views(s, t, ls, a, h), buf[b + a:b + h + 1])
-        if m <= n:
-            buf[b + m] = 1.0
-            s[m] = m * (m - 1) // 2
-        yield m, s
-
-
 def _block_steps(N):
     """B, the steps of a checkpointed block: isqrt(N) + 1, at most N."""
     return min(math.isqrt(N) + 1, N)
@@ -344,18 +327,23 @@ class _RatioRows:
 
     Resident (`table`, a packed band table of any backend): one block of
     all N steps, the `_band_rows` views of the table.
-    Checkpointed (no table): one upward pass of LogDP's roll keeps, for
-    each block k, the s row just below it, s(N - (k+1)B, .), and the r
-    rows of the top block in a (B, n+1) buffer, which one scratch row for
-    the other rows' r follows in the same allocation.  That is
-    ceil(N/B) (n+1) + (B+1) (n+1) floats, with B = `_block_steps(N)`.  Any
-    other block, or a wider window of the top one, is re-rolled into the
-    same buffer from its checkpoint, on the fixed slice [w, hi] with
-    w = max(1, lo - B - 1): row j of the block reads s(., w - 1) from the
-    checkpoint, which is stale after the first row, so its entries at
-    levels below about w + (rows rolled before it) are wrong, and B + 1
-    levels of margin keep them below lo.  Every entry in [lo, hi] runs
-    the same IEEE calls on the same operands as in the upward pass.
+    Checkpointed (no table): each block is re-rolled with LogDP's roll
+    into one (B, n+1) buffer from its checkpoint, the s row just below
+    it, s(N - (k+1)B, .).  The checkpoints come from an upward pass of
+    the same re-rolls: from s(0, .) = 0, blocks ceil(N/B) - 1 .. 1 are
+    rolled over their band levels, and the s row each leaves is the
+    checkpoint of the block above.  That is ceil(N/B) (n+1) + B (n+1)
+    floats, with B = `_block_steps(N)`.  A block is rolled on the fixed
+    slice [w, hi] with w = max(1, lo - B - 1): row j of the block reads
+    s(., w - 1) from the checkpoint, which is stale after the first row,
+    so its entries at levels below about w + (rows rolled before it) are
+    wrong, and B + 1 levels of margin keep them below lo.  A checkpoint
+    may be wrong below the band of its row, since the upward pass asks
+    only for band levels; a wrong value moves up at most one level a
+    row, as fast as lo(m) = max(1, m - (N - n)) rises, so it never
+    reaches the band.
+    Every band entry in [lo, hi] runs the same IEEE calls on the same
+    operands as in LogDPBackend.ratio_table.
     """
 
     def __init__(self, N, n, table=None):
@@ -367,18 +355,14 @@ class _RatioRows:
         self.N = N
         B = self.B = _block_steps(N)
         self._ckpt = np.zeros((-(-N // B), n + 1))  # s(N - (k+1)B, .); s(0, .) = 0
-        rows = np.zeros((B + 1, n + 1))  # the block, then one scratch row for the rest
-        self._buf = rows[:B]
-        self._s, self._t = np.empty(n + 1), np.empty(n + 1)
+        self._buf = np.zeros((B, n + 1))  # finite off the levels a block rolls
+        self._s, self._t = np.zeros(n + 1), np.empty(n + 1)
         self._ls = np.arange(n + 1, dtype=float)
-        lo, hi = _band(N, n)[:2]
-        # rows N - B + 1 .. N go to block rows B - 1 .. 0, the rest to the scratch row
-        base = [B * (n + 1)] * (N - B + 1) + list(range((B - 1) * (n + 1), -1, -(n + 1)))
-        for m, s in _band_pass(n, lo, hi, rows.reshape(-1), base):
-            k, j = divmod(N - m, B)
-            if j == 0 and k:
-                self._ckpt[k - 1] = s
-        self._held, self._views = (0, 0, n), list(self._buf[:B])
+        self._held = (-1, 0, -1)  # no block yet
+        for k in range(len(self._ckpt) - 1, 0, -1):  # roll each block's band, bottom up
+            top = N - k * B
+            self.block(k, top - (N - n), min(top, n))
+            self._ckpt[k - 1] = self._s
 
     def block(self, k, lo, hi):
         lo, hi = max(lo, 0), min(hi, self.n)

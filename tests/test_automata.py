@@ -147,6 +147,9 @@ def test_bfs_rejects_marks_outside_the_states():
     for marks in ([1, 0, 1], [1, 5, 1], [1, 1.7, 2]):  # k = 1, n = 2
         with pytest.raises(ValueError, match=r"integers in \[1\.\.n\]"):
             bfs_accessible(marks, 1, 2)
+    for marks in ([1, 2], [1, 2, 1, 1]):  # k = 1, n = 2 needs 3 marks
+        with pytest.raises(ValueError, match=r"need k\*n\+1 marks"):
+            bfs_accessible(marks, 1, 2)
     assert bfs_accessible([1, 2, 1], 1, 2) and not bfs_accessible([1, 1, 2], 1, 2)
 
 
@@ -281,6 +284,9 @@ def test_walk_max_simulation_matches_pi0():
     assert abs(est - walk_max_reference(2, rho, 500)) <= 4.0 * se
     with pytest.raises(ValueError):
         simulate_walk_max(1, 100)
+    for runs, horizon in ((0, 500), (100, 0)):
+        with pytest.raises(ValueError, match="runs and horizon must be >= 1"):
+            simulate_walk_max(2, runs, horizon=horizon)
 
 
 # --- monte carlo accessibility -------------------------------------------------

@@ -129,12 +129,12 @@ def test_stirling_cap_and_override(capsys):
 
 def test_sampler_commands_cap_n_before_the_table(capsys, monkeypatch):
     # bands of N * min(n, N - n + 1) > 5e8 entries are above auto_backend's
-    # cap: exit 4, and nothing is rolled, resident or checkpointed
+    # cap: exit 4, and nothing is rolled, resident or checkpointed (both
+    # routes roll their rows through _roll)
     def no_roll(*args):
-        raise AssertionError("band rolled at %r" % (args[1:],))
+        raise AssertionError("band rolled")
 
-    monkeypatch.setattr(stirling.LogDPBackend, "ratio_table", no_roll)
-    monkeypatch.setattr(stirling, "_band_pass", no_roll)
+    monkeypatch.setattr(stirling, "_roll", no_roll)
     for argv, N, n in ((["korshunov", "--k", "2", "--n", "25000", "--trials", "10"],
                         50001, 25000),
                        (["simulate", "--N", "60001", "--n", "30000", "--trials", "10",
@@ -344,7 +344,7 @@ def test_simulate_backend_choices():
         assert exc.value.code == 2
 
 
-def test_simulate_bad_parameters(capsys):
+def test_simulate_bad_parameters(capsys, monkeypatch):
     assert main(["simulate", "--N", "5", "--n", "10", "--trials", "5",
                  "--a", "0.2"]) == 2
     with pytest.raises(SystemExit) as exc:
@@ -354,6 +354,17 @@ def test_simulate_bad_parameters(capsys):
     assert main(["simulate", "--N", "60", "--n", "30", "--trials", "5",
                  "--a", "0.2", "--seed", "-1"]) == 2
     assert "seed must be in [0, 2^64), got -1" in capsys.readouterr().err
+    for n in ("0", "-3"):  # checked before (N - n)/n is formed
+        assert main(["simulate", "--N", "10", "--n", n, "--trials", "5", "--a", "0.2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: sup_distance_batch: need 1 <= n < N, got N=10, n=%s\n" % n)
+
+    def no_curve(*args, **kw):
+        raise AssertionError("curve solved")
+
+    monkeypatch.setattr(coupons.sampler, "solve_completion_curve", no_curve)
+    assert main(["simulate", "--N", "10", "--n", "5", "--trials", "0", "--a", "0.2"]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
 
 
 def test_seed_of_two_to_the_64_exits_2(capsys):

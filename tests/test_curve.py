@@ -70,6 +70,9 @@ def test_solver_region_and_slope():
     slopes = dy / dx
     assert np.all(slopes > 0.0)
     assert np.all(slopes <= 1.0 + 1e-12)
+    # 1 + nu rounds to 1 at nu = 1e-17, so the slope is taken at lambda = 0: y = x
+    c = solve_completion_curve(1e-17, 0.5)
+    assert np.abs(c.ys - c.xs).max() <= 1e-15
 
 
 @given(st.floats(min_value=0.2, max_value=4.0),

@@ -707,6 +707,8 @@ def test_sup_distance_domain_checks():
     stair = np.arange(5, -1, -1)[None, :]
     with pytest.raises(ValueError, match="Lambda > 0"):
         sup_distances_of(stair, c, 5, 5)  # Lambda = 0
+    with pytest.raises(ValueError, match="1 <= n < N"):
+        sup_distances_of(Z, c, 15, 0)  # n = 0, before (N - n)/n
 
 
 def test_sup_distance_needs_n_plus_one_columns():
@@ -938,8 +940,8 @@ def test_prefix_law_digests():
 
 @pytest.mark.parametrize("steps", [None, 7])
 def test_prefix_law_reads_the_checkpointed_rows(monkeypatch, steps):
-    # the walk over the top rows of the upward pass (and, at B = 7, over
-    # re-rolled blocks below them) gives the resident table's bytes
+    # the walk over the top block, re-rolled from its checkpoint (and, at
+    # B = 7, over the blocks below it), gives the resident table's bytes
     shapes = [(12, 11, 12), (40, 20, 14), (2000, 1000, 16), (2001, 1000, 20)]
     wants = [prefix_law(*shape) for shape in shapes]
     _no_resident_table(monkeypatch, steps)

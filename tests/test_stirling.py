@@ -291,13 +291,15 @@ def test_logdp_memory_is_the_returned_table():
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("N, n", [(61, 60), (200, 1), (601, 300), (2001, 1000), (4001, 2000)])
+@pytest.mark.parametrize("N, n", [(2, 1), (3, 2), (61, 60), (200, 1), (601, 300),
+                                  (2001, 1000), (4001, 2000)])
 @pytest.mark.parametrize("steps", [None, 7])
 def test_checkpointed_rows_equal_the_resident_table(N, n, steps, monkeypatch):
     # LogDP's resident table, and every row a checkpointed block hands out,
-    # kept from the upward pass or re-rolled from a checkpoint, on its band
-    # levels inside the window asked for, hold the bits of the four-call
-    # roll, a frozen copy in the oracles.  B = 7 makes up to 572 short blocks
+    # each re-rolled from its checkpoint, on its band levels inside the
+    # window asked for, hold the bits of the four-call roll, a frozen copy
+    # in the oracles.  B = 7 makes up to 572 short blocks; at (2, 1) B = N,
+    # so the upward pass rolls no block, and (3, 2) rolls a partial one
     if steps is not None:
         monkeypatch.setattr(stirling, "_block_steps", lambda N: steps)
     R = logdp_table_reference(N, n)
