@@ -17,14 +17,16 @@ u_i = C(l,i) i^(m-1) and s_i = (-1)^(l-i),
     a = Sum s_i u_i = l! {m-1 l},     b = Sum s_i i u_i = l! {m l},
 
 so one power i^(m-1) per i serves both sums, {m l} = b // l!, and by
-the recurrence r(m,l) = {m-1 l-1}/{m l} = (b - l a)/b.  The powers come
-from a smallest-prime-factor sieve: a big power for each prime i, one
-product p^(m-1) (i/p)^(m-1) for each composite i with smallest prime
-factor p.  Both factors are at most l/2, so only the powers of
-i <= l // 2 are kept, about (l/2)(m-1) log2(l/2) bits (7.4 MB at
-(5000, 2500)).  Single values and single ratios share this pass, and
-chi, transition_error and each point of the `stirling --verify` grid
-are one pass and one xi solve.
+the recurrence r(m,l) = {m-1 l-1}/{m l} = (b - l a)/b.  Only odd i need
+a power: an even i = 2^z o with o odd adds C(l,i) o^(m-1) shifted left
+by z(m-1) bits.  The odd powers come from a smallest-prime-factor sieve:
+a big power for each odd prime i, one product p^(m-1) (i/p)^(m-1) for
+each odd composite i with smallest prime factor p.  Every power read is
+of an odd number at most l/2, so only those are kept, about
+(l/4)(m-1) log2(l/2) bits (3.8 MB traced at (5000, 2500), half of what
+keeping every i <= l/2 took).  Single values and single ratios share
+this pass, and chi, transition_error and each point of the
+`stirling --verify` grid are one pass and one xi solve.
 
 On top of the raw numbers this module evaluates the transition ratio
 r(m,l) = {m-1 l-1}/{m l} of the reversed collector chain, the
@@ -133,23 +135,30 @@ def _smallest_prime_factors(l):
 def _explicit_sum(m, l):
     """({m l}, r(m, l)) for 1 <= l <= m, from one pass of the explicit sum.
 
-    i^(m-1) is a power for prime i and pw[p] * pw[i // p] for composite i
-    with smallest prime factor p; both factors are <= l // 2, the only
-    powers pw keeps.
+    An even i = 2^z o with o odd gives
+    C(l,i) i^(m-1) = (C(l,i) o^(m-1)) << z(m-1), so only odd i need a
+    power: a big power for prime i and pw[p] * pw[i // p] for composite i
+    with smallest prime factor p.
+    Every power read is of an odd o <= l // 2, the only powers pw keeps
+    (3.8 MB traced at (5000, 2500)).
     """
     a = (-1) ** l if m == 1 else 0  # i = 0 adds (-1)^l 0^(m-1) to a (0^0 = 1), 0 to b
     b = 0
     c = 1  # C(l, i)
     half = l // 2
     spf = _smallest_prime_factors(l)
-    pw = [1] * (half + 1)  # pw[i] = i^(m-1) for i <= l // 2
+    pw = [1] * (half // 2 + 1)  # pw[o // 2] = o^(m-1) for odd o <= l // 2
     for i in range(1, l + 1):
         c = c * (l - i + 1) // i
-        p = spf[i]
-        q = i ** (m - 1) if p == i else pw[p] * pw[i // p]
-        if i <= half:
-            pw[i] = q
-        u = c * q
+        z = (i & -i).bit_length() - 1  # 2^z exactly divides i
+        if z:
+            u = (c * pw[i >> (z + 1)]) << z * (m - 1)  # pw[o // 2], o = i >> z
+        else:
+            p = spf[i]
+            q = i ** (m - 1) if p == i else pw[p >> 1] * pw[i // p >> 1]
+            if i <= half:
+                pw[i >> 1] = q
+            u = c * q
         if (l - i) % 2 == 0:
             a += u
             b += i * u
@@ -494,17 +503,30 @@ def surjection_log_probability(N, n):
     Only the band max(0, t - (N - n)) <= y <= min(t, n) of levels that can
     still reach n by draw N is kept.  One level leaves it at each of the
     last n draws: with d the mass left below the band and s the rest,
-    ln P gains log1p(-d/(s+d)) <= 0.  Nothing cancels, so ln P <= 0.  A
-    small s is rescaled by a power of two, which keeps every d/(s+d), and
-    a d below 2^-1022 counts as 0, so a ln P that rounds to 0 is 0.0.
+    ln P gains log1p(-d/(s+d)) <= 0.  Nothing cancels, so ln P <= 0.  The
+    law is kept times a power of two, which keeps every d/(s+d): whenever s
+    falls below 2^968 it is rescaled into [2^999, 2^1000), the top of the
+    float64 range, so the band's smallest levels keep about 2^2000 of range
+    below s before they underflow.  A draw starts from the s the draw
+    before kept, so s + d >= 2^968 and a subnormal d adds 0: a ln P that
+    rounds to 0 is 0.0.
 
     Relative error against inclusion-exclusion in mpmath: 2.1e-16 at
     (3001, 1500), 8e-15 at (10^4, 1000), 1.6e-13 at (3001, 5), 1.8e-13 at
-    (10^5, 500) and 1.2e-12 at (10^5, 5000); exactly 0.0 at (10^5, 5) and
-    (10^5, 50).  Time on a 2-core Xeon: 0.010 s at (3001, 1500), 0.11 s at
-    (10^5, 5), 0.51 s at (10^5, 500) and 3.8 s at (10^5, 5000).  The
-    per-draw overhead bounds N: ResourceCapError above N = 10^5, and
-    above 5 * 10^8 band entries N * min(n, N - n + 1).
+    (10^5, 500), 1.2e-12 at (10^5, 5000), and at most 1.1e-15 at
+    (2750, 2500), (4001, 3000), (5501, 5000), (10001, 5000) and
+    (12001, 6000); exactly 0.0 at (10^5, 5) and (10^5, 50).  Against this
+    forward law in 80-bit extended precision (which matches mpmath to the
+    last bit at these n >= 2500 and at the two n = 8000 shapes below), over
+    n = 1000, 2000, ..., 8000 and 10^4 with (N - n)/n from 0.001 to 9 and
+    at most 1.5e8 band entries: at most 1.5e-13 for n <= 7000.  Where the
+    law on the band spans more than about 2^2000, its smallest levels are
+    lost: 1.6e-10 at (9600, 8000), 1.3e-7 at (12000, 8000), 1.1e-12 at
+    (11000, 10^4) and 3.4e-3 at (15000, 10^4).  Time on a 2-core Xeon:
+    0.010 s at (3001, 1500), 0.11 s at (10^5, 5), 0.51 s at (10^5, 500)
+    and 3.8 s at (10^5, 5000).  The per-draw overhead bounds N:
+    ResourceCapError above N = 10^5, and above 5 * 10^8 band entries
+    N * min(n, N - n + 1).
     """
     N = integral("surjection_log_probability: N", N)
     n = integral("surjection_log_probability: n", n)
@@ -517,8 +539,8 @@ def surjection_log_probability(N, n):
     k = N - n  # draws before the first level leaves the band
     y = np.arange(n + 1)
     stay, up = y / n, (n - y) / n
-    v = np.zeros(n + 1)  # the law of y on the band, up to a power of two
-    v[0] = 1.0
+    v = np.zeros(n + 1)  # the law of y on the band, times a power of two
+    v[0] = 2.0 ** 1000  # near the top of the float64 range, so underflow comes last
     u = np.empty(n)  # the mass that moves up, by its level before the draw
     # draws 1..k keep y <= w = min(n, k), and no mass moves up from w before draw k + 1
     w = min(n, k)
@@ -535,11 +557,10 @@ def surjection_log_probability(N, n):
         np.multiply(v[a:b + 1], stay[a:b + 1], out=v[a:b + 1])
         np.add(v[a + 1:c + 2], u[a:c + 1], out=v[a + 1:c + 2])
         d = v.item(a)
-        d = d if d >= 2.0 ** -1022 else 0.0  # else a ln P that rounds to 0 ends at -5e-324s
         s = float(v[a + 1:c + 2].sum())
         lnp += math.log1p(-d / (s + d))
-        if s < 2.0 ** -500:
-            v[a + 1:c + 2] *= math.ldexp(1.0, -math.frexp(s)[1])
+        if s < 2.0 ** 968:
+            v[a + 1:c + 2] *= math.ldexp(1.0, 1000 - math.frexp(s)[1])
     return lnp
 
 

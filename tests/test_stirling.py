@@ -192,25 +192,36 @@ def test_explicit_sum_matches_recurrence():
 
 
 def test_explicit_sum_matches_one_power_per_term():
-    # i^(m-1) from the smallest-prime-factor sieve (a product of two kept
-    # powers for composite i) gives the integers of one power per i
+    # i^(m-1) from the odd-only sieve (a product of two kept odd powers for
+    # odd composite i, a shifted odd power for even i) gives the integers of
+    # one power per i
     grid = [(int(round((1.0 + lam) * l)), l)
             for lam in (0.5, 1.0, 2.0) for l in (50, 100, 200, 400)]
     small = [(m, l) for l in (1, 2, 3, 4, 8, 9, 16, 25, 27, 32)  # prime powers, l // 2 edge
              for m in sorted({l, l + 1, 2 * l + 3, 5 * l})]
     ends = [(1, 1), (7, 7), (300, 300), (300, 1), (301, 2), (40, 1)]  # m = l and m = 1
-    points = grid + small + ends + [(3001, 997)]
+    low = [(2, 1), (2, 2)]  # m = 2, where a shift z(m-1) is z; m = 1, (1, 1), is above
+    twos = [(m, l) for l in (64, 128, 256, 512, 1024)  # i = 2^z o up to z = 10
+            for m in (l, l + 1, 2 * l + 1, 3 * l)]
+    points = grid + small + ends + low + twos + [(3001, 997)]
     for m, l in points:
         assert _explicit_sum(m, l) == explicit_sum_reference(m, l), (m, l)
 
 
+@given(st.integers(min_value=1, max_value=150).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(min_value=1, max_value=m))))
+def test_explicit_sum_matches_one_power_per_term_property(ml):
+    m, l = ml  # 1 <= l <= m <= 150
+    assert _explicit_sum(m, l) == explicit_sum_reference(m, l)
+
+
 def test_explicit_sum_memo_is_bounded():
-    # only the powers of i <= l // 2 are kept: (l/2)(m-1) log2(l/2) bits;
-    # keeping every i <= l would take about twice that
+    # only the powers of odd o <= l // 2 are kept, about
+    # (l/4)(m-1) log2(l/2) bits; keeping every i <= l // 2 would take twice that
     m, l = 2000, 1000
     want, peak = traced_peak(stirling_exact, m, l)
     assert want == explicit_sum_reference(m, l)[0]
-    memo = (l // 2) * ((m - 1) * math.log2(l // 2) / 8 + 32)
+    memo = (l // 2 + 1) // 2 * ((m - 1) * math.log2(l // 2) / 8 + 32)
     assert peak <= 1.1 * memo, (peak, memo)
 
 
@@ -413,14 +424,32 @@ def test_surjection_probability_trivial():
         surjection_log_probability(3, 4)
 
 
+# ln_p_mpmath values of the shapes where it takes more than a few seconds (2-core
+# Xeon), each made by
+#   PYTHONPATH=src python3 -c "import sys; sys.path.insert(0, 'tests');
+#       from oracles import ln_p_mpmath; print(repr(ln_p_mpmath(N, n)))"
+# and matched to 1e-14 by ln(n! {N n}) - N ln n from stirling_exact(N, n, cap=N)
+LN_P_MPMATH = {(5501, 5000): -3660.089395731216,  # 8.7 s
+               (10001, 5000): -895.7091671331231,  # 9.6 s
+               (12001, 6000): -1074.9485401718146,  # 13.9 s
+               (9600, 8000): -4732.711099607166,  # 22.8 s
+               (12000, 8000): -2846.2039282892983}  # 26.3 s
+_OUT_OF_RANGE = pytest.mark.xfail(strict=True, reason="the band's law spans more than "
+                                  "float64's exponent range (ROADMAP item 22)")
+
+
 # N = n, N = n + 1, N = 2n + 1, n = 1, P near 1 (ln P = -7.4e-291 at (3001, 5),
-# -5.7e-85 at (10^5, 500)), nu = (N - n)/n = 0.1 and the ldp --nu 1 chain
+# -5.7e-85 at (10^5, 500)), nu = (N - n)/n = 0.1 and the ldp --nu 1 chain; from
+# n = 2500 on, shapes where a law rescaled near 1 lost its smallest levels to underflow
 @pytest.mark.parametrize("N, n", [(3, 3), (41, 20), (50, 25), (300, 1), (300, 300), (301, 300),
                                   (400, 200), (600, 300), (2000, 2000), (2001, 1000),
                                   (2001, 2000), (2200, 2000), (3001, 5), (3001, 1500),
-                                  (4000, 2000), (4001, 2001), (10 ** 4, 1000), (10 ** 5, 500)])
+                                  (4000, 2000), (4001, 2001), (10 ** 4, 1000), (10 ** 5, 500),
+                                  (2750, 2500), (4001, 3000), (5501, 5000), (10001, 5000),
+                                  (12001, 6000), pytest.param(9600, 8000, marks=_OUT_OF_RANGE),
+                                  pytest.param(12000, 8000, marks=_OUT_OF_RANGE)])
 def test_surjection_probability_matches_inclusion_exclusion(N, n):
-    want = ln_p_mpmath(N, n)
+    want = LN_P_MPMATH[N, n] if (N, n) in LN_P_MPMATH else ln_p_mpmath(N, n)
     got = surjection_log_probability(N, n)
     assert got <= 0.0
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
