@@ -23,12 +23,13 @@ A batch splits into ceil(trials / chunk) spans of rows whose sizes
 differ by at most one; with jobs > 1 a count above one is rounded up to
 a multiple of jobs, and the spans run in forked worker processes.  Each
 span re-keys one Philox bit generator per trajectory.  `_span_runner`
-allocates a batch's span buffers as plain numpy arrays, steps a span
-one block of rows at a time, and culls rows early under a floors
-reduction (`_Floors`: the k-Dyck and window tests of `automata`); no
-byte of any output depends on the cull.  `conditioned_paths` states
-what a caller gets, and the memory a batch with `reduce=` holds
-whatever the number of trials.
+allocates a batch's span buffer and draw block as plain numpy arrays
+and has one route that draws and steps a span's rows, a block at a
+time; under a floors reduction (`_Floors`: the k-Dyck and window tests
+of `automata`) it takes that route twice, culling rows after the first
+_PREFIX steps.  No byte of any output depends on the cull.
+`conditioned_paths` states what a caller gets, and the memory a batch
+with `reduce=` holds whatever the number of trials.
 """
 
 import os
@@ -179,55 +180,58 @@ def _span_runner(rows, N, n, stream, size, reduce):
     on the ratio rows `rows`, a `stirling._RatioRows`.
 
     count <= size.  The buffers are numpy arrays allocated when the runner
-    is built and reused by every span it runs.
+    is built and reused by every span it runs: the float64 span buffer of
+    (N+1) * size entries, the draw block and two step rows.
+    The span buffer holds, for w rows, the int32 levels ZT (N+1, w) from
+    its beginning and the uniform of step t for the w rows at floats
+    w(t+1) .. w(t+2).  ZT[t+1] ends at byte 4w(t+2), no later than the
+    uniforms of step t begin, so the chain overwrites only uniforms
+    already read.  walk(start, keep, ZT, t0, t1) runs steps t0 .. t1-1 of
+    rows start + keep: row i draws them from stream(i, t0) of `_substreams`
+    into a draw block of _BLOCK_BYTES // (8N) rows, and each block's
+    transpose is copied into the span buffer while the block is still in
+    cache, so the time loop reads and writes contiguous rows without
+    temporaries.  The chain steps one block of B rows at a time: at its
+    first step a, with levels z, it asks for the block valid on
+    [min z - (steps left in the block), max z], the levels its rows can
+    reach in it, so a span re-rolls each checkpointed block at most once,
+    the prefix's last block included.  z stays on the band, so
+    take(mode="clip") only skips the checked copy.
     The prefix: under a `_Floors` reduction with a floor at a reversed
     step <= p, p = _PREFIX or N rounded down to a multiple of 4 below
-    that, each row i draws its first p uniforms from stream(i) of
-    `_substreams` into P, the (size, p) float64 prefix draws, and the
-    chain runs p steps on all rows, reading P's columns, into the int32
-    prefix levels (p+1, count).  A row then below such a floor is final
-    as False and is dropped.  Under any other reduction, or none, p = 0
-    and every row survives.
-    The rest: the s survivors draw their other N - p uniforms from
-    stream(i, p), so each row still reads its own sub-stream in order, and
-    the chain continues from step p.  One float64 span buffer of
-    (lead + N - p) * size entries, lead = p//2 + 1, holds them: UT, the
-    (N - p, s) transposed uniforms, starts lead rows of s entries in, and
-    the int32 ZT (N+1, s), whose first p + 1 rows are copied from the
-    prefix levels, starts at its beginning.  The uniforms are drawn into
-    a draw block of _BLOCK_BYTES // (8N) rows of N - p, and each block's
-    transpose is copied into UT while the block is still in cache; the
-    time loop then reads and writes contiguous rows without temporaries.
-    Step t >= p reads UT[t - p] and writes ZT[t + 1], which ends at byte
-    4 * s * (t + 2), no later than UT[t - p + 1] begins, so ZT only
-    overwrites uniforms already read.  The chain steps one block of B
-    rows at a time: at its first step a, with levels z, it asks for the
-    block valid on [min z - (steps left in the block), max z], the levels
-    its rows can reach in it, so a span re-rolls each checkpointed block
-    at most once, the prefix's last block included.  z stays on the band,
-    so take(mode="clip") only skips the checked copy.  Returns a copy of
-    reduce(Z) on the survivors, which must have s entries, with False at
-    each dropped row, or, without reduce, the (count, N+1) view Z of the
-    runner's buffer, which the next span overwrites.
+    that, all rows walk the first p steps.  A row then below such a floor
+    is final as False and is dropped, and the s survivors' levels are laid
+    out again at stride s to walk the other N - p steps, so each row still
+    reads its own sub-stream in order.  Under any other reduction, or
+    none, p = 0 and every row survives.  Returns a copy of reduce(Z) on
+    the survivors, which must have s entries, with False at each dropped
+    row, or, without reduce, the (count, N+1) view Z of the runner's
+    buffer, which the next span overwrites.
     """
     p, cull = 0, None  # the prefix steps, and the floors they decide
     if isinstance(reduce, _Floors):
         cols, most = N - reduce.xs, min(_PREFIX, N - N % 4)
         if (cols <= most).any():
             p, cull = most, (cols[cols <= most], reduce.floors[cols <= most])
-    lead = p // 2 + 1
     block = min(size, max(1, _BLOCK_BYTES // (8 * N)))
-    P, levels = np.empty((size, p)), np.empty((p + 1) * size, dtype=np.int32)
-    span = np.empty((lead + N - p) * size)
-    B = np.empty((block, N - p))
+    span, draws = np.empty((N + 1) * size), np.empty(block * N)
     thr_row, step_row = np.empty(size), np.empty(size, dtype=bool)
 
-    def chain(ZT, UT, t0):
-        # steps t0 .. t1 - 1, step t reading UT[t - t0] and row t - kB of block k
-        if not ZT.shape[1]:
+    def levels(w):
+        return span.view(np.int32)[:(N + 1) * w].reshape(N + 1, w)
+
+    def walk(start, keep, ZT, t0, t1):
+        w = len(keep)
+        if not w:
             return  # every row was culled
-        thr, step = thr_row[:ZT.shape[1]], step_row[:ZT.shape[1]]
-        t1 = t0 + len(UT)
+        UT = span[w * (t0 + 1):w * (t1 + 1)].reshape(t1 - t0, w)
+        D = draws[:block * (t1 - t0)].reshape(block, t1 - t0)
+        for i0 in range(0, w, block):
+            c = min(block, w - i0)
+            for j, i in enumerate(keep[i0:i0 + c].tolist()):
+                stream(start + i, t0).random(out=D[j])
+            np.copyto(UT[:, i0:i0 + c], D[:c].T)
+        thr, step = thr_row[:w], step_row[:w]
         for k in range(t0 // rows.B, -(-t1 // rows.B)):
             k0, k1 = k * rows.B, k * rows.B + rows.B  # the steps of block k
             a, e = max(t0, k0), min(t1, k1)
@@ -240,24 +244,16 @@ def _span_runner(rows, N, n, stream, size, reduce):
                 z = z1
 
     def run(start, count):
-        ZP = levels[:(p + 1) * count].reshape(p + 1, count)
-        ZP[0] = n
-        keep = np.arange(count)
+        keep, ZT = np.arange(count), levels(count)
+        ZT[0] = n
         if cull is not None:
-            for j in range(count):
-                stream(start + j).random(out=P[j])
-            chain(ZP, P[:count].T, 0)
-            keep = np.flatnonzero(_above_floors(ZP.T, *cull))
+            walk(start, keep, ZT, 0, p)
+            keep = np.flatnonzero(_above_floors(ZT[:p + 1].T, *cull))
+            prefix = ZT[:p + 1, keep]  # a copy, laid out again at stride s
+            ZT = levels(len(keep))
+            ZT[:p + 1] = prefix
+        walk(start, keep, ZT, p, N)
         s = len(keep)
-        UT = span[lead * s:(lead + N - p) * s].reshape(N - p, s)
-        for i0 in range(0, s, block):
-            c = min(block, s - i0)
-            for j, i in enumerate(keep[i0:i0 + c].tolist()):
-                stream(start + i, p).random(out=B[j])
-            np.copyto(UT[:, i0:i0 + c], B[:c].T)
-        ZT = span.view(np.int32)[:(N + 1) * s].reshape(N + 1, s)
-        np.take(ZP, keep, axis=1, out=ZT[:p + 1])
-        chain(ZT, UT, p)
         if reduce is None:
             return ZT.T
         out = np.array(reduce(ZT.T))  # a copy: a view of ZT would not outlive the span
@@ -308,19 +304,18 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     span's buffer, is passed to `reduce`, which must return an array of
     count entries (ValueError otherwise); a copy of it is kept, so it may
     be a view of the span.  The result is those arrays concatenated in
-    trajectory order, and no path matrix is kept: memory is _PREFIX = 32
-    prefix uniforms and 33 int32 prefix levels a row, one span buffer of
-    at most (N+1) x span float64 (32 MB while N < 15625), a draw block of
-    at most 2 MiB and the reduced outputs, all numpy arrays, which
-    tracemalloc counts.  The built-in reductions
-    (`sup_distances_of`, and the k-Dyck and window-crossing tests of
-    `automata`) are folds over blocks of _FOLD_COLUMNS columns, so each
-    adds one column block of the span, _FOLD_COLUMNS x span entries, not a
-    temporary the size of the span.  The k-Dyck and window tests are
-    floors reductions (`_Floors`): a span may decide rows False within
-    the first _PREFIX reversed steps (`_span_runner`), and `reduce` then
-    sees only the other rows.  The flags are those of the full path
-    matrix.
+    trajectory order, and no path matrix is kept: memory is one span
+    buffer of (N+1) x span float64 (32 MB while N < 15625), which holds
+    the uniforms and int32 levels of every step, a draw block of at most
+    2 MiB and the reduced outputs, all numpy arrays, which tracemalloc
+    counts.  The built-in reductions (`sup_distances_of`, and the k-Dyck
+    and window-crossing tests of `automata`) are folds over blocks of
+    _FOLD_COLUMNS columns, so each adds one column block of the span,
+    _FOLD_COLUMNS x span entries, not a temporary the size of the span.
+    The k-Dyck and window tests are floors reductions (`_Floors`): a span
+    may decide rows False within the first _PREFIX reversed steps
+    (`_span_runner`), and `reduce` then sees only the other rows.  The
+    flags are those of the full path matrix.
 
     `jobs` is first capped at the number of CPUs this process may use.
     With jobs > 1 and more than one span, the span count is rounded up to
@@ -328,12 +323,11 @@ def conditioned_paths(N, n, trials, backend=None, seed=0, jobs=1, reduce=None):
     in min(jobs, spans) worker processes forked from this one: the ratio rows and `reduce`
     reach them copy-on-write as the pool initializer's arguments, which
     fork does not pickle, and each sends back only its reduced arrays
-    (its int32 rows without `reduce`).  Each worker holds one prefix
-    block, one span buffer and one draw block, and writes its own copy of
-    a checkpointed table's block, and the workers have exited when this
-    returns; an exception raised in a worker is re-raised here.  Where
-    the platform cannot fork, the spans run serially in this process,
-    with the same output.
+    (its int32 rows without `reduce`).  Each worker holds one span buffer
+    and one draw block, and writes its own copy of a checkpointed table's
+    block, and the workers have exited when this returns; an exception
+    raised in a worker is re-raised here.  Where the platform cannot
+    fork, the spans run serially in this process, with the same output.
     Python 3.12 and later warn when forking a process that runs threads,
     as numpy's OpenBLAS pool does.
     """

@@ -16,7 +16,9 @@ bisection xi (`pollaczek_crossing`), and the saddle integral's tail mass
 from mpmath quadrature on graded panels (`tail_abs_reference`, not
 Gauss-Legendre), reference roots xi from 50-digit Newton in mpmath
 (`xi_mpmath`), ln P(T_n <= N) by inclusion-exclusion in mpmath
-(`ln_p_mpmath`, not the forward law), and dense views of packed ratio
+(`ln_p_mpmath`, not the forward law), the completion curve's
+sample-path action by scipy quadrature on the closed form with the
+bisection xi (`path_action`, not `rate_j`), and dense views of packed ratio
 tables placed by the reach mask (`dense_table`, not the library's row
 bases).  The exceptions are `xi_via_lambertw`, the Lambert-W
 closed form built on the library's own `lambert_w0` (a second route to
@@ -531,6 +533,28 @@ def rate_j_reference(xi, dps=50):
         lnb = mpmath.log(mpmath.expm1(x))
         val = (x / (1 - mpmath.exp(-x))) * (1 - x + lnb) - lnb
         return float(val)
+
+
+def path_action(nu):
+    """The sample-path action of the completion curve, I = int_0^{1+nu}
+    KL(zeta' || 1 - zeta) dx, KL the Bernoulli relative entropy.
+
+    On the closed form zeta = -expm1(-theta x)/theta, theta = xi/(1+nu)
+    with the bisection xi: zeta' = e^{-theta x}, 1 - zeta = 1 +
+    expm1(-theta x)/theta, and (1 - zeta')/zeta = theta exactly.  scipy
+    quad to 1e-13 relative (no absolute tolerance), so small nu, where I
+    is tiny, is not lost to an absolute floor.  At large nu, 1 - zeta
+    near x = 1 + nu can round below 0 (ValueError from log1p at nu = 19).
+    """
+    from scipy.integrate import quad
+    theta = xi_bisect(nu) / (1.0 + nu)
+    ln_theta = math.log(theta)
+
+    def kl(x):
+        e = math.expm1(-theta * x)  # zeta' - 1
+        return (1.0 + e) * (-theta * x - math.log1p(e / theta)) - e * ln_theta
+
+    return quad(kl, 0.0, 1.0 + nu, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 def rk4_reference(nu, a, step):

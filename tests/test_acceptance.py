@@ -174,12 +174,14 @@ def test_criterion_09():
     t0 = time.monotonic()
     j = rate_j(xi_of_lambda(1.0))
     gaps = []
-    for n in (50, 100, 200):
+    # up to n = 5000: from n ~ 2500 the forward law spans more than the
+    # float range, so a lost rescale shows as a gap that stops falling
+    for n in (50, 100, 200, 1000, 2000, 5000):
         lnp = surjection_log_probability(2 * n, n)
         gap = abs(lnp / n + j)
         assert gap <= 10.0 / n
         gaps.append(gap)
-    assert gaps[0] > gaps[1] > gaps[2]
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
     assert time.monotonic() - t0 < 10.0
 
 

@@ -317,10 +317,9 @@ def test_estimate_accessibility_memory_flat_in_trials():
     peaks = [traced_peak(estimate_accessibility, 2, 1000, trials, jobs=1)[1]
              for trials in (1998, 7992)]
     assert abs(peaks[1] - peaks[0]) < 1e6
-    # the peak holds the runner's buffers (34.6 MB): 32 prefix uniforms and
-    # 33 int32 prefix levels a row, a span buffer of N + 1 - 16 float64 rows
-    # and a draw block of 2 MiB // (8 N) = 131 rows of the other N - 32 columns
-    assert min(peaks) > 8 * (1998 * 32 + 1998 * 1986 + 131 * 1969) + 4 * 1998 * 33, peaks
+    # the peak holds the runner's buffers (34.1 MB): a span buffer of N + 1
+    # float64 rows and a draw block of 2 MiB // (8 N) = 131 rows of N columns
+    assert min(peaks) > 8 * (1998 * 2002 + 131 * 2001), peaks
 
 
 def test_estimate_accessibility_above_the_table_budget(monkeypatch):
@@ -333,10 +332,10 @@ def test_estimate_accessibility_above_the_table_budget(monkeypatch):
     estimate_accessibility(2, 50, 10)  # a first batch's one-off allocations
     results, peaks = zip(*(traced_peak(estimate_accessibility, 2, 6000, trials, jobs=1)
                            for trials in (333, 999)))
-    # the runner's buffers (34.1 MB), as in the test above with N = 12001: a
-    # span buffer of N + 1 - 16 float64 rows and a draw block of
-    # 2 MiB // (8 N) = 21 rows; the bounds are on the rest of the peak
-    spans = 8 * (333 * 32 + 333 * 11986 + 21 * 11969) + 4 * 333 * 33
+    # the runner's buffers (34.0 MB), as in the test above with N = 12001: a
+    # span buffer of N + 1 float64 rows and a draw block of 2 MiB // (8 N) =
+    # 21 rows; the bounds are on the rest of the peak
+    spans = 8 * (333 * 12002 + 21 * 12001)
     rest = [peak - spans for peak in peaks]
     assert 0 < min(rest) and max(rest) < 16e6, peaks
     assert abs(peaks[1] - peaks[0]) <= 0.1 * rest[0], peaks

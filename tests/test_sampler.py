@@ -364,29 +364,43 @@ def test_blocked_draws_match_the_reference(monkeypatch):
     monkeypatch.setattr(sampler, "_BLOCK_BYTES", 4 * 8 * N + 7)
     rows = sampler._ratio_rows(N, n)
     dense = dense_table(auto_backend(N, n).ratio_table(N, n), N, n)
+    paths = np.array([reversed_chain_reference(dense, N, n, seed, i) for i in range(17)],
+                     dtype=np.int32)
+    spans = ((0, 10), (10, 3), (13, 4))
     run, sizes = _runner_buffers(rows, N, n, _substreams(seed), 10, None)
-    for start, count in ((0, 10), (10, 3), (13, 4)):
+    for start, count in spans:
         Z = run(start, count)
-        assert Z.shape == (count, N + 1)
-        for i in range(count):
-            assert Z[i].tolist() == reversed_chain_reference(dense, N, n, seed, start + i)
-    # no floors reduction, so no prefix steps: empty prefix draws (numpy
-    # allocates one byte), one int32 prefix level a row, one span buffer of
-    # N + 1 float64 rows, one draw block, and a float and a bool a row for a step
-    assert sizes == sorted([1, 4 * 10, 8 * (N + 1) * 10, 8 * 4 * N, 8 * 10, 10])
+        assert _same_bits(np.ascontiguousarray(Z), paths[start:start + count])
+    # one span buffer of N + 1 float64 rows, one draw block of N columns, and
+    # a float and a bool a row for a step
+    assert sizes == sorted([8 * (N + 1) * 10, 8 * 4 * N, 8 * 10, 10])
     assert np.array_equal(conditioned_paths(N, n, 17, seed=seed)[13:], Z)
     run, sizes = _runner_buffers(rows, N, n, _substreams(seed), 3, None)
     run(0, 3)
     # no draw block larger than the span
-    assert sizes == sorted([1, 4 * 3, 8 * (N + 1) * 3, 8 * 3 * N, 8 * 3, 3])
-    # under a floors reduction deciding a row within the first 32 steps: the
-    # floor's column and value, 32 prefix uniforms and 33 levels a row, and a
-    # span buffer of N + 1 - 16 rows holding the other N - 32 steps, drawn in
-    # blocks of 4 rows
-    floors = sampler._Floors(np.array([N - 5]), np.array([n - 3]))
-    _, sizes = _runner_buffers(rows, N, n, _substreams(seed), 10, floors)
-    assert sizes == sorted([8, 8, 8 * 10 * 32, 4 * 10 * 33, 8 * (N + 1 - 16) * 10,
-                            8 * 4 * (N - 32), 8 * 10, 10])
+    assert sizes == sorted([8 * (N + 1) * 3, 8 * 3 * N, 8 * 3, 3])
+    # under a floors reduction with a floor at reversed step 5, within the
+    # first 32, and one at step 35: the same buffers and the decided floor's
+    # column and value.  The prefix draws through the same blocks of 4 rows,
+    # and each span culls some rows and keeps others
+    seen = []
+
+    class Recording(sampler._Floors):
+        def __call__(self, Z):
+            seen.append(Z.copy())
+            return super().__call__(Z)
+
+    xs, floors = np.array([N - 5, 5]), np.array([n, 5])
+    run, sizes = _runner_buffers(rows, N, n, _substreams(seed), 10, Recording(xs, floors))
+    assert sizes == sorted([8, 8, 8 * (N + 1) * 10, 8 * 4 * N, 8 * 10, 10])
+    full = sampler._Floors(xs, floors)(paths)
+    kept = paths[:, 5] >= n
+    for start, count in spans:
+        flags = run(start, count)
+        assert _same_bits(flags, full[start:start + count])
+        survivors = paths[start:start + count][kept[start:start + count]]
+        assert _same_bits(seen[-1], survivors) and 0 < len(survivors) < count
+    assert 0 < full.sum() < kept.sum()
 
 
 def test_rekeyed_substreams_equal_fresh_generators():

@@ -9,7 +9,7 @@ from coupons import (NumericsError, curve, f_drift, g_theta, rate_j, saddle_para
                      tail_h, xi_of_lambda)
 from coupons.specialfn import _xi_newton, lambert_w0
 
-from oracles import (fd_derivatives_123_4, rate_j_reference, xi_bisect,
+from oracles import (fd_derivatives_123_4, path_action, rate_j_reference, xi_bisect,
                      xi_mpmath, xi_newton_reference, xi_via_lambertw)
 
 XI_1 = xi_bisect(1.0)  # independent bisection value of xi(1)
@@ -273,6 +273,15 @@ def test_rate_j_decreasing_positive_vanishing():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             rate_j(bad)
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.2, 0.5, 1.0, 2.0, 4.0])
+def test_rate_j_is_the_action_of_the_completion_curve(nu):
+    # min over paths of the sample-path rate, attained on zeta(nu, .), is the
+    # rate J of T_n <= (1+nu) n: the criterion-9 rate from the criterion-12
+    # curve.  At nu = 19 (J = 2.1e-9) quad's own error floor dominates
+    j = rate_j(xi_of_lambda(nu))
+    assert abs(path_action(nu) - j) <= 1e-12 * j
 
 
 # --- tail_h -------------------------------------------------------------
