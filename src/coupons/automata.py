@@ -177,7 +177,7 @@ def simulate_walk_max(k, runs, horizon=500, seed=0):
     hits = 0
     done = 0
     while done < runs:
-        m = min(20000, runs - done)
+        m = min(max(1, (1 << 20) // horizon), runs - done)  # about 2^20 cells, 16 B each
         u = rng.random((m, horizon))
         steps = np.where(u < rho, np.int32(k - 1), np.int32(-1))
         smax = np.cumsum(steps, axis=1, dtype=np.int32).max(axis=1)

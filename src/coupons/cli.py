@@ -161,11 +161,12 @@ def cmd_ldp(args):
         raise ValueError("ldp: nu must be > 0")
     xi = xi_of_lambda(args.nu)
     j = rate_j(xi)
+    # the whole grid is checked before the first forward law, which can take seconds
+    if min(args.n) < 1:
+        raise ValueError("ldp: n must be >= 1")
+    grid = [(n, _chain_length(args.nu, n)) for n in args.n]
     lines = ["# format_version=1", "n,lnP_over_n,minus_J,gap"]
-    for n in args.n:
-        if n < 1:
-            raise ValueError("ldp: n must be >= 1")
-        N = _chain_length(args.nu, n)
+    for n, N in grid:
         lnp = stirling.surjection_log_probability(N, n)
         rate = lnp / n
         # 0.0 - j: +0 where -j would print -0, when J underflows to 0

@@ -43,16 +43,12 @@ _CSV_BLOCK = 4096
 
 
 def patient_curve(t):
-    """zeta_inf(t) = 1 - e^{-t} for t >= 0; accepts scalars or arrays."""
-    if np.ndim(t) == 0:
-        t = float(t)
-        if not t >= 0.0:  # nan fails it too
-            raise ValueError("patient_curve: negative time %r" % t)
-        return -math.expm1(-t)
+    """zeta_inf(t) = 1 - e^{-t} for t >= 0; a float for a scalar, else an array."""
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):
-        raise ValueError("patient_curve: negative or nan time in array")
-    return -np.expm1(-t)
+    if not np.all(t >= 0.0):  # nan fails it too
+        raise ValueError("patient_curve: negative or nan time %r" % float(t.min()))
+    z = -np.expm1(-t)  # scalars too: math.expm1 can differ from numpy's in the last bit
+    return float(z) if z.ndim == 0 else z
 
 
 def envelope(nu, x):

@@ -499,16 +499,18 @@ def surjection_log_probability(N, n):
     """ln P(T_n <= N) = ln(n! {N n} n^-N) for the patient collector.
 
     Pushes the law of y, the number of distinct labels seen, from y = 0
-    through N draws; a draw takes y to y + 1 with probability (n - y)/n.
-    Only the band max(0, t - (N - n)) <= y <= min(t, n) of levels that can
-    still reach n by draw N is kept.  One level leaves it at each of the
-    last n draws: with d the mass left below the band and s the rest,
-    ln P gains log1p(-d/(s+d)) <= 0.  Nothing cancels, so ln P <= 0.  The
-    law is kept times a power of two, which keeps every d/(s+d): whenever s
-    falls below 2^968 it is rescaled into [2^999, 2^1000), the top of the
-    float64 range, so the band's smallest levels keep about 2^2000 of range
-    below s before they underflow.  A draw starts from the s the draw
-    before kept, so s + d >= 2^968 and a subnormal d adds 0: a ln P that
+    through the N draws in one loop; a draw takes y to y + 1 with
+    probability (n - y)/n.  Before draw t + 1 only the band
+    max(t - k, 0) <= y <= min(max(t, k), n), k = N - n, of levels that can
+    still reach n by draw N is kept: the first k draws keep [0, min(n, k)],
+    zero above t, and one level leaves it at each of the last n draws.
+    With d the mass left below the band and s the rest, ln P gains
+    log1p(-d/(s+d)) <= 0.  Nothing cancels, so ln P <= 0.  The law is kept
+    times a power of two, which keeps every d/(s+d): whenever s falls below
+    2^968 it is rescaled into [2^999, 2^1000), the top of the float64
+    range, so the band's smallest levels keep about 2^2000 of range below s
+    before they underflow.  A draw starts from the s the draw before kept,
+    so s + d >= 2^968 and a subnormal d adds 0: a ln P that
     rounds to 0 is 0.0.
 
     Relative error against inclusion-exclusion in mpmath: 2.1e-16 at
@@ -542,25 +544,22 @@ def surjection_log_probability(N, n):
     v = np.zeros(n + 1)  # the law of y on the band, times a power of two
     v[0] = 2.0 ** 1000  # near the top of the float64 range, so underflow comes last
     u = np.empty(n)  # the mass that moves up, by its level before the draw
-    # draws 1..k keep y <= w = min(n, k), and no mass moves up from w before draw k + 1
-    w = min(n, k)
-    v0, v1, vw, uw, upw, stayw = v[:w], v[1:w + 1], v[:w + 1], u[:w], up[:w], stay[:w + 1]
-    for _ in range(k):
-        np.multiply(v0, upw, out=uw)
-        np.multiply(vw, stayw, out=vw)
-        np.add(v1, uw, out=v1)
     lnp = 0.0
-    for a in range(n):  # draw k + 1 + a takes the band from [a, b] to [a + 1, c + 1]
-        b = min(k + a, n)
-        c = min(b, n - 1)
-        np.multiply(v[a:c + 1], up[a:c + 1], out=u[a:c + 1])
-        np.multiply(v[a:b + 1], stay[a:b + 1], out=v[a:b + 1])
-        np.add(v[a + 1:c + 2], u[a:c + 1], out=v[a + 1:c + 2])
-        d = v.item(a)
-        s = float(v[a + 1:c + 2].sum())
-        lnp += math.log1p(-d / (s + d))
-        if s < 2.0 ** 968:
-            v[a + 1:c + 2] *= math.ldexp(1.0, 1000 - math.frexp(s)[1])
+    for t in range(N):  # draw t + 1 takes the band [a, b] to [a + (t >= k), c + 1]
+        if t == 0 or t >= k:  # the band moves; before draw k + 1 the zeros above t stay zero
+            a, b = max(t - k, 0), min(max(t, k), n)
+            c = min(b, n - 1)
+            low, low_up, moved = v[a:c + 1], up[a:c + 1], u[a:c + 1]
+            band, band_stay, high = v[a:b + 1], stay[a:b + 1], v[a + 1:c + 2]
+        np.multiply(low, low_up, out=moved)
+        np.multiply(band, band_stay, out=band)
+        np.add(high, moved, out=high)
+        if t >= k:  # level a leaves the band
+            d = v.item(a)
+            s = float(high.sum())
+            lnp += math.log1p(-d / (s + d))
+            if s < 2.0 ** 968:
+                high *= math.ldexp(1.0, 1000 - math.frexp(s)[1])
     return lnp
 
 

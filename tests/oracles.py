@@ -535,7 +535,7 @@ def rate_j_reference(xi, dps=50):
         return float(val)
 
 
-def path_action(nu):
+def path_action(nu, eps=0.0, bump=None):
     """The sample-path action of the completion curve, I = int_0^{1+nu}
     KL(zeta' || 1 - zeta) dx, KL the Bernoulli relative entropy.
 
@@ -545,16 +545,23 @@ def path_action(nu):
     quad to 1e-13 relative (no absolute tolerance), so small nu, where I
     is tiny, is not lost to an absolute floor.  At large nu, 1 - zeta
     near x = 1 + nu can round below 0 (ValueError from log1p at nu = 19).
+    With bump = (psi, dpsi, lo, hi), psi and psi' zero off [lo, hi], it is
+    the action of zeta + eps psi instead, with lo and hi as quad points.
     """
     from scipy.integrate import quad
     theta = xi_bisect(nu) / (1.0 + nu)
     ln_theta = math.log(theta)
+    psi, dpsi, lo, hi = bump or (None, None, 0.0, 0.0)
 
     def kl(x):
         e = math.expm1(-theta * x)  # zeta' - 1
-        return (1.0 + e) * (-theta * x - math.log1p(e / theta)) - e * ln_theta
+        if not lo < x < hi:
+            return (1.0 + e) * (-theta * x - math.log1p(e / theta)) - e * ln_theta
+        p, q = 1.0 + e + eps * dpsi(x), 1.0 + e / theta - eps * psi(x)
+        return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
-    return quad(kl, 0.0, 1.0 + nu, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return quad(kl, 0.0, 1.0 + nu, epsabs=0.0, epsrel=1e-13, limit=200,
+                points=(lo, hi) if bump else None)[0]
 
 
 def rk4_reference(nu, a, step):

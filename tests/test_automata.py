@@ -7,7 +7,7 @@ import pytest
 from coupons import (NumericsError, ResourceCapError,
                      bfs_accessible, dyck_check,
                      estimate_accessibility, estimate_middle_crossing,
-                     exact_accessible_count, korshunov_constant,
+                     exact_accessible_count, f_drift, korshunov_constant,
                      korshunov_report, simulate_walk_max, stirling_exact,
                      strip_clearance, structure_from_diagram,
                      surjection_to_diagram)
@@ -15,7 +15,7 @@ from coupons import sampler
 
 from conftest import traced_peak
 from oracles import (accessible_count_reference, completion_path,
-                     enumerate_surjective_paths, pollaczek_crossing,
+                     enumerate_surjective_paths, philox_reference, pollaczek_crossing,
                      walk_max_reference, xi_bisect)
 
 PI0_K2 = 0.7449990250840247
@@ -287,6 +287,22 @@ def test_walk_max_simulation_matches_pi0():
     for runs, horizon in ((0, 500), (100, 0)):
         with pytest.raises(ValueError, match="runs and horizon must be >= 1"):
             simulate_walk_max(2, runs, horizon=horizon)
+
+
+def test_walk_max_memory_is_flat_in_the_horizon():
+    # chunks of about 2^20 cells at 16 B a cell; 20000-run chunks traced 138 MiB
+    _, peak = traced_peak(simulate_walk_max, 2, 3000, horizon=3000)
+    assert peak < 24 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("runs, horizon, seed", [(1000, 3000, 2), (700, 500, 5),
+                                                 (2, (1 << 20) + 1, 9)])
+def test_walk_max_reads_one_stream_in_order(runs, horizon, seed):
+    # chunked by cells, the stream is read in the order of one (runs, horizon) draw
+    u = philox_reference(seed, 0).random((runs, horizon))
+    steps = np.where(u < f_drift(1.0), 1, -1)
+    hits = int((np.cumsum(steps, axis=1).max(axis=1) <= 0).sum())
+    assert simulate_walk_max(2, runs, horizon=horizon, seed=seed)[0] == hits / runs
 
 
 # --- monte carlo accessibility -------------------------------------------------

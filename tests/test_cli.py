@@ -425,6 +425,17 @@ def test_ldp_bad_parameters():
     assert main(["ldp", "--nu", "1", "--n", "0"]) == 2
 
 
+@pytest.mark.parametrize("nu, n, message", [("19", "5000,0", "ldp: n must be >= 1"),
+                                            ("1e300", "1,1000000000", "(1 + lambda) * l overflows")])
+def test_ldp_checks_the_whole_grid_first(monkeypatch, capsys, nu, n, message):
+    # the forward law for n = 5000 at nu = 19 takes seconds; a bad later n answers first
+    def forward_law(*args):
+        raise AssertionError("forward law run before the grid was checked")
+    monkeypatch.setattr(stirling, "surjection_log_probability", forward_law)
+    assert main(["ldp", "--nu", nu, "--n", n]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_ldp_caps_the_log_space_route(capsys):
     # N = 5000005 would run the forward law for minutes; 1e300 never ends
     for nu in ("1e6", "1e300"):

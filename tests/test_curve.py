@@ -35,6 +35,13 @@ def test_patient_curve_values():
             patient_curve(bad)
 
 
+def test_patient_curve_scalar_matches_array():
+    # one route: math.expm1 and numpy's expm1 differ in the last bit at some of these t
+    for t in np.linspace(0.0, 30.0, 3001):
+        got = patient_curve(float(t))
+        assert type(got) is float and got == patient_curve(np.array([t]))[0], t
+
+
 def test_solver_anchor_and_golden_points():
     c = solve_completion_curve(1.0, 0.2)
     assert c.xs[0] == 2.0 and c.ys[0] == 1.0

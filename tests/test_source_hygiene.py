@@ -1,10 +1,12 @@
 """Dead code in `src/coupons`, found from the syntax trees alone.
 
-Two kinds are flagged: an import a module never uses, and a module-level
+Three kinds are flagged: an import a module never uses, a module-level
 private name (a function, class or constant whose name starts with one
-underscore) that no code in the package loads.  Tests and the benchmark
-do not count as users: a private helper kept only for them is dead in
-the library.  The check parses each module with `ast` and imports none.
+underscore) that no code in the package loads, and a parameter other
+than `self` or `cls` that its function or lambda never reads (a knob
+accepted, then dropped).  Tests and the benchmark do not count as
+users: a private helper kept only for them is dead in the library.  The
+check parses each module with `ast` and imports none.
 """
 
 import ast
@@ -74,3 +76,19 @@ def test_every_private_module_name_is_loaded():
             dead += ["%s:%d %s" % (name, node.lineno, d) for d in defined
                      if d.startswith("_") and not d.startswith("__") and d not in loaded]
     assert dead == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += ["%s:%d %s" % (name, node.lineno, p.arg) for p in params
+                       if p.arg not in read and p.arg not in ("self", "cls")]
+    assert unread == []

