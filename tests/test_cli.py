@@ -436,6 +436,17 @@ def test_ldp_checks_the_whole_grid_first(monkeypatch, capsys, nu, n, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nu, n, message", [("19", "2000,6000", "exceeds cap 100000"),
+                                            ("1", "5,50000", "exceeds cap 500000000")])
+def test_ldp_checks_every_cap_before_the_first_forward_law(monkeypatch, capsys, nu, n, message):
+    # n = 2000 at nu = 19 took 0.9 s before n = 6000 (N = 120000) met the N cap
+    def forward_law(*args):
+        raise AssertionError("forward law run before the grid's caps were checked")
+    monkeypatch.setattr(stirling, "surjection_log_probability", forward_law)
+    assert main(["ldp", "--nu", nu, "--n", n]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_ldp_caps_the_log_space_route(capsys):
     # N = 5000005 would run the forward law for minutes; 1e300 never ends
     for nu in ("1e6", "1e300"):

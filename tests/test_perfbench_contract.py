@@ -4,11 +4,18 @@
 name, and `perfbench/layers.py` calls library functions at fixed shapes.
 A rename or a signature change there breaks `run.py --trace 1` and
 `run.py --layers` without failing any other test, so both files are
-loaded here by path (unchanged) and exercised at tiny shapes.
+loaded here by path (unchanged) and exercised at tiny shapes.  The
+workloads' full-size output bytes are checked against
+`perfbench/digests.json` here too, so a byte change fails a test before
+it fails a bench run.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 import os
 
 import pytest
@@ -28,6 +35,7 @@ def _load(name):
 
 tracer = _load("tracer")
 layers = _load("layers")
+workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("layer, modname, attr",
@@ -62,3 +70,17 @@ def test_tracer_counts_the_cli_workloads(tmp_path):
 @pytest.mark.parametrize("name", sorted(layers.CASES))
 def test_layer_case_runs_at_tiny_shape(name):
     assert layers.time_case(name, tiny=True) >= 0.0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_bytes_match_the_full_size_digest(name):
+    # each call's stdout captured as perfbench/worker.py::run_iteration captures it
+    with open(os.path.join(BENCH_DIR, "digests.json")) as f:
+        want = json.load(f)["full"][name]
+    outputs = []
+    for argv in workloads.WORKLOADS[name]().calls(workloads.DEFAULT_SEED):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert coupons.cli.main(argv) == 0, argv
+        outputs.append(buf.getvalue().encode())
+    assert hashlib.sha256(b"".join(outputs)).hexdigest() == want

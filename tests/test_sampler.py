@@ -12,6 +12,7 @@ import textwrap
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -502,21 +503,23 @@ def exact_law_from_table(N, n):
     return out
 
 
+def _decrement_counts(cnt, N):
+    """Word counts of enumerated forward paths, by the decrement pattern of z."""
+    out = Counter()
+    for path, c in cnt.items():
+        y = (0,) + path
+        # z decrements at step t
+        out[sum(1 << t for t in range(N) if y[N - t - 1] < y[N - t])] += c
+    return out
+
+
 @pytest.mark.parametrize("N,n", [(5, 2), (6, 3), (7, 3)])
 def test_markov_law_equals_enumeration(N, n):
     law = exact_law_from_table(N, n)
     assert abs(sum(law.values()) - 1.0) <= 1e-12
     cnt, total = enumerate_surjective_paths(N, n)
     assert total == math.factorial(n) * _stirling(N, n)
-    # convert enumerated forward paths to decrement patterns of z
-    ref = {}
-    for path, c in cnt.items():
-        y = (0,) + path
-        patt = 0
-        for t in range(N):
-            if y[N - t - 1] < y[N - t]:  # z decrements at step t
-                patt |= 1 << t
-        ref[patt] = c / total
+    ref = {patt: c / total for patt, c in _decrement_counts(cnt, N).items()}
     assert set(ref) == set(law)
     for patt, p in ref.items():
         assert abs(law[patt] - p) <= 1e-12
@@ -937,6 +940,23 @@ def test_prefix_law_is_within_the_table_bound_of_the_exact_walk():
         walk = _prefix_law_dense(N, n, s, R)
         exact = prefix_law(N, n, s)[0]
         assert np.all(np.abs(exact - walk) <= s * (4 * N + 2) * 2.0 ** -53 * walk), (N, n, s)
+
+
+def test_prefix_law_matches_word_enumeration():
+    # every 1 <= n < N <= 7 and s <= N against the law of the first s decrements
+    # over all n^N words; a pattern no word takes has exact +0.0
+    for N in range(2, 8):
+        for n in range(1, N):
+            cnt, total = enumerate_surjective_paths(N, n)
+            counts = _decrement_counts(cnt, N)
+            for s in range(1, N + 1):
+                want = [0] * (1 << s)
+                for patt, c in counts.items():
+                    want[patt & ((1 << s) - 1)] += c
+                bound = Fraction(s * (4 * N + 2), 2 ** 53)
+                for got, c in zip(prefix_law(N, n, s)[0].tolist(), want):
+                    w = Fraction(c, total)
+                    assert abs(Fraction(got) - w) <= bound * w, (N, n, s)
 
 
 def test_prefix_law_digests():

@@ -9,8 +9,8 @@ from coupons import (NumericsError, curve, f_drift, g_theta, rate_j, saddle_para
                      tail_h, xi_of_lambda)
 from coupons.specialfn import _xi_newton, lambert_w0
 
-from oracles import (fd_derivatives_123_4, path_action, rate_j_reference, xi_bisect,
-                     xi_mpmath, xi_newton_reference, xi_via_lambertw)
+from oracles import (fd_derivatives_123_4, path_action, path_action_mp, rate_j_reference,
+                     xi_bisect, xi_mpmath, xi_newton_reference, xi_via_lambertw)
 
 XI_1 = xi_bisect(1.0)  # independent bisection value of xi(1)
 
@@ -267,6 +267,15 @@ def test_rate_j_two_forms_agree():
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
+def test_rate_j_relative_error_over_its_whole_range():
+    # ln of the rounded 1 - e^-xi read J 1.4e-7 high at xi = 20 (ldp --nu 19) and
+    # xi e^-xi for J from xi = 50.  J's condition number is xi, and the cancelling
+    # sum costs about that many ulps; up to 708, where e^-xi leaves the normal range
+    for xi in np.geomspace(0.05, 708.0, 400):
+        want = rate_j_reference(xi)
+        assert abs(rate_j(xi) - want) <= (1e-14 + xi * 2.0 ** -52) * want, xi
+
+
 def test_rate_j_decreasing_positive_vanishing():
     assert rate_j(1.0) > rate_j(2.0) > rate_j(4.0) > 0.0
     assert 0.0 < rate_j(30.0) < 30.0 * math.exp(-30.0) * 2.0
@@ -275,13 +284,15 @@ def test_rate_j_decreasing_positive_vanishing():
             rate_j(bad)
 
 
-@pytest.mark.parametrize("nu", [0.05, 0.2, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("nu", [0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 19.0])
 def test_rate_j_is_the_action_of_the_completion_curve(nu):
     # min over paths of the sample-path rate, attained on zeta(nu, .), is the
     # rate J of T_n <= (1+nu) n: the criterion-9 rate from the criterion-12
-    # curve.  At nu = 19 (J = 2.1e-9) quad's own error floor dominates
+    # curve.  At nu = 19 (J = 2.1e-9) the float integrand's 1 - zeta cancels
+    # and rounds below 0 near x = 1 + nu, so that action is taken in mpmath
     j = rate_j(xi_of_lambda(nu))
-    assert abs(path_action(nu) - j) <= 1e-12 * j
+    action = path_action_mp(nu) if nu > 4.0 else path_action(nu)
+    assert abs(action - j) <= 1e-12 * j
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
@@ -315,8 +326,12 @@ def test_tail_h_values():
 # --- g_theta ------------------------------------------------------------
 
 def test_g_at_zero_is_one():
+    # a complex-by-real division through the reciprocal once gave 0.9999999999999999
     for lam in (0.3, 1.0, 4.0):
         assert g_theta(lam, 0.0) == 1.0 + 0.0j
+        assert g_theta(lam, np.array(0.0)) == 1.0 + 0.0j
+        assert g_theta(lam, np.array([0.0]))[0] == 1.0 + 0.0j
+        assert g_theta(lam, np.array([-0.5, 0.0, 2.0]))[1] == 1.0 + 0.0j
 
 
 def test_g_domain_errors():
@@ -328,10 +343,15 @@ def test_g_domain_errors():
 
 
 def test_g_array_matches_scalar():
-    th = np.linspace(-3.0, 3.0, 11)
-    arr = g_theta(1.0, th)
-    for t, v in zip(th, arr):
-        assert abs(v - g_theta(1.0, float(t))) <= 1e-15
+    # one numpy route: a scalar theta gets the bits it gets inside a longer array
+    th = np.linspace(-math.pi, math.pi, 3001)
+    for lam in (0.3, 0.5, 1.0, 2.0, 4.0):
+        arr = g_theta(lam, th)
+        scalars = np.array([g_theta(lam, float(t)) for t in th])
+        singles = np.concatenate([g_theta(lam, np.array([t])) for t in th])
+        assert scalars.tobytes() == arr.tobytes(), lam
+        assert singles.tobytes() == arr.tobytes(), lam
+        assert g_theta(lam, th[:3000].reshape(3, 1000, 1)).tobytes() == arr[:3000].tobytes()
 
 
 def test_g_modulus_bound_lambda_one():
