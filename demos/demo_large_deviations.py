@@ -5,9 +5,9 @@ How unlikely is finishing early?
 P(T_n <= N) = n! {N n} / n^N decays exponentially in n at fixed
 nu = (N-n)/n; the rate J comes out of the same saddle point xi that
 drives the Stirling asymptotics.  ln P(T_n <= N) itself comes from the
-patient collector's forward law, a float recurrence in which nothing
-cancels, so the convergence can be watched digit by digit; at n = 25 it
-is checked against the big-integer value.
+saddle-point integral read as a Cauchy integral, in which no Stirling
+number cancels, so the convergence can be watched digit by digit; at
+n = 25 it is checked against the big-integer value.
 """
 
 import math
@@ -33,7 +33,7 @@ for lam in (0.5, 1.0, 2.0):
 
 nu = 1.0
 j = rate_j(xi_of_lambda(nu))
-print("\nP(T_n <= 2n) from the forward law, against the predicted e^{-nJ} decay (J=%.8f):" % j)
+print("\nP(T_n <= 2n) from the Cauchy integral, against the predicted e^{-nJ} decay (J=%.8f):" % j)
 print("  %6s %16s %16s %12s" % ("n", "ln P / n", "-J", "gap"))
 for n in (25, 50, 100, 200, 400):
     lnp = surjection_log_probability(2 * n, n)

@@ -21,8 +21,8 @@ v = stirling_exact(200, 100)
 print("\n{200 100} has %d digits; leading digits %s..."
       % (len(str(v)), str(v)[:12]))
 
-# the patient collector's forward law gives ln{N n} = ln P - ln n! + N ln n in floats
-print("forward law ln{200 100} = %.12f  (exact %.12f)"
+# ln P(T_n <= N) gives ln{N n} = ln P - ln n! + N ln n in floats
+print("float ln{200 100} = %.12f  (exact %.12f)"
       % (surjection_log_probability(200, 100) - math.lgamma(101) + 200 * math.log(100),
          math.log(v)))
 

@@ -8,7 +8,7 @@ subcommands split the seed into one sub-stream per trajectory, so
 Exit codes: 0 ok, 2 bad parameters/usage, 3 I/O failure, 4 numeric
 failure.  Floats print at 17 significant digits in text output; JSON
 uses shortest round-trip floats (lossless either way).  The ldp CSV
-starts with a "# format_version=1" line.
+starts with a "# format_version=2" line.
 The environment variable COUPONS_OUTPUT_DIR, when set, is prepended to
 relative --out paths.
 """
@@ -161,12 +161,11 @@ def cmd_ldp(args):
         raise ValueError("ldp: nu must be > 0")
     xi = xi_of_lambda(args.nu)
     j = rate_j(xi)
-    # the whole grid, caps too, is checked before the first forward law, which can take seconds
+    # every n and chain length of the grid is checked before the first ln P
     if min(args.n) < 1:
         raise ValueError("ldp: n must be >= 1")
     grid = [(_chain_length(args.nu, n), n) for n in args.n]
-    grid = [stirling._surjection_shape(N, n) for N, n in grid]
-    lines = ["# format_version=1", "n,lnP_over_n,minus_J,gap"]
+    lines = ["# format_version=2", "n,lnP_over_n,minus_J,gap"]
     for N, n in grid:
         lnp = stirling.surjection_log_probability(N, n)
         rate = lnp / n

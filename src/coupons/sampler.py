@@ -39,18 +39,19 @@ import time
 import numpy as np
 
 from .curve import solve_completion_curve
-from .errors import integral
+from .errors import ResourceCapError, integral
 from .specialfn import f_drift
-from .stirling import LogDPBackend, _band, _check_band, _RatioRows
+from .stirling import LogDPBackend, _band, _RatioRows
 
 _TABLE_BUDGET = 16 << 20  # bytes: a larger default band table is checkpointed, not kept
+_BAND_CAP = 5 * 10 ** 8  # band entries: the chain's ratio rows roll at most this many
 
 
 def auto_backend(N, n):
     """The default ratio table: `LogDPBackend`'s.
 
-    ResourceCapError, before any roll, where the band of (N, n) holds
-    over 5 * 10^8 entries (`surjection_log_probability`'s cap).
+    ResourceCapError, before any roll, where the band of (N, n),
+    N * min(n, N - n + 1) entries, holds over _BAND_CAP = 5 * 10^8.
     `ExactBackend`, whose ratios are the nearest doubles, is the
     reference and is used only when passed as `backend=`.
 
@@ -65,7 +66,10 @@ def auto_backend(N, n):
     Sum_{m=1}^{N} (4m+4)u = (2N^2 + 6N)u: 8.1e-11 at N = 601, 8.9e-10
     at N = 2001.
     """
-    _check_band("auto_backend", N, n)
+    band = N * min(n, N - n + 1)
+    if band > _BAND_CAP:
+        raise ResourceCapError("auto_backend: N=%d, n=%d rolls %d band entries, which exceeds "
+                               "cap %d" % (N, n, band, _BAND_CAP))
     return LogDPBackend()
 
 

@@ -174,9 +174,9 @@ def test_criterion_09():
     t0 = time.monotonic()
     j = rate_j(xi_of_lambda(1.0))
     gaps = []
-    # up to n = 5000: from n ~ 2500 the forward law spans more than the
-    # float range, so a lost rescale shows as a gap that stops falling
-    for n in (50, 100, 200, 1000, 2000, 5000):
+    # up to n = 10^5, ln P's cap: a route that loses digits as n grows shows
+    # as a gap that stops falling (n gap is about 0.26 throughout)
+    for n in (50, 100, 200, 1000, 2000, 5000, 10 ** 4, 2 * 10 ** 4, 5 * 10 ** 4, 10 ** 5):
         lnp = surjection_log_probability(2 * n, n)
         gap = abs(lnp / n + j)
         assert gap <= 10.0 / n

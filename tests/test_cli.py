@@ -409,7 +409,7 @@ def test_ldp_table(tmp_path):
     rc, text = run_out(["ldp", "--nu", "1", "--n", "50,100"], tmp_path, "l.csv")
     assert rc == 0
     lines = text.strip().split("\n")
-    assert lines[:2] == ["# format_version=1", "n,lnP_over_n,minus_J,gap"]
+    assert lines[:2] == ["# format_version=2", "n,lnP_over_n,minus_J,gap"]
     r50 = [float(v) for v in lines[2].split(",")]
     r100 = [float(v) for v in lines[3].split(",")]
     assert r50[0] == 50 and r100[0] == 100
@@ -428,38 +428,43 @@ def test_ldp_bad_parameters():
 @pytest.mark.parametrize("nu, n, message", [("19", "5000,0", "ldp: n must be >= 1"),
                                             ("1e300", "1,1000000000", "(1 + lambda) * l overflows")])
 def test_ldp_checks_the_whole_grid_first(monkeypatch, capsys, nu, n, message):
-    # the forward law for n = 5000 at nu = 19 takes seconds; a bad later n answers first
-    def forward_law(*args):
-        raise AssertionError("forward law run before the grid was checked")
-    monkeypatch.setattr(stirling, "surjection_log_probability", forward_law)
+    # a bad later n answers before the first ln P is computed
+    def ln_p(*args):
+        raise AssertionError("ln P computed before the grid was checked")
+    monkeypatch.setattr(stirling, "surjection_log_probability", ln_p)
     assert main(["ldp", "--nu", nu, "--n", n]) == 2
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nu, n, message", [("19", "2000,6000", "exceeds cap 100000"),
-                                            ("1", "5,50000", "exceeds cap 500000000")])
-def test_ldp_checks_every_cap_before_the_first_forward_law(monkeypatch, capsys, nu, n, message):
-    # n = 2000 at nu = 19 took 0.9 s before n = 6000 (N = 120000) met the N cap
-    def forward_law(*args):
-        raise AssertionError("forward law run before the grid's caps were checked")
-    monkeypatch.setattr(stirling, "surjection_log_probability", forward_law)
+@pytest.mark.parametrize("nu, n", [("1", "100001"), ("19", "2000,100001")])
+def test_ldp_caps_n(capsys, nu, n):
+    # ln P's bound is measured up to n = 10^5, the one cap left
     assert main(["ldp", "--nu", nu, "--n", n]) == 4
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=100001 exceeds cap 100000" in captured.err
 
 
-def test_ldp_caps_the_log_space_route(capsys):
-    # N = 5000005 would run the forward law for minutes; 1e300 never ends
+def test_ldp_answers_any_nu(capsys):
+    # N = 5000005 and N = 5e300: a few inclusion-exclusion terms, not N draws
     for nu in ("1e6", "1e300"):
-        assert main(["ldp", "--nu", nu, "--n", "5"]) == 4
-        assert "exceeds cap 100000" in capsys.readouterr().err
+        t0 = time.perf_counter()
+        assert main(["ldp", "--nu", nu, "--n", "5"]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        assert float(capsys.readouterr().out.split("\n")[2].split(",")[1]) <= 0.0
 
 
-def test_ldp_caps_the_band_size(capsys):
-    # N = 10^5 and n = 50000 would roll 5e9 band entries; the cap answers before the roll
+@pytest.mark.parametrize("nu, n", [("19", "5000,6000"), ("1", "50000")])
+def test_ldp_runs_the_heavy_cases_fast(capsys, nu, n):
+    # nu = 19: N = 10^5 and 1.2 * 10^5, where the forward law took 6.4 s on the
+    # first and refused the second (N over 10^5); nu = 1, n = 50000: 5e9 band
+    # entries, once refused by the band cap
     t0 = time.perf_counter()
-    assert main(["ldp", "--nu", "1", "--n", "50000"]) == 4
+    assert main(["ldp", "--nu", nu, "--n", n]) == 0
     assert time.perf_counter() - t0 < 1.0
-    assert "exceeds cap 500000000" in capsys.readouterr().err
+    rows = capsys.readouterr().out.strip().split("\n")[2:]
+    assert [row.split(",")[0] for row in rows] == n.split(",")
+    assert all(float(row.split(",")[1]) <= 0.0 for row in rows)
 
 
 def test_ldp_rate_is_never_positive(capsys):
@@ -604,7 +609,7 @@ def test_console_script():
     module, attr = _console_script_target()
     r = _run_console_script(module, attr, "ldp", "--nu", "1", "--n", "20")
     assert r.returncode == 0, r.stderr
-    assert r.stdout.startswith("# format_version=1\nn,lnP_over_n,minus_J,gap")
+    assert r.stdout.startswith("# format_version=2\nn,lnP_over_n,minus_J,gap")
     # the wrapper's sys.exit passes main's documented error code on
     r = _run_console_script(module, attr, "curve", "--nu", "-1", "--a", "0.2")
     assert r.returncode == 2, r.stderr
@@ -617,4 +622,4 @@ def test_installed_console_script():
     r = subprocess.run([exe, "ldp", "--nu", "1", "--n", "20"],
                        capture_output=True, text=True)
     assert r.returncode == 0
-    assert r.stdout.startswith("# format_version=1\nn,lnP_over_n,minus_J,gap")
+    assert r.stdout.startswith("# format_version=2\nn,lnP_over_n,minus_J,gap")

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import os
 import pickle
 from fractions import Fraction
 
@@ -424,42 +426,44 @@ def test_surjection_probability_trivial():
         surjection_log_probability(3, 4)
 
 
-# ln_p_mpmath values of the shapes where it takes more than a few seconds (2-core
-# Xeon), each made by
-#   PYTHONPATH=src python3 -c "import sys; sys.path.insert(0, 'tests');
-#       from oracles import ln_p_mpmath; print(repr(ln_p_mpmath(N, n)))"
-# and matched to 1e-14 by ln(n! {N n}) - N ln n from stirling_exact(N, n, cap=N)
-LN_P_MPMATH = {(5501, 5000): -3660.089395731216,  # 8.7 s
-               (10001, 5000): -895.7091671331231,  # 9.6 s
-               (12001, 6000): -1074.9485401718146,  # 13.9 s
-               (9600, 8000): -4732.711099607166,  # 22.8 s
-               (12000, 8000): -2846.2039282892983}  # 26.3 s
-_OUT_OF_RANGE = pytest.mark.xfail(strict=True, reason="the band's law spans more than "
-                                  "float64's exponent range (ROADMAP item 22)")
+def _references(route):
+    with open(os.path.join(os.path.dirname(__file__), "data", "references.json")) as f:
+        return json.load(f)[route]
+
+
+# ln P from tests/make_references.py, among them the shapes where ln_p_mpmath takes seconds
+LN_P_REFERENCES = {(e["N"], e["n"]): e["value"] for e in _references("ln_p")}
 
 
 # N = n, N = n + 1, N = 2n + 1, n = 1, P near 1 (ln P = -7.4e-291 at (3001, 5),
-# -5.7e-85 at (10^5, 500)), nu = (N - n)/n = 0.1 and the ldp --nu 1 chain; from
-# n = 2500 on, shapes where a law rescaled near 1 lost its smallest levels to underflow
+# -5.7e-85 at (10^5, 500)), nu = (N - n)/n = 0.1 and the ldp --nu 1 chain, and
+# shapes where the forward law this route replaced lost digits to underflow
 @pytest.mark.parametrize("N, n", [(3, 3), (41, 20), (50, 25), (300, 1), (300, 300), (301, 300),
                                   (400, 200), (600, 300), (2000, 2000), (2001, 1000),
                                   (2001, 2000), (2200, 2000), (3001, 5), (3001, 1500),
                                   (4000, 2000), (4001, 2001), (10 ** 4, 1000), (10 ** 5, 500),
                                   (2750, 2500), (4001, 3000), (5501, 5000), (10001, 5000),
-                                  (12001, 6000), pytest.param(9600, 8000, marks=_OUT_OF_RANGE),
-                                  pytest.param(12000, 8000, marks=_OUT_OF_RANGE)])
+                                  (12001, 6000), (9600, 8000), (12000, 8000)])
 def test_surjection_probability_matches_inclusion_exclusion(N, n):
-    want = LN_P_MPMATH[N, n] if (N, n) in LN_P_MPMATH else ln_p_mpmath(N, n)
+    want = LN_P_REFERENCES[N, n] if (N, n) in LN_P_REFERENCES else ln_p_mpmath(N, n)
     got = surjection_log_probability(N, n)
     assert got <= 0.0
-    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def test_surjection_probability_meets_its_bound_at_every_reference():
+    # the docstring's 1e-13 |ln P|: the (nu, n) grid to n = 10^4 and N = n + 1, n + 2 to 10^5
+    for e in _references("ln_p"):
+        got = surjection_log_probability(e["N"], e["n"])
+        assert got <= 0.0
+        assert abs(got - e["value"]) <= 1e-13 * abs(e["value"]), (e, got)
 
 
 @given(st.integers(min_value=1, max_value=120).flatmap(
     lambda n: st.tuples(st.integers(min_value=n, max_value=4 * n + 40), st.just(n))))
 def test_surjection_probability_matches_inclusion_exclusion_property(Nn):
-    # every n <= 120 and N <= 4n + 40 read at most 2.7e-15 relative; the first
-    # k = N - n draws are none (k = 0), shorter or longer than the last n
+    # all 26,700 shapes n <= 120, N <= 4n + 40 read at most 9.2e-15 relative, at
+    # (28, 12); the split t1 = n (1 - 1/n)^N = 1 falls inside it for 4 <= n <= 88
     N, n = Nn
     want = ln_p_mpmath(N, n)
     got = surjection_log_probability(N, n)
@@ -486,13 +490,16 @@ def test_surjection_probability_is_never_positive():
     for n in (5, 50):
         got = surjection_log_probability(10 ** 5, n)
         assert got == 0.0 and math.copysign(1.0, got) == 1.0, (n, got)
+    # N beyond float range: every term is 0, not an OverflowError
+    got = surjection_log_probability(10 ** 400, 5)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
-def test_surjection_probability_caps_the_band():
-    # N * min(n, N - n + 1) entries to roll, 5.001e8 in both cases: over the cap
-    for n in (5001, 95000):
-        with pytest.raises(ResourceCapError, match="exceeds cap 500000000"):
-            surjection_log_probability(10 ** 5, n)
+def test_surjection_probability_caps_n():
+    # the bound is measured up to n = 10^5; beyond, ResourceCapError before any work
+    with pytest.raises(ResourceCapError, match="n=100001 exceeds cap 100000"):
+        surjection_log_probability(10 ** 5 + 1, 10 ** 5 + 1)
+    assert surjection_log_probability(10 ** 5 + 1, 10 ** 5) < 0.0
 
 
 # --- saddle diagnostics ---------------------------------------------------
